@@ -158,9 +158,7 @@ def hamiltonian(state: ChainState, spec: ChainSpec) -> float:
     q, p = state.q, state.p
     if q.size != spec.n_sites:
         raise ValueError("state length does not match the chain")
-    dq = np.roll(q, -1) - q
-    return float(0.5 * (np.sum(p * p) + spec.mass ** 2 * np.sum(q * q)
-                        + spec.spring * np.sum(dq * dq)))
+    return float(total_energies(q, p, spec))
 
 
 def total_energies(q: np.ndarray, p: np.ndarray, spec: ChainSpec) -> np.ndarray:

@@ -21,7 +21,7 @@ exp(i*xi*x) dx; quadrature is trapezoidal on uniform grids.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,18 +165,23 @@ def density_from_amplitude(psi: GridWaveFunction) -> DensityGrid:
                        renormalized=abs(nrm2 - 1.0) > _NORM_TOL)
 
 
+def _dense_fourier(x: np.ndarray, weights: np.ndarray,
+                   freqs: np.ndarray) -> np.ndarray:
+    """Σ_i exp(i·f·x_i) weights_i for every f, chunked over f to bound
+    the phase-matrix size."""
+    out = np.empty(freqs.size, dtype=complex)
+    step = max(1, int(2e6 / max(1, x.size)))
+    for i in range(0, freqs.size, step):
+        block = freqs[i:i + step]
+        out[i:i + step] = np.exp(1j * np.outer(block, x)) @ weights
+    return out
+
+
 def characteristic_function(p: DensityGrid, t_grid) -> CharacteristicSamples:
     """f(t) = integral of exp(itx) p(x) dx by trapezoidal quadrature."""
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     w = _trapezoid_weights(p.n) * p.values * p.dx
-    # chunk over t to bound the phase-matrix size
-    out = np.empty(t.size, dtype=complex)
-    x = p.x
-    step = max(1, int(2e6 / max(1, x.size)))
-    for i in range(0, t.size, step):
-        block = t[i:i + step]
-        out[i:i + step] = np.exp(1j * np.outer(block, x)) @ w
-    return CharacteristicSamples(t, out)
+    return CharacteristicSamples(t, _dense_fourier(p.x, w, t))
 
 
 def fourier_amplitude(psi: GridWaveFunction, xi) -> np.ndarray:
@@ -186,13 +191,7 @@ def fourier_amplitude(psi: GridWaveFunction, xi) -> np.ndarray:
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     w = _trapezoid_weights(psi.n) * psi.values * psi.dx
-    out = np.empty(xi.size, dtype=complex)
-    x = psi.x
-    step = max(1, int(2e6 / max(1, x.size)))
-    for i in range(0, xi.size, step):
-        block = xi[i:i + step]
-        out[i:i + step] = np.exp(1j * np.outer(block, x)) @ w
-    return out / np.sqrt(2.0 * np.pi)
+    return _dense_fourier(psi.x, w, xi) / np.sqrt(2.0 * np.pi)
 
 
 def _default_xi_grid(psi: GridWaveFunction, xi_points: int | None,

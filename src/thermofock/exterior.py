@@ -37,11 +37,6 @@ __all__ = [
 ]
 
 
-def _coerce(value):
-    """Accept plain scalars alongside graded elements in sums/products."""
-    return value
-
-
 class _Graded2:
     """A 4-coefficient element c0 + c1*g1 + c2*g2 + c12*g1g2 over two
     anticommuting generators g1, g2 (g1*g1 = g2*g2 = 0, g1*g2 = -g2*g1).

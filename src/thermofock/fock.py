@@ -17,6 +17,7 @@ coherent-amplitude phase evolved by the Hamiltonian ω a⁺a + ωħ/2.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,8 +111,7 @@ class FockVector:
 
 
 def _log_factorial(n):
-    from scipy.special import gammaln
-    return gammaln(np.asarray(n) + 1.0)
+    return np.vectorize(math.lgamma, otypes=[float])(np.asarray(n) + 1.0)
 
 
 def _check_compatible(f: FockVector, g: FockVector):
@@ -301,29 +301,14 @@ def rescale_lambda(f: FockVector, lam: float) -> FockVector:
 def hermite_function(n: int, q) -> np.ndarray:
     """Orthonormal Hermite function Ψ_n(q) (unit scale).
 
-    Pre-weighted stable recurrence
-    Ψ_n = q sqrt(2/n) Ψ_{n-1} - sqrt((n-1)/n) Ψ_{n-2},
+    Row n of the unit-scale ``_hermite_table``: the pre-weighted stable
+    recurrence Ψ_n = q sqrt(2/n) Ψ_{n-1} - sqrt((n-1)/n) Ψ_{n-2},
     Ψ_0 = π^{-1/4} e^{-q²/2}; accurate for n <= 200.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if n > _HERMITE_N_MAX:
-        raise ValueError(
-            f"order {n} above recurrence accuracy bound {_HERMITE_N_MAX}")
     q = np.asarray(q, dtype=float)
-    prev = np.pi ** -0.25 * np.exp(-0.5 * q * q)
-    if n == 0:
-        return prev
-    cur = np.sqrt(2.0) * q * prev
-    for m in range(2, n + 1):
-        prev, cur = cur, q * np.sqrt(2.0 / m) * cur - np.sqrt((m - 1) / m) * prev
-    return cur
-
-
-def _hermite_scaled(n: int, q, hbar: float) -> np.ndarray:
-    """Width-sqrt(ħ) Hermite function, orthonormal in dq."""
-    q = np.asarray(q, dtype=float)
-    return hbar ** -0.25 * hermite_function(n, q / np.sqrt(hbar))
+    return _hermite_table(n, q.ravel(), 1.0)[n].reshape(q.shape)
 
 
 def _hermite_table(n_max: int, q, hbar: float) -> np.ndarray:

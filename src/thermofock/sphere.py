@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
 from .errors import NumericalGuardError
 
@@ -185,11 +184,17 @@ def pushforward_radii(theta: np.ndarray, beta: float) -> np.ndarray:
 
 def pushforward_ks_statistic(beta: float, n: int, seed: int) -> float:
     """Kolmogorov–Smirnov distance between mapped uniform-sphere radii
-    and the Gibbs radial law 1 − e^{−βr²}."""
+    and the Gibbs radial law 1 − e^{−βr²}.
+
+    D = max(D⁺, D⁻) over the sorted empirical CDF, arranged as in
+    ``scipy.stats.kstest`` (the test oracle) so the two agree bit for bit.
+    """
     theta, _ = uniform_sphere_samples(n, seed)
-    radii = pushforward_radii(theta, beta)
-    result = stats.kstest(radii, lambda r: -np.expm1(-beta * r * r))
-    return float(result.statistic)
+    radii = np.sort(pushforward_radii(theta, beta))
+    cdf = -np.expm1(-beta * radii * radii)
+    d_plus = np.max(np.arange(1.0, radii.size + 1) / radii.size - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, radii.size) / radii.size)
+    return float(max(d_plus, d_minus))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +210,8 @@ def gibbs_normalization_check(osc: ThermalOscillator,
     value so the inconsistency is visible.  Quadrature and analytic
     values must agree within 1e−8 or NumericalGuardError is raised.
     """
+    from scipy import integrate  # the quadrature oracle, loaded on use
+
     analytic = 2.0 * math.pi / (osc.beta * osc.omega * osc.h)
     sigma_q = 1.0 / math.sqrt(osc.beta * osc.mass) / osc.omega
     sigma_p = math.sqrt(osc.mass / osc.beta)
@@ -294,6 +301,8 @@ def region_probability(region, osc: ThermalOscillator,
     Adaptive quadrature with exact region boundaries; a reported
     quadrature error above 1e−7 raises NumericalGuardError.
     """
+    from scipy import integrate  # the quadrature oracle, loaded on use
+
     def integrand(p, q):
         return math.exp(-osc.beta * float(osc.energy(q, p))) / osc.h
 

@@ -12,11 +12,13 @@ basis states map to outcome distribution (½, ½) after one step, which
 forces any single time-homogeneous stochastic matrix reproducing the
 one-step law to have both columns (½, ½); but then two Markov steps
 still give (½, ½), while two unitary steps return (1, 0) exactly —
-interference with total-variation gap ½.  The feasibility search
+interference with total-variation gap ½.  The feasibility test
 returns either a stochastic matrix satisfying all requested
 (input, output, steps) constraints to 1e−6, or an infeasibility
 certificate: exact column forcing plus a violated constraint, an
-inconsistent linear system, or an exhaustive Lipschitz covering bound.
+inconsistent linear system, or the exact spectral test, which reduces
+multi-step requirements to real polynomial roots in the eigenvalue
+λ = a − b of w = [[a, b], [1−a, 1−b]].
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 __all__ = [
     "StochasticMatrix",
@@ -206,21 +207,6 @@ def _residual(a: float, b: float, constraints) -> float:
     return worst
 
 
-def _grid_residuals(constraints, resolution: float):
-    """Vectorized residual over the (a, b) grid; returns (a, b, R) arrays."""
-    ticks = np.linspace(0.0, 1.0, int(round(1.0 / resolution)) + 1)
-    a, b = np.meshgrid(ticks, ticks, indexing="ij")
-    worst = np.zeros_like(a)
-    for c in constraints:
-        p0, p1 = c.p_in
-        x, y = np.full_like(a, p0), np.full_like(a, p1)
-        for _ in range(c.steps):
-            x, y = a * x + b * y, (1.0 - a) * x + (1.0 - b) * y
-        err = np.maximum(np.abs(x - c.p_out[0]), np.abs(y - c.p_out[1]))
-        worst = np.maximum(worst, err)
-    return ticks, worst
-
-
 def _forced_columns(constraints):
     """Solve the 1-step constraints for (a, b) when they pin a unique
     point: each gives the line a p_in[0] + b p_in[1] = p_out[0]."""
@@ -243,19 +229,61 @@ def _forced_columns(constraints):
     return (float(sol[0]), float(sol[1])), None
 
 
-def markov_feasibility(step_maps, resolution: float = 1e-3,
-                       tol: float = 1e-6) -> FeasibilityResult:
-    """Search all 2×2 column-stochastic matrices for one satisfying
-    every (input, output, steps) requirement.
+def _spectral_search(constraints, tol: float) -> FeasibilityResult:
+    """Each requirement reads Sₙ(λ)·b = p_out[0] − λⁿp₀ in λ = a − b, so
+    whether some b in the box max(0, −λ) ≤ b ≤ min(1, 1 − λ) meets them
+    all can change only at real roots of the pairwise consistency, the
+    box-edge and the Sₙ polynomials: those knots, {−1, 0, 1} and the
+    midpoints between them decide the whole family."""
+    lam = np.polynomial.Polynomial([0.0, 1.0])
+    lines = [(np.polynomial.Polynomial(np.ones(c.steps)),
+              c.p_out[0] - c.p_in[0] * lam ** c.steps) for c in constraints]
+    polys = [p for s, d in lines for p in (s, d, d - s, d + lam * s,
+                                           d - (1.0 - lam) * s)]
+    polys += [d1 * s2 - d2 * s1 for i, (s1, d1) in enumerate(lines)
+              for s2, d2 in lines[i + 1:]]
+    # negligible leading coefficients only carry roots far outside [−1, 1];
+    # a double root may surface as a conjugate pair split by ~1e-8
+    roots = np.concatenate([p.trim(1e-14 * np.max(np.abs(p.coef))).roots()
+                            for p in polys] + [[-1.0, 0.0, 1.0]])
+    roots = roots.real[(np.abs(roots.imag) <= 1e-6)
+                       & (np.abs(roots.real) <= 1.0)]
+    knots = np.unique(roots)
+    best = (math.inf, 0.0, 0.0)
+    for x in np.concatenate([knots, 0.5 * (knots[1:] + knots[:-1])]):
+        s = np.array([sp(x) for sp, _ in lines])
+        d = np.array([dp(x) for _, dp in lines])
+        scale = float(s @ s)
+        b = float(s @ d) / scale if scale > 0.0 else 0.0
+        b = min(max(b, max(0.0, -x)), min(1.0, 1.0 - x))
+        a = min(max(x + b, 0.0), 1.0)
+        best = min(best, (_residual(a, b, constraints), a, b))
+    residual, a, b = best
+    if residual <= tol:
+        return FeasibilityResult(True, StochasticMatrix.from_params(a, b),
+                                 residual, None)
+    return FeasibilityResult(
+        False, None, residual,
+        "infeasible: every requirement is linear in b with coefficients "
+        "polynomial in λ = a − b, so feasibility is constant between the "
+        f"{knots.size} knots in [−1, 1] (−1, 0, 1 and the real roots of the "
+        "consistency, box-edge and step-sum polynomials); at the knots and "
+        f"the midpoints between them the smallest residual is {residual:.6g}"
+        f" > {tol:.1g}")
+
+
+def markov_feasibility(step_maps, tol: float = 1e-6) -> FeasibilityResult:
+    """Decide whether some 2×2 column-stochastic matrix satisfies every
+    (input, output, steps) requirement.
 
     The family is two-dimensional: w = [[a, b], [1−a, 1−b]].  One-step
     requirements are linear in (a, b); when they pin a unique point,
     the remaining requirements are checked there directly, producing an
-    exact forcing certificate on failure.  Otherwise an exhaustive grid
-    at the given resolution plus local refinement either exhibits a
-    witness with residual ≤ tol or certifies infeasibility through a
-    Lipschitz covering bound (each n-step map moves at distance at most
-    2n per unit parameter step).
+    exact forcing certificate on failure.  Otherwise the exact spectral
+    form of w (λ = a − b, n steps send p₀ to λⁿp₀ + b·Sₙ(λ)) reduces
+    the question to real polynomial roots in λ ∈ [−1, 1]; every call
+    returns either a witness with residual ≤ tol or a certificate
+    starting with ``infeasible:``.
     """
     constraints = _as_constraints(step_maps)
 
@@ -290,31 +318,7 @@ def markov_feasibility(step_maps, resolution: float = 1e-3,
             f"then {bad.steps} step(s) send {bad.p_in} to "
             f"({p[0]:.6g}, {p[1]:.6g}) instead of {bad.p_out}")
 
-    ticks, worst = _grid_residuals(constraints, resolution)
-    idx = np.unravel_index(int(np.argmin(worst)), worst.shape)
-    start = np.array([ticks[idx[0]], ticks[idx[1]]])
-    refine = optimize.minimize(
-        lambda ab: _residual(ab[0], ab[1], constraints), start,
-        method="Nelder-Mead",
-        bounds=[(0.0, 1.0), (0.0, 1.0)],
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
-    a, b = refine.x
-    residual = _residual(float(a), float(b), constraints)
-    if residual <= tol:
-        return FeasibilityResult(
-            True, StochasticMatrix.from_params(float(a), float(b)),
-            residual, None)
-    grid_min = float(np.min(worst))
-    lipschitz = 2.0 * max(c.steps for c in constraints)
-    margin = grid_min - lipschitz * (ticks[1] - ticks[0])
-    certificate = (
-        f"infeasible: exhaustive grid at resolution {ticks[1] - ticks[0]:.3g} "
-        f"has minimum residual {grid_min:.6g}; with parameter Lipschitz "
-        f"constant {lipschitz:.3g} every matrix in the family keeps residual "
-        f"above {margin:.6g}" if margin > tol else
-        f"no matrix found: best refined residual {residual:.6g} exceeds "
-        f"{tol:.1g} but the covering bound is inconclusive")
-    return FeasibilityResult(False, None, residual, certificate)
+    return _spectral_search(constraints, tol)
 
 
 # ---------------------------------------------------------------------------

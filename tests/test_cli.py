@@ -7,10 +7,15 @@ entry point would.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermofock
 from thermofock.cli import main
 
 WIEN_RATIO_AT_10 = "1.0000454019910097"
@@ -309,3 +314,29 @@ class TestTableContents:
         np.testing.assert_allclose(values["gibbs_quadrature_mass"], 1.0,
                                    atol=1e-8)
         assert values["mean_energy_gap_sigmas"] < 4.0
+
+
+class TestImportFootprint:
+    """scipy is loaded only by the sphere quadrature oracles."""
+
+    def test_no_scipy_after_import_or_default_tables(self):
+        script = (
+            "import contextlib, io, json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] == 'scipy')\n"
+            "import thermofock\n"
+            "from thermofock.cli import main\n"
+            "seen = [scipy_modules()]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['toy']), main(['fock', '--nmax', '4'])]\n"
+            "seen.append(scipy_modules())\n"
+            "print(json.dumps({'codes': codes, 'seen': seen}))\n")
+        src = str(Path(thermofock.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        report = json.loads(done.stdout)
+        assert report["codes"] == [0, 0]
+        assert report["seen"] == [[], []]

@@ -5,13 +5,15 @@ the cap-area fraction sin^2(theta/2), the exponential-law disk mass
 1 - e^{-beta |z|^2} (so the median radius is sqrt(2 ln 2 / beta) in
 canonical coordinates), the Gibbs mean energy 1/beta, and the two
 endmember ratios of the blackbody density evaluated with mpmath-free
-stdlib arithmetic and frozen below.
+stdlib arithmetic and frozen below.  ``scipy.stats.kstest`` is the
+oracle for the sorted-ECDF Kolmogorov–Smirnov statistic.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from thermofock.errors import NumericalGuardError
 from thermofock.sphere import (
@@ -30,6 +32,7 @@ from thermofock.sphere import (
     mean_energy,
     planck_density,
     pushforward_ks_statistic,
+    pushforward_radii,
     region_probability,
     stereographic,
     thermal_map_exact,
@@ -105,6 +108,15 @@ class TestPushforward:
 
     def test_ks_statistic_of_the_sampled_pushforward(self):
         assert pushforward_ks_statistic(1.0, 100000, seed=7) < 0.01
+
+    @pytest.mark.parametrize("beta", [0.25, 1.0, 3.5])
+    @pytest.mark.parametrize("n,seed", [(1, 0), (17, 4), (1000, 7),
+                                        (20000, 12345)])
+    def test_ks_statistic_matches_the_scipy_oracle(self, beta, n, seed):
+        theta, _ = uniform_sphere_samples(n, seed)
+        radii = pushforward_radii(theta, beta)
+        oracle = stats.kstest(radii, lambda r: -np.expm1(-beta * r * r))
+        assert pushforward_ks_statistic(beta, n, seed) == oracle.statistic
 
     def test_uniform_samples_are_on_the_sphere(self):
         theta, phi = uniform_sphere_samples(10000, seed=3)

@@ -4,7 +4,9 @@ feasibility search.
 Oracles: direct matrix arithmetic for the step maps, hand-solved linear
 systems for the forced-column cases, and the closed two-step walk of
 the equal-weight involution (returns to the start exactly) against the
-forced competitor frozen at the flat distribution.
+forced competitor frozen at the flat distribution.  Multi-step
+requirements generated by a known matrix (``matrix_power``) must always
+come back feasible.
 """
 
 import inspect
@@ -12,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import thermofock.toy as toy_module
 from thermofock.toy import (
@@ -190,12 +194,10 @@ class TestFeasibilitySearch:
 
     def test_grid_certificate_for_a_pure_multi_step_contradiction(self):
         # With no one-step requirements the exact-forcing path is
-        # unavailable; the exhaustive covering bound must close the
-        # case.  Two steps of any stochastic matrix cannot map both
-        # basis states onto the other basis state AND the flat pair to
-        # itself... choose requirements violated everywhere:
-        # two steps send (1,0) to (1,0) and also (1,0)-ward mixtures
-        # apart, contradicting monotone contraction of the simplex.
+        # unavailable; the spectral test must close the case.  Any
+        # n-step map is affine on the simplex, so the flat pair must go
+        # to the average of the images of the two basis states, (0, 1),
+        # not to (1, 0): violated by every matrix in the family.
         constraints = [
             Constraint((1.0, 0.0), (0.0, 1.0), steps=2),
             Constraint((0.0, 1.0), (0.0, 1.0), steps=2),
@@ -203,13 +205,53 @@ class TestFeasibilitySearch:
         ]
         result = markov_feasibility(constraints)
         assert not result
-        assert result.certificate is not None
-        assert "infeasible" in result.certificate or \
-            "no matrix found" in result.certificate
+        assert result.w is None
+        assert result.certificate.startswith("infeasible:")
+        assert result.residual > 1e-6
 
     def test_empty_requirements_rejected(self):
         with pytest.raises(ValueError):
             markov_feasibility([])
+
+
+_PARAM = st.one_of(st.sampled_from([0.0, 1.0]),
+                   st.floats(0.0, 1.0, allow_nan=False))
+_REQUIREMENT = st.tuples(
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+              st.floats(0.0, 1.0, allow_nan=False)),
+    st.integers(2, 8))
+
+
+class TestSpectralSearch:
+    """Multi-step requirements generated by an actual matrix."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(a=_PARAM, b=_PARAM,
+           requirements=st.lists(_REQUIREMENT, min_size=1, max_size=4))
+    @example(a=1.0, b=0.0, requirements=[(0.3, 2), (1.0, 7)])  # λ = 1
+    @example(a=0.0, b=1.0, requirements=[(0.3, 2), (1.0, 7)])  # λ = −1
+    @example(a=0.0, b=1.0, requirements=[(1.0, 3), (0.25, 8)])
+    @example(a=1.0, b=1.0, requirements=[(0.0, 4), (0.6, 5)])
+    @example(a=0.0, b=0.0, requirements=[(0.9, 2), (0.5, 3)])
+    @example(a=0.6, b=0.0, requirements=[(0.8, 2), (0.8, 3), (0.2, 8)])
+    # off-lattice cases a grid-plus-local-refinement search missed
+    @example(a=0.11040001757950324, b=0.2592105953590712,
+             requirements=[(0.5, 4), (0.5, 2), (0.5, 5), (0.0, 7)])
+    @example(a=0.7780073936150816, b=0.7345368403244252,
+             requirements=[(1.0, 6), (0.0, 2), (0.5, 3), (0.5, 4)])
+    def test_generated_requirements_are_feasible_with_a_witness(
+            self, a, b, requirements):
+        w = StochasticMatrix.from_params(a, b)
+        constraints = [
+            Constraint((p0, 1.0 - p0),
+                       tuple(np.linalg.matrix_power(w.entries, steps)
+                             @ [p0, 1.0 - p0]), steps=steps)
+            for p0, steps in requirements]
+        result = markov_feasibility(constraints)
+        assert result, result.certificate
+        for c in constraints:
+            out = np.linalg.matrix_power(result.w.entries, c.steps) @ c.p_in
+            np.testing.assert_allclose(out, c.p_out, rtol=0.0, atol=1e-9)
 
 
 class TestInterferenceTable:
