@@ -73,7 +73,7 @@ class ChainSpec:
             raise ValueError("need at least 2 sites")
         if not (self.spacing > 0):
             raise ValueError(f"spacing must be positive, got {self.spacing}")
-        if self.mass < 0:
+        if not (self.mass >= 0):
             raise ValueError(f"mass must be nonnegative, got {self.mass}")
         if not (self.gamma > 0):
             raise ValueError(f"gamma must be positive, got {self.gamma}")
@@ -282,10 +282,12 @@ def evolve(state: ChainState, spec: ChainSpec, dt: float | None = None,
     qs = np.empty((steps + 1, q.size))
     ps = np.empty((steps + 1, q.size))
     qs[0], ps[0] = q, p
+    force = _force(q, spec)
     for i in range(1, steps + 1):
-        p = p + 0.5 * dt * _force(q, spec)
+        p = p + 0.5 * dt * force
         q = q + dt * p
-        p = p + 0.5 * dt * _force(q, spec)
+        force = _force(q, spec)   # closes this step, opens the next
+        p = p + 0.5 * dt * force
         qs[i], ps[i] = q, p
     return Trajectory(dt * np.arange(steps + 1), qs, ps)
 

@@ -11,10 +11,11 @@ ways:
 
 The equality of the two routes characterizes which functions are
 characteristic functions of absolutely continuous distributions, and is
-exercised here as an executable identity: on a uniform grid, with the
-xi-integration covering one full Nyquist period (2*pi/dx) with at least
-N points, the discrete routes agree to machine precision for arbitrary
-square-summable samples.
+exercised here as an executable identity.  The direct route is a dense
+quadrature sum; the autocorrelation runs its xi-integration over one
+full Nyquist period (2*pi/dx) with M = 4N points, where g on the
+lattice shifted by any real t is one zero-padded FFT.  For samples
+that vanish at the grid ends the two routes agree to machine precision.
 
 All transforms use the convention g(xi) = (2*pi)^(-1/2) * S psi(x)
 exp(i*xi*x) dx; quadrature is trapezoidal on uniform grids.
@@ -194,70 +195,60 @@ def fourier_amplitude(psi: GridWaveFunction, xi) -> np.ndarray:
     return _dense_fourier(psi.x, w, xi) / np.sqrt(2.0 * np.pi)
 
 
-def _default_xi_grid(psi: GridWaveFunction, xi_points: int | None,
-                     xi_span: float | None):
-    """Uniform xi lattice; by default one full Nyquist period 2*pi/dx."""
-    period = 2.0 * np.pi / psi.dx
-    span = period if xi_span is None else float(xi_span)
-    m = max(psi.n, 4 * psi.n if xi_points is None else int(xi_points))
-    dxi = span / m
-    xi = -span / 2.0 + dxi * np.arange(m)
-    return xi, dxi, span, period
+def _xi_lattice(psi: GridWaveFunction) -> tuple[int, float]:
+    """Point count M = 4N and spacing of the xi lattice that covers one
+    Nyquist period 2*pi/dx."""
+    m = 4 * psi.n
+    return m, (2.0 * np.pi / psi.dx) / m
 
 
 def autocorrelation_charfn(psi: GridWaveFunction, t_grid,
-                           xi_points: int | None = None,
-                           xi_span: float | None = None,
                            tail_tol: float = 1e-8) -> CharacteristicSamples:
     """f(t) = integral of g(t+xi) conj(g(xi)) dxi, g the Fourier amplitude.
 
-    The xi integration runs over a uniform lattice covering ``xi_span``
-    (default: one full Nyquist period 2*pi/dx, on which the discrete
-    Parseval identity is exact).  Captured spectral mass below
-    (1 - tail_tol) * ||psi||^2 raises NumericalGuardError naming the
-    required extension.
+    The xi integration runs over the lattice xi_j = -pi/dx + j*dxi of
+    one Nyquist period with M = 4N points.  Since
+    (xi_j + t) x_i = (xi_j + t) x0 + (t dx - pi) i + 2 pi j i / M,
+    g(xi_j + t) = exp(i (xi_j + t) x0) h_t[j], where h_t is one
+    zero-padded inverse FFT of a_i exp(i t dx i), a_i = w_i psi_i (-1)^i
+    with trapezoid weights w.  This holds for every real t, and the x0
+    phases leave only exp(i t x0) in the integrand.
 
-    For t values on the xi lattice the shifted samples are reused
-    (g is periodic over the Nyquist period); off-lattice t values are
-    evaluated by direct quadrature.
+    Discrete Parseval is exact on a full period, so the captured
+    spectral mass falls short of ||psi||^2 only through the halved
+    end-point weights; a shortfall beyond ``tail_tol`` (samples that do
+    not vanish at the grid ends) raises NumericalGuardError.
     """
     if not psi.is_normalized:
         psi = psi.normalized()
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    xi, dxi, span, period = _default_xi_grid(psi, xi_points, xi_span)
-    g = fourier_amplitude(psi, xi)
-    mass = float(np.sum(np.abs(g) ** 2) * dxi)
+    m, dxi = _xi_lattice(psi)
+    i = np.arange(psi.n)
+    a = _trapezoid_weights(psi.n) * psi.values * np.where(i % 2, -1.0, 1.0)
+    h0 = np.fft.ifft(a, m)
+    weight = dxi * (m * psi.dx) ** 2 / (2.0 * np.pi)
+    mass = float(np.sum(np.abs(h0) ** 2) * weight)
     target = psi.norm_squared()
-    if mass < (1.0 - tail_tol) * target:
+    if not (mass >= (1.0 - tail_tol) * target):
         raise NumericalGuardError(
-            f"xi grid of span {span:.6g} captures only {mass:.12g} of the "
-            f"spectral mass {target:.12g}; extend the span toward the full "
-            f"Nyquist period {period:.6g}")
-    gbar_w = np.conj(g) * dxi
+            f"the spectrum captures only {mass:.12g} of ||psi||^2="
+            f"{target:.12g}: the samples do not vanish at the grid ends; "
+            f"widen the grid")
+    h0bar_w = np.conj(h0) * weight
     values = np.empty(t.size, dtype=complex)
-    on_lattice = np.abs(np.round(t / dxi) - t / dxi) < 1e-9
-    full_period = abs(span - period) < 1e-9 * period
-    # over one full period g(xi + period) = wrap_phase * g(xi)
-    wrap_phase = np.exp(2j * np.pi * psi.x0 / psi.dx)
-    m = xi.size
-    for i, ti in enumerate(t):
-        shift = int(np.round(ti / dxi))
-        if on_lattice[i] and full_period and abs(shift) < m:
-            shifted = np.roll(g, -shift)
-            if shift > 0:
-                shifted[m - shift:] *= wrap_phase
-            elif shift < 0:
-                shifted[:-shift] *= np.conj(wrap_phase)
-            values[i] = shifted @ gbar_w
-        else:
-            values[i] = fourier_amplitude(psi, ti + xi) @ gbar_w
+    for k, tk in enumerate(t):
+        h = np.fft.ifft(a * np.exp(1j * tk * psi.dx * i), m)
+        values[k] = np.exp(1j * tk * psi.x0) * (h @ h0bar_w)
     return CharacteristicSamples(t, values)
 
 
 def default_t_grid(psi: GridWaveFunction, span: float = 6.0,
                    npts: int = 61) -> np.ndarray:
-    """t grid snapped onto the xi lattice so both routes share points."""
-    _, dxi, _, _ = _default_xi_grid(psi, None, None)
+    """npts points over [-span, span], snapped onto the xi lattice.
+
+    The autocorrelation route takes any real t; the snap only keeps the
+    points of the published tables."""
+    _, dxi = _xi_lattice(psi)
     raw = np.linspace(-span, span, npts)
     return np.round(raw / dxi) * dxi
 

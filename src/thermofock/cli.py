@@ -573,6 +573,13 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    """JSON has no NaN or infinity: such a float is written as null."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _render(description, cfg: RunConfig, columns, rows, comments) -> str:
     if cfg.format == "csv":
         lines = [f"# check: {description}", f"# config: {cfg.echo()}"]
@@ -584,12 +591,13 @@ def _render(description, cfg: RunConfig, columns, rows, comments) -> str:
     document = {
         "check": description,
         "config": {"subcommand": cfg.subcommand, "seed": cfg.seed,
-                   **cfg.params},
+                   **{k: _json_value(v) for k, v in cfg.params.items()}},
         "comments": list(comments),
         "columns": list(columns),
-        "rows": [list(row) for row in rows],
+        "rows": [[_json_value(v) for v in row] for row in rows],
     }
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    return json.dumps(document, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _write_atomic(path: str, text: str) -> None:

@@ -192,7 +192,7 @@ def quadrature_inner_product(f: FockVector, g: FockVector,
 
     coarse = evaluate(radial_nodes, angular_nodes)
     fine = evaluate(radial_nodes + 8, angular_nodes + 16)
-    if abs(coarse - fine) > 1e-8:
+    if not (abs(coarse - fine) <= 1e-8):
         raise NumericalGuardError(
             f"quadrature self-estimate {abs(coarse - fine):.3e} above 1e-8; "
             f"increase radial_nodes/angular_nodes from "
@@ -393,7 +393,7 @@ def from_position(psi: GridWaveFunction, n_max: int,
     coeffs = _hermite_table(n_max, q, hbar).astype(complex) @ wv
     captured = float(np.sum(np.abs(coeffs) ** 2))
     total = psi.norm_squared()
-    if captured < total - tail_tol:
+    if not (captured >= total - tail_tol):
         raise NumericalGuardError(
             f"projection captures {captured:.12g} of ||psi||^2={total:.12g}; "
             f"widen the grid or increase n_max beyond {n_max}")

@@ -57,11 +57,11 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError("density matrix must be square and nonempty")
-        if float(np.max(np.abs(m - m.conj().T))) > _HERM_TOL:
+        if not (float(np.max(np.abs(m - m.conj().T))) <= _HERM_TOL):
             raise ValueError("matrix is not Hermitian within 1e-12")
-        if float(np.min(np.linalg.eigvalsh(m))) < -_EIG_TOL:
+        if not (float(np.min(np.linalg.eigvalsh(m))) >= -_EIG_TOL):
             raise ValueError("matrix has an eigenvalue below -1e-12")
-        if abs(float(np.trace(m).real) - 1.0) > _TRACE_TOL:
+        if not (abs(float(np.trace(m).real) - 1.0) <= _TRACE_TOL):
             raise ValueError("trace differs from 1 by more than 1e-12")
 
     @property
@@ -112,10 +112,15 @@ class SectorStructure:
         seen = [i for idx in sectors.values() for i in idx]
         if sorted(seen) != list(range(len(seen))) or not seen:
             raise ValueError("sectors must partition 0..d-1 exactly once")
+        # owner[i]: position in `sectors` of the sector holding index i
+        owner = np.empty(len(seen), dtype=np.intp)
+        for k, idx in enumerate(sectors.values()):
+            owner[list(idx)] = k
+        object.__setattr__(self, "_owner", owner)
 
     @property
     def d(self) -> int:
-        return sum(len(idx) for idx in self.sectors.values())
+        return self._owner.size
 
     @classmethod
     def singletons(cls, d: int, charges=None) -> "SectorStructure":
@@ -125,29 +130,14 @@ class SectorStructure:
         return cls({i: (i,) for i in range(d)},
                    {i: charges[i] for i in range(d)})
 
-    def labels_by_index(self) -> list:
-        out = [None] * self.d
-        for label, idx in self.sectors.items():
-            for i in idx:
-                out[i] = label
-        return out
-
     def block_mask(self) -> np.ndarray:
         """Boolean d×d mask, True where row and column share a sector."""
-        labels = self.labels_by_index()
-        arr = np.empty((self.d, self.d), dtype=bool)
-        for i, li in enumerate(labels):
-            for j, lj in enumerate(labels):
-                arr[i, j] = li == lj
-        return arr
+        return self._owner[:, None] == self._owner[None, :]
 
     def charge_operator(self) -> np.ndarray:
         """S = Σ_i s_i Π_i as a diagonal matrix."""
-        diag = np.empty(self.d)
-        for label, idx in self.sectors.items():
-            for i in idx:
-                diag[i] = self.charges[label]
-        return np.diag(diag)
+        by_owner = np.array([self.charges[label] for label in self.sectors])
+        return np.diag(by_owner[self._owner])
 
 
 @dataclass(frozen=True)

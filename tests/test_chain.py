@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from thermofock import chain
 from thermofock.chain import (
     ChainSpec,
     ChainState,
@@ -209,6 +210,30 @@ class TestDynamics:
                       steps=500)
         np.testing.assert_allclose(back.q[-1], state.q, atol=1e-8)
         np.testing.assert_allclose(-back.p[-1], state.p, atol=1e-8)
+
+    def test_one_force_evaluation_per_step(self, monkeypatch):
+        # The closing kick's force opens the next step, so evolve must
+        # evaluate it steps + 1 times and reproduce the textbook
+        # two-force kick-drift-kick loop bit for bit.
+        spec = ChainSpec(n_sites=16, spacing=0.9, mass=0.7, gamma=1.3)
+        state = random_state(np.random.default_rng(23), 16)
+        dt, steps = 0.03, 400
+        q, p = state.q.copy(), state.p.copy()
+        for _ in range(steps):
+            p = p + 0.5 * dt * chain._force(q, spec)
+            q = q + dt * p
+            p = p + 0.5 * dt * chain._force(q, spec)
+        calls = []
+        force = chain._force
+
+        def counted(q_, spec_):
+            calls.append(1)
+            return force(q_, spec_)
+        monkeypatch.setattr(chain, "_force", counted)
+        traj = evolve(state, spec, dt=dt, steps=steps)
+        assert len(calls) == steps + 1
+        assert np.array_equal(traj.q[-1], q)
+        assert np.array_equal(traj.p[-1], p)
 
     def test_stability_limit_is_enforced(self):
         spec = ChainSpec(n_sites=8)
@@ -415,6 +440,10 @@ class TestValidation:
             ChainSpec(n_sites=8, gamma=0.0)
         with pytest.raises(ValueError):
             ChainSpec(n_sites=8, spacing=0.0)
+
+    def test_chain_spec_rejects_nan_mass(self):
+        with pytest.raises(ValueError):
+            ChainSpec(n_sites=8, mass=float("nan"))
 
     def test_state_shape_guards(self):
         with pytest.raises(ValueError):

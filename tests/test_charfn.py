@@ -7,6 +7,8 @@ the spectral autocorrelation of the amplitude wherever both are defined.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermofock.charfn import (
     CharacteristicSamples,
@@ -166,8 +168,7 @@ class TestRouteEquivalence:
             assert verify_theorem(psi) < 1e-5
 
     def test_off_lattice_evaluation_points(self):
-        # Force the direct-quadrature branch of the autocorrelation by
-        # using t values that do not sit on the spectral lattice.
+        # t values that do not sit on the spectral lattice.
         psi = gaussian_packet(n=512, span=30.0)
         t = np.array([0.123456, -1.87654, 2.71828])
         direct = characteristic_function(density_from_amplitude(psi), t)
@@ -205,10 +206,46 @@ class TestSpectralSide:
         mass = np.sum(np.abs(g) ** 2) * (period / m)
         np.testing.assert_allclose(mass, 1.0, atol=1e-9)
 
-    def test_narrow_spectral_window_trips_the_guard(self):
-        psi = gaussian_packet(s=0.05, n=512, span=10.0)
+    def test_packet_cut_off_at_the_grid_end_trips_the_guard(self):
+        # exp(-x^2) on [0, 8) is largest at the first sample, so the
+        # end-point trapezoid weight drops spectral mass well above 1e-8.
+        psi = GridWaveFunction.sampled(lambda x: np.exp(-x * x),
+                                       0.0, 8.0 / 512, 512)
         with pytest.raises(NumericalGuardError):
-            autocorrelation_charfn(psi, [0.5], xi_span=1.0)
+            autocorrelation_charfn(psi, [0.5])
+
+
+def dense_autocorrelation(psi, t):
+    """Σ_j g(t + xi_j) conj(g(xi_j)) dxi over one Nyquist period of
+    M = 4N points, g by direct quadrature."""
+    psi = psi.normalized()
+    m = 4 * psi.n
+    dxi = (2.0 * np.pi / psi.dx) / m
+    xi = -np.pi / psi.dx + dxi * np.arange(m)
+    gbar = np.conj(fourier_amplitude(psi, xi)) * dxi
+    return np.array([fourier_amplitude(psi, ti + xi) @ gbar for ti in t])
+
+
+class TestAutocorrelationProperty:
+    """The FFT autocorrelation equals its dense definition for every t."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n=st.integers(64, 512), seed=st.integers(0, 2 ** 32 - 1),
+           lattice=st.lists(st.integers(-4096, 4096), min_size=1,
+                            max_size=4),
+           fraction=st.floats(0.01, 0.99), periods=st.floats(-3.0, 3.0))
+    def test_matches_the_dense_definition(self, n, seed, lattice, fraction,
+                                          periods):
+        psi = random_smooth_packet(np.random.default_rng(seed), n=n)
+        period = 2.0 * np.pi / psi.dx
+        dxi = period / (4 * n)
+        on = dxi * np.asarray(lattice, dtype=float)
+        t = np.concatenate([on, on + fraction * dxi,
+                            [periods * period, (1.0 + fraction) * period,
+                             -(1.0 + fraction) * period]])
+        auto = autocorrelation_charfn(psi, t)
+        np.testing.assert_allclose(auto.values, dense_autocorrelation(psi, t),
+                                   rtol=0.0, atol=1e-11)
 
 
 class TestContainers:

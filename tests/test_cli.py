@@ -201,6 +201,17 @@ class TestJsonMirror:
             np.testing.assert_allclose([float(v) for v in csv_row],
                                        json_row, rtol=0.0, atol=0.0)
 
+    def test_non_finite_cells_are_written_as_null(self, tmp_path):
+        # The continuum table's first halving ratio is undefined; strict
+        # JSON has no NaN token, so the cell must read null.
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+        text = run_to_file(tmp_path, ["chain", "--experiment", "continuum",
+                                      "--format", "json"], "c.json")
+        document = json.loads(text, parse_constant=reject)
+        assert document["rows"][0][document["columns"].index(
+            "halving_ratio")] is None
+
 
 class TestTableContents:
     """Spot checks of the numbers the tables report."""

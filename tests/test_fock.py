@@ -73,6 +73,11 @@ class TestInnerProduct:
             np.testing.assert_allclose(quadrature_inner_product(z2, z2),
                                        1.0, atol=1e-9)
 
+    def test_quadrature_guard_on_a_nan_coefficient(self):
+        f = FockVector([1.0, np.nan, 0.0])
+        with pytest.raises(NumericalGuardError):
+            quadrature_inner_product(f, f)
+
     def test_quadrature_truncation_limit(self):
         f = FockVector.basis_state(13, 13)
         with pytest.raises(ValueError):
@@ -277,6 +282,14 @@ class TestPositionPicture:
         expected = np.zeros(7, dtype=complex)
         expected[2] = 1.0
         np.testing.assert_allclose(f.coeffs, expected, atol=1e-10)
+
+    def test_projection_guard_on_nan_samples(self):
+        q = np.linspace(-10.0, 10.0, 1001)
+        values = hermite_function(2, q)
+        values[500] = np.nan
+        with pytest.raises(NumericalGuardError):
+            from_position(GridWaveFunction(q[0], q[1] - q[0], values),
+                          n_max=6)
 
     def test_projection_guard_on_a_narrow_grid(self):
         q = np.linspace(-1.0, 1.0, 101)

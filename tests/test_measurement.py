@@ -44,6 +44,10 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(0.5 * np.eye(3))
 
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            DensityMatrix(np.full((2, 2), np.nan))
+
     def test_pure_projector(self):
         rho = DensityMatrix.pure([3.0, 4.0j])
         np.testing.assert_allclose(rho.matrix,
@@ -254,6 +258,23 @@ class TestSectors:
     def test_operator_shape_guard(self):
         with pytest.raises(ValueError):
             sector_defect(np.eye(3), self.make_sectors())
+
+    def test_mask_and_charges_match_the_pairwise_definition(self):
+        rng = np.random.default_rng(20240624)
+        order = rng.permutation(9)
+        labels = [("x", 1), 2.5, "z", frozenset({4})]
+        cuts = np.split(order, [2, 5, 6])
+        sectors = SectorStructure(
+            {lab: tuple(idx) for lab, idx in zip(labels, cuts)},
+            {lab: q for lab, q in zip(labels, (-1.5, 0.25, 3.0, 0.1))})
+        owner = {int(i): lab for lab, idx in sectors.sectors.items()
+                 for i in idx}
+        mask = np.array([[owner[i] == owner[j] for j in range(9)]
+                         for i in range(9)])
+        charge = np.diag([sectors.charges[owner[i]] for i in range(9)])
+        assert sectors.d == 9
+        assert np.array_equal(sectors.block_mask(), mask)
+        assert np.array_equal(sectors.charge_operator(), charge)
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):
