@@ -71,12 +71,15 @@ class ChainSpec:
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError("need at least 2 sites")
-        if not (self.spacing > 0):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
-        if not (self.mass >= 0):
-            raise ValueError(f"mass must be nonnegative, got {self.mass}")
-        if not (self.gamma > 0):
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (0 < self.spacing < math.inf):
+            raise ValueError(
+                f"spacing must be positive and finite, got {self.spacing}")
+        if not (0 <= self.mass < math.inf):
+            raise ValueError(
+                f"mass must be nonnegative and finite, got {self.mass}")
+        if not (0 < self.gamma < math.inf):
+            raise ValueError(
+                f"gamma must be positive and finite, got {self.gamma}")
 
     @property
     def brillouin(self) -> float:
@@ -293,25 +296,30 @@ def evolve(state: ChainState, spec: ChainSpec, dt: float | None = None,
 
 
 def gibbs_sample(spec: ChainSpec, beta: float, n: int, seed: int):
-    """Exact thermal sampling: independent Gaussians per normal mode.
+    """Exact thermal sampling in FFT normal coordinates.
 
-    Returns (q, p) arrays of shape (n, N).  The position covariance is
-    (β M)^{-1} for the coupling matrix M (sampled in its eigenbasis),
-    momenta are i.i.d. N(0, 1/β); each mode energy averages 1/β.
-    A zero-frequency mode (m = 0 with the uniform mode) is rejected.
+    Returns (q, p) arrays of shape (n, N).  Positions are
+    q = (β M)^{-1/2} ξ for white noise ξ: the symmetric square root of
+    the circulant coupling matrix M, applied by dividing each rfft mode
+    of ξ by sqrt(β ω_k²), so q ~ N(0, (β M)^{-1}) exactly at
+    O(n N log N) cost; the tests check it against the dense ``eigh``
+    of M.  Momenta are i.i.d. N(0, 1/β), drawn after ξ; each mode
+    energy averages 1/β.  A zero-frequency mode (m = 0 with the uniform
+    mode) is rejected.
     """
     if not (beta > 0):
         raise ValueError(f"beta must be positive, got {beta}")
-    evals, evecs = np.linalg.eigh(spec.coupling_matrix())
-    if np.any(evals <= 1e-12 * np.max(evals)):
+    omega2 = spec.dispersion(spec.k_grid()[: spec.n_sites // 2 + 1]) ** 2
+    if np.any(omega2 <= 1e-12 * np.max(omega2)):
         raise NumericalGuardError(
             "zero-frequency mode: the massless uniform mode has no "
             "normalizable thermal distribution")
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((n, spec.n_sites))
-    q = (evecs / np.sqrt(beta * evals)) @ xi.T
+    q = np.fft.irfft(np.fft.rfft(xi, axis=1) / np.sqrt(beta * omega2),
+                     n=spec.n_sites, axis=1)
     p = rng.standard_normal((n, spec.n_sites)) / math.sqrt(beta)
-    return q.T.copy(), p
+    return q, p
 
 
 # ---------------------------------------------------------------------------

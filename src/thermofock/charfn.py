@@ -59,8 +59,10 @@ class GridWaveFunction:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", values)
-        if self.dx <= 0:
-            raise ValueError(f"dx must be positive, got {self.dx}")
+        if not (0 < self.dx < np.inf):
+            raise ValueError(f"dx must be positive and finite, got {self.dx}")
+        if not (abs(self.x0) < np.inf):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
         if values.ndim != 1 or values.size < 2:
             raise ValueError("need a 1-d sample list of length >= 2")
 
@@ -106,10 +108,10 @@ class DensityGrid:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if self.dx <= 0:
-            raise ValueError(f"dx must be positive, got {self.dx}")
-        if np.any(values < -1e-15):
-            raise ValueError("density samples must be nonnegative")
+        if not (0 < self.dx < np.inf):
+            raise ValueError(f"dx must be positive and finite, got {self.dx}")
+        if not np.all(values >= -1e-15):
+            raise ValueError("density samples must be nonnegative numbers")
 
     @property
     def n(self) -> int:

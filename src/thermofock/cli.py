@@ -345,6 +345,20 @@ def _chain_nonrel(cfg: RunConfig, spec):
             "free-particle law", ("quantity", "value"), rows, [])
 
 
+# Memory budget of one chain table: a larger --sites/--samples request
+# exits with code 2 before any array is allocated.
+_CHAIN_BUDGET_BYTES = 1 << 30
+
+
+def _chain_footprint(experiment: str, sites: int, samples: int) -> int:
+    """Estimated peak bytes of the array work of one chain table."""
+    if experiment == "dispersion":
+        return 2 * 8 * sites * sites      # N×N coupling matrix + eigvalsh copy
+    if experiment == "equipartition":
+        return 12 * 8 * samples * sites   # noise, q, p, spectra, energies
+    return 0
+
+
 def _run_chain(cfg: RunConfig):
     spec = chain_mod.ChainSpec(cfg.params["sites"], cfg.params["spacing"],
                                cfg.params["mass"], cfg.params["gamma"])
@@ -358,6 +372,13 @@ def _run_chain(cfg: RunConfig):
     if experiment not in runners:
         raise ValueError("experiment must be one of "
                          + ", ".join(sorted(runners)))
+    need = _chain_footprint(experiment, spec.n_sites, cfg.params["samples"])
+    if need > _CHAIN_BUDGET_BYTES:
+        raise ValueError(
+            f"chain --experiment {experiment} would need about "
+            f"{need / 2 ** 20:.0f} MB, above the "
+            f"{_CHAIN_BUDGET_BYTES // 2 ** 20} MB budget; lower --sites "
+            "or --samples")
     return runners[experiment](cfg, spec)
 
 

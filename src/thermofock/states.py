@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _SUPPORT_TOL = 1e-14
+_SINGLET_BLOCK = 256   # x1 rows per block of the 2-D singlet integrand
 
 
 @dataclass(frozen=True)
@@ -266,10 +267,11 @@ def singlet_marginal(f1: GridWaveFunction, f2: GridWaveFunction,
     """Single-position marginal of the antisymmetrized two-orbital state.
 
     Ψ(x1, x2) = [f1(x1) f2(x2) − f2(x1) f1(x2)] / sqrt(2) is integrated
-    over x2 by quadrature on the full 2-D grid.  For normalized
-    orbitals with disjoint supports the marginal is
-    ½(|f1(x1)|² + |f2(x1)|²), and the mass inside any region containing
-    one orbital's support — and none of the other's — is exactly ½.
+    over x2 by quadrature on the full 2-D grid, one block of x1 rows at
+    a time, so memory stays O(N).  For normalized orbitals with disjoint
+    supports the marginal is ½(|f1(x1)|² + |f2(x1)|²), and the mass
+    inside any region containing one orbital's support — and none of the
+    other's — is exactly ½.
 
     Returns (marginal DensityGrid, mass in ``region``); ``region`` is an
     (xmin, xmax) interval, defaulting to the full grid line.
@@ -284,9 +286,13 @@ def singlet_marginal(f1: GridWaveFunction, f2: GridWaveFunction,
             f"orbital supports overlap with mass {overlap:.3e}")
 
     a1, a2 = f1.values, f2.values
-    # |Ψ(x1, x2)|² on the grid, x1 along axis 0.
-    psi_sq = 0.5 * np.abs(np.outer(a1, a2) - np.outer(a2, a1)) ** 2
-    marginal = np.trapezoid(psi_sq, dx=f1.dx, axis=1)
+    marginal = np.empty(f1.n)
+    for start in range(0, f1.n, _SINGLET_BLOCK):
+        rows = slice(start, start + _SINGLET_BLOCK)
+        # |Ψ(x1, x2)|² on a block of x1 rows (axis 0), all of x2.
+        psi_sq = 0.5 * np.abs(np.outer(a1[rows], a2)
+                              - np.outer(a2[rows], a1)) ** 2
+        marginal[rows] = np.trapezoid(psi_sq, dx=f1.dx, axis=1)
     density = DensityGrid(f1.x0, f1.dx, marginal)
 
     if region is None:

@@ -279,6 +279,29 @@ class TestGibbsSampling:
         with pytest.raises(NumericalGuardError):
             gibbs_sample(spec, 1.0, 10, seed=15)
 
+    @pytest.mark.parametrize("n_sites, spacing, mass, gamma, beta", [
+        (5, 0.7, 0.2, 1.3, 1.0),
+        (8, 1.0, 1.0, 1.0, 2.0),
+        (33, 0.25, 0.5, 2.0, 0.5),
+        (64, 2.0, 3.0, 0.4, 1.7),
+    ])
+    def test_positions_are_the_symmetric_square_root_of_the_covariance(
+            self, n_sites, spacing, mass, gamma, beta):
+        # Oracle: q = ξ S with S = V diag(1/sqrt(β λ)) Vᵀ = (β M)^{-1/2}
+        # from the dense eigendecomposition of the coupling matrix, for
+        # the same white noise ξ; momenta are the generator's next draw.
+        spec = ChainSpec(n_sites, spacing, mass, gamma)
+        n, seed = 50, 31
+        q, p = gibbs_sample(spec, beta, n, seed)
+        rng = np.random.default_rng(seed)
+        xi = rng.standard_normal((n, n_sites))
+        evals, evecs = np.linalg.eigh(spec.coupling_matrix())
+        root = (evecs / np.sqrt(beta * evals)) @ evecs.T
+        expected = xi @ root
+        assert np.max(np.abs(q - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.array_equal(
+            p, rng.standard_normal((n, n_sites)) / math.sqrt(beta))
+
     def test_massless_amplitudes_are_rejected(self):
         spec = ChainSpec(n_sites=6, mass=0.0)
         rng = np.random.default_rng(20)
@@ -444,6 +467,11 @@ class TestValidation:
     def test_chain_spec_rejects_nan_mass(self):
         with pytest.raises(ValueError):
             ChainSpec(n_sites=8, mass=float("nan"))
+
+    @pytest.mark.parametrize("field", ["spacing", "mass", "gamma"])
+    def test_chain_spec_rejects_infinite_parameters(self, field):
+        with pytest.raises(ValueError, match="finite"):
+            ChainSpec(n_sites=8, **{field: math.inf})
 
     def test_state_shape_guards(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ route-equivalence oracle: the direct transform of the density must match
 the spectral autocorrelation of the amplitude wherever both are defined.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,20 @@ class TestContainers:
     def test_density_rejects_negative_samples(self):
         with pytest.raises(ValueError):
             DensityGrid(0.0, 0.1, np.array([0.5, -0.2, 0.1]))
+
+    @pytest.mark.parametrize("dx", [float("nan"), math.inf])
+    def test_wavefunction_rejects_non_finite_spacing(self, dx):
+        with pytest.raises(ValueError):
+            GridWaveFunction(0.0, dx, np.ones(4))
+
+    @pytest.mark.parametrize("x0", [float("nan"), math.inf, -math.inf])
+    def test_wavefunction_rejects_non_finite_origin(self, x0):
+        with pytest.raises(ValueError):
+            GridWaveFunction(x0, 0.1, np.ones(4))
+
+    def test_density_rejects_nan_samples(self):
+        with pytest.raises(ValueError):
+            DensityGrid(0.0, 0.1, np.array([float("nan"), 1.0]))
 
     def test_characteristic_samples_shape_check(self):
         with pytest.raises(ValueError):

@@ -10,12 +10,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import thermofock
+from thermofock import chain as chain_mod
+from thermofock import cli as cli_mod
 from thermofock.cli import main
 
 WIEN_RATIO_AT_10 = "1.0000454019910097"
@@ -179,6 +182,27 @@ class TestExitCodes:
 
     def test_missing_config_file(self, capsys):
         assert main(["toy", "--config", "/nonexistent/path.cfg"]) == 2
+
+    @pytest.mark.parametrize("experiment, sites, samples", [
+        ("dispersion", 1_000_000, 20000),
+        ("equipartition", 64, 1_000_000_000),
+    ])
+    def test_oversized_chain_request_exits_before_allocating(
+            self, experiment, sites, samples, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the chain table allocated its arrays")
+
+        monkeypatch.setattr(chain_mod.ChainSpec, "coupling_matrix", refuse)
+        monkeypatch.setattr(chain_mod, "gibbs_sample", refuse)
+        monkeypatch.setattr(chain_mod, "normal_modes", refuse)
+        assert (cli_mod._chain_footprint(experiment, sites, samples)
+                > cli_mod._CHAIN_BUDGET_BYTES)
+        start = time.perf_counter()
+        assert main(["chain", "--experiment", experiment, "--sites",
+                     str(sites), "--samples", str(samples)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "budget" in err
 
 
 class TestJsonMirror:

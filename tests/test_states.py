@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from thermofock import states
 from thermofock.chain import fock_inner
 from thermofock.charfn import GridWaveFunction
 from thermofock.errors import NumericalGuardError
@@ -226,6 +227,17 @@ class TestSingletMarginal:
         np.testing.assert_allclose(mass, 0.5, atol=1e-10)
         _, mass2 = singlet_marginal(f1, f2, region=(0.0, 8.0))
         np.testing.assert_allclose(mass2, 0.5, atol=1e-10)
+
+    def test_blocked_marginal_equals_the_full_outer_product(self):
+        # 1001 rows: several full blocks and a short last one.
+        assert states._SINGLET_BLOCK < 1001
+        assert 1001 % states._SINGLET_BLOCK != 0
+        f1, f2 = self.make_orbitals(points=1001)
+        density, _ = singlet_marginal(f1, f2)
+        a1, a2 = f1.values, f2.values
+        psi_sq = 0.5 * np.abs(np.outer(a1, a2) - np.outer(a2, a1)) ** 2
+        dense = np.trapezoid(psi_sq, dx=f1.dx, axis=1)
+        assert np.array_equal(density.values, dense)
 
     def test_overlapping_orbitals_rejected(self):
         points = 1601
