@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charfn import GridWaveFunction
-from .errors import NumericalGuardError
+from .errors import guard, require
 
 __all__ = [
     "ChainSpec",
@@ -58,6 +58,8 @@ __all__ = [
     "standard_packet",
 ]
 
+_CONTINUUM_K_POINTS = 257   # wavenumbers sampled over the continuum window
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -69,16 +71,12 @@ class ChainSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.n_sites < 2:
-            raise ValueError("need at least 2 sites")
-        if not (0 < self.spacing < math.inf):
-            raise ValueError(
+        require(self.n_sites >= 2, "need at least 2 sites")
+        require(0 < self.spacing < math.inf,
                 f"spacing must be positive and finite, got {self.spacing}")
-        if not (0 <= self.mass < math.inf):
-            raise ValueError(
+        require(0 <= self.mass < math.inf,
                 f"mass must be nonnegative and finite, got {self.mass}")
-        if not (0 < self.gamma < math.inf):
-            raise ValueError(
+        require(0 < self.gamma < math.inf,
                 f"gamma must be positive and finite, got {self.gamma}")
 
     @property
@@ -129,8 +127,8 @@ class ChainState:
         p = np.asarray(self.p, dtype=float)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
-        if q.shape != p.shape or q.ndim != 1:
-            raise ValueError("q and p must be 1-d arrays of equal length")
+        require(q.shape == p.shape and q.ndim == 1,
+                "q and p must be 1-d arrays of equal length")
 
     @classmethod
     def zero(cls, n: int) -> "ChainState":
@@ -158,10 +156,9 @@ class ModeData:
 
 def hamiltonian(state: ChainState, spec: ChainSpec) -> float:
     """H = Σ_n [p² + m² q² + (γ/a²)(q_{n+1} − q_n)²] / 2, periodic."""
-    q, p = state.q, state.p
-    if q.size != spec.n_sites:
-        raise ValueError("state length does not match the chain")
-    return float(total_energies(q, p, spec))
+    require(state.q.size == spec.n_sites,
+            "state length does not match the chain")
+    return float(total_energies(state.q, state.p, spec))
 
 
 def total_energies(q: np.ndarray, p: np.ndarray, spec: ChainSpec) -> np.ndarray:
@@ -184,8 +181,8 @@ def mode_transform(state: ChainState, spec: ChainSpec) -> ModeData:
     functions φ_n(k) = e^{i k a n}/sqrt(N) satisfy
     Σ_k φ_n(k) conj(φ_{n'}(k)) = δ_{nn'}.
     """
-    if state.q.size != spec.n_sites:
-        raise ValueError("state length does not match the chain")
+    require(state.q.size == spec.n_sites,
+            "state length does not match the chain")
     root_n = math.sqrt(spec.n_sites)
     k = spec.k_grid()
     return ModeData(k=k, omega=spec.dispersion(k),
@@ -196,8 +193,8 @@ def mode_transform(state: ChainState, spec: ChainSpec) -> ModeData:
 def inverse_transform(modes: ModeData, spec: ChainSpec) -> ChainState:
     """Reconstruct (q, p) from normal coordinates; imaginary residue of
     the reconstructed real fields must be at roundoff level."""
-    if modes.u is None or modes.p is None:
-        raise ValueError("mode data carries no state content")
+    require(modes.u is not None and modes.p is not None,
+            "mode data carries no state content")
     root_n = math.sqrt(spec.n_sites)
     q = np.fft.ifft(modes.u) * root_n
     p = np.fft.ifft(modes.p) * root_n
@@ -205,15 +202,15 @@ def inverse_transform(modes: ModeData, spec: ChainSpec) -> ChainState:
                 float(np.max(np.abs(p.imag), initial=0.0)))
     scale = max(1.0, float(np.max(np.abs(q.real), initial=0.0)),
                 float(np.max(np.abs(p.real), initial=0.0)))
-    if resid > 1e-10 * scale:
-        raise ValueError("mode data does not describe a real configuration")
+    require(resid <= 1e-10 * scale,
+            "mode data does not describe a real configuration")
     return ChainState(q.real, p.real)
 
 
 def mode_energies(modes: ModeData) -> np.ndarray:
     """E_k = (|p(k)|² + ω_k² |u(k)|²)/2 per mode; sums to H."""
-    if modes.u is None or modes.p is None:
-        raise ValueError("mode data carries no state content")
+    require(modes.u is not None and modes.p is not None,
+            "mode data carries no state content")
     return 0.5 * (np.abs(modes.p) ** 2 + modes.omega ** 2 * np.abs(modes.u) ** 2)
 
 
@@ -224,14 +221,10 @@ def _amplitudes(modes: ModeData) -> np.ndarray:
     p(k) = i (a*(k) − a(−k)) sqrt(ω_k/2) for real chain fields; the
     mode energies become ω_k |a(k)|².
     """
-    if modes.u is None or modes.p is None:
-        raise ValueError("mode data carries no state content")
-    zero = modes.omega <= 0.0
-    if np.any(zero):
-        bad = np.nonzero(zero)[0][0]
-        raise NumericalGuardError(
-            f"mode k={modes.k[bad]:.6g} has zero frequency; amplitudes "
-            "are undefined for the massless zero mode")
+    require(modes.u is not None and modes.p is not None,
+            "mode data carries no state content")
+    guard("modes of zero frequency", np.count_nonzero(~(modes.omega > 0.0)),
+          0, "amplitudes are undefined for the massless zero mode")
     return (np.sqrt(modes.omega / 2.0) * np.conj(modes.u)
             + 1j * np.conj(modes.p) / np.sqrt(2.0 * modes.omega))
 
@@ -277,8 +270,7 @@ def evolve(state: ChainState, spec: ChainSpec, dt: float | None = None,
     omega_max = float(np.max(spec.dispersion(spec.k_grid())))
     if dt is None:
         dt = 0.1 / omega_max
-    if not (0.0 < dt < 2.0 / omega_max):
-        raise ValueError(
+    require(0.0 < dt < 2.0 / omega_max,
             f"dt={dt} outside the stability interval (0, {2.0 / omega_max:.6g})")
     q = state.q.copy()
     p = state.p.copy()
@@ -307,13 +299,12 @@ def gibbs_sample(spec: ChainSpec, beta: float, n: int, seed: int):
     energy averages 1/β.  A zero-frequency mode (m = 0 with the uniform
     mode) is rejected.
     """
-    if not (beta > 0):
-        raise ValueError(f"beta must be positive, got {beta}")
+    require(0 < beta < math.inf,
+            f"beta must be positive and finite, got {beta}")
     omega2 = spec.dispersion(spec.k_grid()[: spec.n_sites // 2 + 1]) ** 2
-    if np.any(omega2 <= 1e-12 * np.max(omega2)):
-        raise NumericalGuardError(
-            "zero-frequency mode: the massless uniform mode has no "
-            "normalizable thermal distribution")
+    guard("modes with omega^2 <= 1e-12 max omega^2",
+          np.count_nonzero(~(omega2 > 1e-12 * np.max(omega2))), 0,
+          "the massless uniform mode has no normalizable thermal distribution")
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((n, spec.n_sites))
     q = np.fft.irfft(np.fft.rfft(xi, axis=1) / np.sqrt(beta * omega2),
@@ -342,24 +333,20 @@ class MultiModeFockVector:
     total_cutoff: int | None = None
 
     def __post_init__(self):
-        if self.modes < 1 or self.cutoff < 0:
-            raise ValueError("need modes >= 1 and cutoff >= 0")
-        if not (self.hbar > 0):
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        clean = {}
-        for occ, c in self.coeffs.items():
-            occ = tuple(int(v) for v in occ)
-            if len(occ) != self.modes or any(v < 0 for v in occ):
-                raise ValueError(f"bad occupation tuple {occ}")
-            if any(v > self.cutoff for v in occ):
-                raise ValueError(f"occupation {occ} exceeds cutoff {self.cutoff}")
-            if self.total_cutoff is not None and sum(occ) > self.total_cutoff:
-                raise ValueError(
-                    f"occupation {occ} exceeds total cutoff {self.total_cutoff}")
-            c = complex(c)
-            if c != 0:
-                clean[occ] = c
-        object.__setattr__(self, "coeffs", clean)
+        require(self.modes >= 1 and self.cutoff >= 0,
+                "need modes >= 1 and cutoff >= 0")
+        require(0 < self.hbar < math.inf,
+                f"hbar must be positive and finite, got {self.hbar}")
+        coeffs = {tuple(map(int, occ)): complex(c)
+                  for occ, c in self.coeffs.items()}
+        total = math.inf if self.total_cutoff is None else self.total_cutoff
+        bad = [occ for occ in coeffs if not (
+            len(occ) == self.modes and 0 <= min(occ)
+            and max(occ) <= self.cutoff and sum(occ) <= total)]
+        require(not bad, f"occupations {bad} outside {self.modes} modes, "
+                f"cutoff {self.cutoff}, total cutoff {self.total_cutoff}")
+        object.__setattr__(self, "coeffs",
+                           {occ: c for occ, c in coeffs.items() if c != 0})
 
     @classmethod
     def vacuum(cls, modes: int, cutoff: int, hbar: float = 1.0,
@@ -376,8 +363,7 @@ class MultiModeFockVector:
 
     def add_scaled(self, other: "MultiModeFockVector",
                    factor: complex = 1.0) -> "MultiModeFockVector":
-        if not self._same_structure(other):
-            raise ValueError("mode structure / scale mismatch")
+        require(self._same_structure(other), "mode structure / scale mismatch")
         out = dict(self.coeffs)
         for occ, c in other.coeffs.items():
             out[occ] = out.get(occ, 0j) + factor * c
@@ -399,8 +385,7 @@ def fock_inner(phi1: MultiModeFockVector,
     The factorized Gaussian measure makes the occupation basis
     orthonormal, so the inner product is the coefficient pairing.
     """
-    if not phi1._same_structure(phi2):
-        raise ValueError("mode structure / scale mismatch")
+    require(phi1._same_structure(phi2), "mode structure / scale mismatch")
     small, large = phi1.coeffs, phi2.coeffs
     if len(large) < len(small):
         return complex(np.conj(fock_inner(phi2, phi1)))
@@ -411,18 +396,15 @@ def fock_inner(phi1: MultiModeFockVector,
 def mm_raised(phi: MultiModeFockVector, mode: int,
               grow: bool = False) -> MultiModeFockVector:
     """Apply the raising operator of one mode: sqrt((n_k+1) ħ) factors."""
-    if not (0 <= mode < phi.modes):
-        raise ValueError(f"mode {mode} outside 0..{phi.modes - 1}")
+    require(0 <= mode < phi.modes, f"mode {mode} outside 0..{phi.modes - 1}")
     out = {}
     cutoff = phi.cutoff
     for occ, c in phi.coeffs.items():
         n = occ[mode]
         if n + 1 > phi.cutoff or (phi.total_cutoff is not None
                                   and sum(occ) + 1 > phi.total_cutoff):
-            if not grow:
-                raise ValueError(
-                    f"raising mode {mode} overflows the truncation at {occ}; "
-                    "pass grow=True to extend it")
+            require(grow, f"raising mode {mode} overflows the truncation at "
+                    f"{occ}; pass grow=True to extend it")
             cutoff = max(cutoff, n + 1)
         new = occ[:mode] + (n + 1,) + occ[mode + 1:]
         out[new] = out.get(new, 0j) + math.sqrt((n + 1) * phi.hbar) * c
@@ -434,8 +416,7 @@ def mm_raised(phi: MultiModeFockVector, mode: int,
 
 def mm_lowered(phi: MultiModeFockVector, mode: int) -> MultiModeFockVector:
     """Apply the lowering operator of one mode: sqrt(n_k ħ) factors."""
-    if not (0 <= mode < phi.modes):
-        raise ValueError(f"mode {mode} outside 0..{phi.modes - 1}")
+    require(0 <= mode < phi.modes, f"mode {mode} outside 0..{phi.modes - 1}")
     out = {}
     for occ, c in phi.coeffs.items():
         n = occ[mode]
@@ -455,8 +436,7 @@ def hamiltonian_operator_apply(phi: MultiModeFockVector,
     Σ_k ω_k ħ (n_k + ½); applying â â⁺ needs one slot of headroom, so a
     state touching the truncation edge raises.
     """
-    if phi.modes != spec.n_sites:
-        raise ValueError("mode count does not match the chain")
+    require(phi.modes == spec.n_sites, "mode count does not match the chain")
     omegas = spec.dispersion(spec.k_grid())
     result = None
     for mode, omega_k in enumerate(omegas):
@@ -471,8 +451,7 @@ def hamiltonian_operator_apply(phi: MultiModeFockVector,
 # Continuum and nonrelativistic limits
 # ---------------------------------------------------------------------------
 
-def continuum_limit_error(m: float, k_window: float, a_list,
-                          n_k: int = 257):
+def continuum_limit_error(m: float, k_window: float, a_list):
     """Max dispersion error vs sqrt(m² + k²) over |k| <= k_window.
 
     The effective spring is fixed at 1/a² (the continuum scaling), so
@@ -480,16 +459,16 @@ def continuum_limit_error(m: float, k_window: float, a_list,
     (a, max_error) pairs; the error decreases at second order in a.
     The window must sit inside the Brillouin zone of every a.
     """
-    if not (k_window > 0):
-        raise ValueError("k_window must be positive")
+    require(abs(m) < math.inf, f"m must be finite, got {m}")
+    require(0 < k_window < math.inf,
+            f"k_window must be positive and finite, got {k_window}")
     results = []
-    k = np.linspace(-k_window, k_window, n_k)
+    k = np.linspace(-k_window, k_window, _CONTINUUM_K_POINTS)
     target = np.sqrt(m ** 2 + k ** 2)
     for a in a_list:
-        if k_window >= math.pi / a:
-            raise ValueError(
-                f"window {k_window} exceeds the Brillouin zone pi/a = "
-                f"{math.pi / a:.6g} at a={a}")
+        require(0 < a < math.pi / k_window,
+                f"a={a} must lie in (0, pi/k_window): the window {k_window} "
+                "must sit inside the Brillouin zone")
         chain_omega = np.sqrt(m ** 2 + (4.0 / a ** 2)
                               * np.sin(0.5 * k * a) ** 2)
         results.append((float(a), float(np.max(np.abs(chain_omega - target)))))
@@ -505,8 +484,8 @@ def standard_packet(n: int = 2048, span: float = 40.0) -> GridWaveFunction:
                             * np.exp(-0.5 * x * x)).normalized()
 
 
-def nonrelativistic_overlap(packet: GridWaveFunction, m: float, t: float,
-                            check_momentum: bool = True) -> float:
+def nonrelativistic_overlap(packet: GridWaveFunction, m: float,
+                            t: float) -> float:
     """|overlap| between stripped relativistic and free-particle evolution.
 
     The packet's spectral weights evolve under the positive-frequency
@@ -514,25 +493,21 @@ def nonrelativistic_overlap(packet: GridWaveFunction, m: float, t: float,
     e^{−imt} the result is compared with e^{−i k² t/2m}.  Returns the
     modulus of the normalized overlap.
 
-    With ``check_momentum`` the spectral mass above |k| = m/10 must be
-    below 1e-3, else NumericalGuardError reports the tail mass (the
-    heavy-mass regime is where the two evolutions agree).
+    The spectral mass above |k| = m/10 must be at most 1e-3, else
+    NumericalGuardError reports the tail mass (the heavy-mass regime is
+    where the two evolutions agree).
     """
-    if not (m > 0):
-        raise ValueError(f"mass must be positive, got {m}")
+    require(0 < m < math.inf, f"mass must be positive and finite, got {m}")
+    require(abs(t) < math.inf, f"time must be finite, got {t}")
     psi = packet.values
     k = 2.0 * math.pi * np.fft.fftfreq(packet.n, d=packet.dx)
     spectrum = np.fft.fft(psi)
     weights = np.abs(spectrum) ** 2
     total = float(np.sum(weights))
-    if total <= 0:
-        raise ValueError("zero-norm packet")
+    require(0 < total < math.inf, "packet norm must be positive and finite")
     weights = weights / total
-    if check_momentum:
-        tail = float(np.sum(weights[np.abs(k) > m / 10.0]))
-        if tail > 1e-3:
-            raise NumericalGuardError(
-                f"spectral mass {tail:.3e} above |k|=m/10 exceeds 1e-3; "
-                "the packet is not in the heavy-mass regime")
+    guard("spectral mass above |k| = m/10",
+          float(np.sum(weights[np.abs(k) > m / 10.0])), 1e-3,
+          "the packet is not in the heavy-mass regime")
     phase_gap = (np.sqrt(m * m + k * k) - m - k * k / (2.0 * m)) * t
     return float(np.abs(np.sum(weights * np.exp(-1j * phase_gap))))

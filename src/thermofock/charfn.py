@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalGuardError
+from .errors import guard, require
 
 __all__ = [
     "GridWaveFunction",
@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-9
+_TAIL_TOL = 1e-8     # relative spectral mass the autocorrelation may miss
+_T_SPAN = 6.0        # the default t grid covers [-_T_SPAN, _T_SPAN]
+_T_POINTS = 61
 
 
 def _trapezoid_weights(n: int) -> np.ndarray:
@@ -59,12 +62,13 @@ class GridWaveFunction:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", values)
-        if not (0 < self.dx < np.inf):
-            raise ValueError(f"dx must be positive and finite, got {self.dx}")
-        if not (abs(self.x0) < np.inf):
-            raise ValueError(f"x0 must be finite, got {self.x0}")
-        if values.ndim != 1 or values.size < 2:
-            raise ValueError("need a 1-d sample list of length >= 2")
+        require(0 < self.dx < np.inf,
+                f"dx must be positive and finite, got {self.dx}")
+        require(abs(self.x0) < np.inf, f"x0 must be finite, got {self.x0}")
+        require(values.ndim == 1 and values.size >= 2,
+                "need a 1-d sample list of length >= 2")
+        guard("non-finite samples", np.count_nonzero(~np.isfinite(values)), 0,
+              "the samples overflowed or hold NaN")
 
     @property
     def n(self) -> int:
@@ -83,8 +87,7 @@ class GridWaveFunction:
 
     def normalized(self) -> "GridWaveFunction":
         nrm2 = self.norm_squared()
-        if nrm2 <= 0 or not np.isfinite(nrm2):
-            raise ValueError("cannot normalize a zero-norm sample list")
+        require(0 < nrm2 < np.inf, "cannot normalize a zero-norm sample list")
         return GridWaveFunction(self.x0, self.dx,
                                 self.values / np.sqrt(nrm2))
 
@@ -108,10 +111,11 @@ class DensityGrid:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if not (0 < self.dx < np.inf):
-            raise ValueError(f"dx must be positive and finite, got {self.dx}")
-        if not np.all(values >= -1e-15):
-            raise ValueError("density samples must be nonnegative numbers")
+        require(0 < self.dx < np.inf,
+                f"dx must be positive and finite, got {self.dx}")
+        require(abs(self.x0) < np.inf, f"x0 must be finite, got {self.x0}")
+        require(np.all((values >= -1e-15) & (values < np.inf)),
+                "density samples must be nonnegative finite numbers")
 
     @property
     def n(self) -> int:
@@ -147,8 +151,8 @@ class CharacteristicSamples:
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
         object.__setattr__(self, "values",
                            np.asarray(self.values, dtype=complex))
-        if self.t.shape != self.values.shape:
-            raise ValueError("t grid and values must have matching shapes")
+        require(self.t.shape == self.values.shape,
+                "t grid and values must have matching shapes")
 
     def max_modulus(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -161,8 +165,7 @@ def density_from_amplitude(psi: GridWaveFunction) -> DensityGrid:
     the result flagged ``renormalized``; zero norm raises ValueError.
     """
     nrm2 = psi.norm_squared()
-    if nrm2 <= 0 or not np.isfinite(nrm2):
-        raise ValueError("zero-norm amplitude has no density")
+    require(0 < nrm2 < np.inf, "zero-norm amplitude has no density")
     p = np.abs(psi.values) ** 2 / nrm2
     return DensityGrid(psi.x0, psi.dx, p,
                        renormalized=abs(nrm2 - 1.0) > _NORM_TOL)
@@ -204,8 +207,8 @@ def _xi_lattice(psi: GridWaveFunction) -> tuple[int, float]:
     return m, (2.0 * np.pi / psi.dx) / m
 
 
-def autocorrelation_charfn(psi: GridWaveFunction, t_grid,
-                           tail_tol: float = 1e-8) -> CharacteristicSamples:
+def autocorrelation_charfn(psi: GridWaveFunction,
+                           t_grid) -> CharacteristicSamples:
     """f(t) = integral of g(t+xi) conj(g(xi)) dxi, g the Fourier amplitude.
 
     The xi integration runs over the lattice xi_j = -pi/dx + j*dxi of
@@ -218,7 +221,7 @@ def autocorrelation_charfn(psi: GridWaveFunction, t_grid,
 
     Discrete Parseval is exact on a full period, so the captured
     spectral mass falls short of ||psi||^2 only through the halved
-    end-point weights; a shortfall beyond ``tail_tol`` (samples that do
+    end-point weights; a relative shortfall above 1e-8 (samples that do
     not vanish at the grid ends) raises NumericalGuardError.
     """
     if not psi.is_normalized:
@@ -230,12 +233,9 @@ def autocorrelation_charfn(psi: GridWaveFunction, t_grid,
     h0 = np.fft.ifft(a, m)
     weight = dxi * (m * psi.dx) ** 2 / (2.0 * np.pi)
     mass = float(np.sum(np.abs(h0) ** 2) * weight)
-    target = psi.norm_squared()
-    if not (mass >= (1.0 - tail_tol) * target):
-        raise NumericalGuardError(
-            f"the spectrum captures only {mass:.12g} of ||psi||^2="
-            f"{target:.12g}: the samples do not vanish at the grid ends; "
-            f"widen the grid")
+    guard("relative spectral mass shortfall", 1.0 - mass / psi.norm_squared(),
+          _TAIL_TOL,
+          "the samples do not vanish at the grid ends; widen the grid")
     h0bar_w = np.conj(h0) * weight
     values = np.empty(t.size, dtype=complex)
     for k, tk in enumerate(t):
@@ -244,14 +244,13 @@ def autocorrelation_charfn(psi: GridWaveFunction, t_grid,
     return CharacteristicSamples(t, values)
 
 
-def default_t_grid(psi: GridWaveFunction, span: float = 6.0,
-                   npts: int = 61) -> np.ndarray:
-    """npts points over [-span, span], snapped onto the xi lattice.
+def default_t_grid(psi: GridWaveFunction) -> np.ndarray:
+    """61 points over [-6, 6], snapped onto the xi lattice.
 
     The autocorrelation route takes any real t; the snap only keeps the
     points of the published tables."""
     _, dxi = _xi_lattice(psi)
-    raw = np.linspace(-span, span, npts)
+    raw = np.linspace(-_T_SPAN, _T_SPAN, _T_POINTS)
     return np.round(raw / dxi) * dxi
 
 

@@ -31,7 +31,7 @@ from . import measurement as measure_mod
 from . import sphere as sphere_mod
 from . import states as states_mod
 from . import toy as toy_mod
-from .errors import NumericalGuardError
+from .errors import NumericalGuardError, require
 
 __all__ = ["RunConfig", "main", "run", "config_precedence"]
 
@@ -271,10 +271,8 @@ def _run_sphere(cfg: RunConfig):
 def _run_spectrum(cfg: RunConfig):
     tmin, tmax = cfg.params["tmin"], cfg.params["tmax"]
     points = cfg.params["points"]
-    if not (0 < tmin < tmax):
-        raise ValueError("need 0 < tmin < tmax")
-    if points < 2:
-        raise ValueError("need at least 2 points")
+    require(0 < tmin < tmax < math.inf, "need 0 < tmin < tmax < inf")
+    require(points >= 2, "need at least 2 points")
     xs = np.geomspace(tmin, tmax, points)
     rows = []
     for x in xs:
@@ -345,20 +343,6 @@ def _chain_nonrel(cfg: RunConfig, spec):
             "free-particle law", ("quantity", "value"), rows, [])
 
 
-# Memory budget of one chain table: a larger --sites/--samples request
-# exits with code 2 before any array is allocated.
-_CHAIN_BUDGET_BYTES = 1 << 30
-
-
-def _chain_footprint(experiment: str, sites: int, samples: int) -> int:
-    """Estimated peak bytes of the array work of one chain table."""
-    if experiment == "dispersion":
-        return 2 * 8 * sites * sites      # N×N coupling matrix + eigvalsh copy
-    if experiment == "equipartition":
-        return 12 * 8 * samples * sites   # noise, q, p, spectra, energies
-    return 0
-
-
 def _run_chain(cfg: RunConfig):
     spec = chain_mod.ChainSpec(cfg.params["sites"], cfg.params["spacing"],
                                cfg.params["mass"], cfg.params["gamma"])
@@ -369,16 +353,8 @@ def _run_chain(cfg: RunConfig):
         "nonrel": _chain_nonrel,
     }
     experiment = cfg.params["experiment"]
-    if experiment not in runners:
-        raise ValueError("experiment must be one of "
-                         + ", ".join(sorted(runners)))
-    need = _chain_footprint(experiment, spec.n_sites, cfg.params["samples"])
-    if need > _CHAIN_BUDGET_BYTES:
-        raise ValueError(
-            f"chain --experiment {experiment} would need about "
-            f"{need / 2 ** 20:.0f} MB, above the "
-            f"{_CHAIN_BUDGET_BYTES // 2 ** 20} MB budget; lower --sites "
-            "or --samples")
+    require(experiment in runners,
+            "experiment must be one of " + ", ".join(sorted(runners)))
     return runners[experiment](cfg, spec)
 
 
@@ -489,9 +465,8 @@ def _run_states(cfg: RunConfig):
         "singlet": _states_singlet,
         "circle": _states_circle,
     }
-    if experiment not in runners:
-        raise ValueError("experiment must be one of "
-                         + ", ".join(sorted(runners)))
+    require(experiment in runners,
+            "experiment must be one of " + ", ".join(sorted(runners)))
     return runners[experiment](cfg)
 
 
@@ -501,8 +476,7 @@ def _parse_sectors(text: str, d: int) -> measure_mod.SectorStructure:
     sectors, charges = {}, {}
     for label, group in enumerate(text.split(";")):
         idx = tuple(int(tok) for tok in group.split(",") if tok.strip())
-        if not idx:
-            raise ValueError(f"empty sector group in {text!r}")
+        require(idx, f"empty sector group in {text!r}")
         sectors[label] = idx
         charges[label] = float(label)
     return measure_mod.SectorStructure(sectors, charges)
@@ -511,11 +485,10 @@ def _parse_sectors(text: str, d: int) -> measure_mod.SectorStructure:
 def _run_measure(cfg: RunConfig):
     amps = np.array([float(tok) for tok in cfg.params["amps"].split(",")
                      if tok.strip()], dtype=complex)
-    if amps.size == 0:
-        raise ValueError("need at least one branch amplitude")
+    require(amps.size > 0, "need at least one branch amplitude")
     norm = np.linalg.norm(amps)
-    if norm == 0:
-        raise ValueError("branch amplitudes are all zero")
+    require(0 < norm < math.inf,
+            "branch amplitudes must be finite and not all zero")
     amps = amps / norm
     state = measure_mod.entangle(amps)
     rho = measure_mod.reduced_density(state, "apparatus")
@@ -546,9 +519,8 @@ def _run_toy(cfg: RunConfig):
         unitary = toy_mod.ToyUnitary.hadamard()
     else:
         vals = [float(tok) for tok in text.split(",")]
-        if len(vals) != 4:
-            raise ValueError("matrix must be 'hadamard' or four "
-                             "comma-separated numbers a,b,c,d")
+        require(len(vals) == 4, "matrix must be 'hadamard' or four "
+                "comma-separated numbers a,b,c,d")
         unitary = toy_mod.ToyUnitary(np.array(vals).reshape(2, 2))
     rows_out = []
     for row in toy_mod.interference_demo(cfg.params["steps"], unitary):
@@ -634,8 +606,44 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+# Memory budget of one table: a request whose size flags would need more
+# bytes exits with code 2 before anything is allocated.
+_BUDGET_BYTES = 1 << 30
+
+
+def _footprint(cfg: RunConfig) -> int:
+    """Estimated peak bytes one table allocates, from its size flags."""
+    p = cfg.params
+    if cfg.subcommand == "fock":
+        return 2 * 17 * (p["nmax"] + 1)   # a basis pair and its NaN masks
+    if cfg.subcommand == "spectrum":
+        return 512 * p["points"]   # one row of Python floats and its text
+    if cfg.subcommand == "toy":
+        return 1024 * p["steps"]   # one interference row and its text
+    if cfg.subcommand == "chain":
+        sizes = {"dispersion": 2 * 8 * p["sites"] ** 2,  # M, eigvalsh copy
+                 # noise, q, p, their spectra and the mode energies
+                 "equipartition": 12 * 8 * p["samples"] * p["sites"]}
+        return sizes.get(p["experiment"], 0)
+    if cfg.subcommand == "charfn":
+        # the direct route's 61 × N phase block and its exponential, plus
+        # the autocorrelation's 4N-point FFT buffers
+        return 16 * (2 * 61 + 16) * p["points"]
+    if cfg.subcommand == "sphere":
+        return 12 * 8 * p["samples"]   # angles, radii, CDF, energies
+    if cfg.subcommand == "measure":
+        d = p["amps"].count(",") + 1   # d amplitudes make d×d matrices
+        return 8 * 16 * d * d + 3 * 8 * p["samples"]
+    return 0
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one resolved configuration and write its table."""
+    need = _footprint(cfg)
+    require(need <= _BUDGET_BYTES,
+            f"{cfg.subcommand} would need about {need / 2 ** 20:.0f} MB of "
+            f"arrays, above the {_BUDGET_BYTES // 2 ** 20} MB budget; lower "
+            "its size flags")
     description, columns, rows, comments = _RUNNERS[cfg.subcommand](cfg)
     text = _render(description, cfg, columns, rows, comments)
     if cfg.out is None:

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import require
+
 __all__ = [
     "ExteriorElement",
     "GrassmannElement",
@@ -167,18 +169,18 @@ def bilinear_density(w1: float, w2: float) -> float:
     and extracts the coefficient of the oriented unit bivector
     i*(e1^e2) from (1/2) wbar^w.  The result equals w1*w2 exactly.
 
-    Negative weights lie outside the physical region and raise ValueError.
+    Negative or infinite weights lie outside the physical region and
+    raise ValueError.
     """
-    if w1 < 0 or w2 < 0:
-        raise ValueError(
-            f"weights must be nonnegative, got ({w1}, {w2})")
+    require(0 <= w1 < np.inf and 0 <= w2 < np.inf,
+            f"weights must be nonnegative and finite, got ({w1}, {w2})")
     w = ExteriorElement.vector(w1, 1j * w2)
     wbar = ExteriorElement.vector(w1, -1j * w2)
     paired = wbar.wedge(w)
     coeff = 0.5 * paired.c12          # equals i*w1*w2
     value = coeff / 1j                # measure against the unit i*(e1^e2)
-    if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
-        raise ValueError(f"bivector coefficient not real: {value!r}")
+    require(abs(value.imag) <= 1e-12 * max(1.0, abs(value.real)),
+            f"bivector coefficient not real: {value!r}")
     return float(value.real)
 
 
@@ -208,8 +210,8 @@ def complex_pair_density(z_q: complex, z_p: complex) -> float:
     z = ExteriorElement.vector(z_q, z_p)
     zbar = ExteriorElement.vector(np.conj(z_q), np.conj(z_p))
     coeff = 1j * zbar.wedge(z).c12
-    if abs(coeff.imag) > 1e-12 * max(1.0, abs(coeff.real)):
-        raise ValueError(f"pair density not real: {coeff!r}")
+    require(abs(coeff.imag) <= 1e-12 * max(1.0, abs(coeff.real)),
+            f"pair density not real: {coeff!r}")
     return float(coeff.real)
 
 
@@ -239,8 +241,9 @@ def fermion_density(q: complex) -> float:
     unit_top = (GrassmannElement.theta() * GrassmannElement.theta_bar()).c12
     value = top.c12 / unit_top
     residual = max(abs(top.c0), _abs_coeff(top.c1), _abs_coeff(top.c2))
-    if residual > 1e-12 or abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
-        raise ValueError("fermionic pairing left a non-scalar remainder")
+    require(residual <= 1e-12
+            and abs(value.imag) <= 1e-12 * max(1.0, abs(value.real)),
+            "fermionic pairing left a non-scalar remainder")
     return float(value.real)
 
 
@@ -263,8 +266,7 @@ def boson_density(E, A, x, t, k=0.0):
     E = np.atleast_1d(np.asarray(E, dtype=float))
     A = np.atleast_1d(np.asarray(A, dtype=complex))
     k = np.broadcast_to(np.asarray(k, dtype=float), E.shape)
-    if A.shape != E.shape:
-        raise ValueError("E and A must have matching lengths")
+    require(A.shape == E.shape, "E and A must have matching lengths")
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     # phase[j, ...] = k_j*x - E_j*t on the broadcast (x, t) grid
@@ -335,10 +337,11 @@ class AxiomReport:
 
 
 _MODES = ("nonrelativistic", "relativistic-bivector", "fermionic")
+_AXIOM_TOL = 1e-12   # additivity gap and imaginary/negative density allowed
 
 
 def check_axioms(space: AmplitudeEventSpace, mode: str = "nonrelativistic",
-                 skip=(), tol: float = 1e-12) -> AxiomReport:
+                 skip=()) -> AxiomReport:
     """Verify the amplitude-measure axioms on a finite event space.
 
     Checks, in order:
@@ -363,8 +366,7 @@ def check_axioms(space: AmplitudeEventSpace, mode: str = "nonrelativistic",
     ``skip`` names axiom labels (e.g. {"Q3"}) excluded from checking —
     used by the axiom-independence smoke test.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    require(mode in _MODES, f"unknown mode {mode!r}; expected one of {_MODES}")
     skip = set(skip)
     violations = []
 
@@ -387,7 +389,7 @@ def check_axioms(space: AmplitudeEventSpace, mode: str = "nonrelativistic",
             rest = full - {j}
             lhs = space.subset_amplitude(full)
             rhs = a + space.subset_amplitude(rest)
-            if abs(lhs - rhs) > tol:
+            if not (abs(lhs - rhs) <= _AXIOM_TOL):
                 violations.append(
                     f"Q3: additivity fails on {{{j}}} vs complement "
                     f"(gap {abs(lhs - rhs):.3e})")
@@ -395,14 +397,14 @@ def check_axioms(space: AmplitudeEventSpace, mode: str = "nonrelativistic",
             for l in range(j + 1, n):
                 lhs = space.subset_amplitude({j, l})
                 rhs = space.subset_amplitude({j}) + space.subset_amplitude({l})
-                if abs(lhs - rhs) > tol:
+                if not (abs(lhs - rhs) <= _AXIOM_TOL):
                     violations.append(
                         f"Q3: additivity fails on {{{j},{l}}} "
                         f"(gap {abs(lhs - rhs):.3e})")
 
     if "Q4" not in skip:
         total = space.subset_amplitude(range(n))
-        if abs(total - 1.0) > 1e-9:
+        if not (abs(total - 1.0) <= 1e-9):
             violations.append(
                 f"Q4: full-space amplitude {total!r} differs from 1")
 
@@ -418,10 +420,10 @@ def check_axioms(space: AmplitudeEventSpace, mode: str = "nonrelativistic",
                 a, b = space.amp_e[j], space.amp_ebar[j]
                 p = 0.5 * (a * b - b * a)   # identically zero for scalars
             p = complex(p)
-            if abs(p.imag) > tol * max(1.0, abs(p.real)):
+            if not (abs(p.imag) <= _AXIOM_TOL * max(1.0, abs(p.real))):
                 violations.append(
                     f"positivity: event {j} density {p!r} is not real")
-            elif p.real < -tol:
+            elif not (p.real >= -_AXIOM_TOL):
                 violations.append(
                     f"positivity: event {j} density {p.real:.3e} is negative")
             probabilities.append(p.real)

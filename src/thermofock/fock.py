@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charfn import GridWaveFunction
-from .errors import NumericalGuardError
+from .charfn import GridWaveFunction, _trapezoid_weights
+from .errors import guard, require
 
 __all__ = [
     "FockVector",
@@ -47,6 +47,11 @@ __all__ = [
 # Cramer bound: |Ψ_n(q)| < 1.086435 / pi^{1/4} for all n, q
 _HERMITE_SUP = 1.086435 / np.pi ** 0.25
 _HERMITE_N_MAX = 200
+# Polar quadrature of the Gaussian measure: (radial, angular) node counts
+# of the oracle, and the finer pair that checks it.
+_QUAD_NODES = (40, 64)
+_QUAD_NODES_FINE = (48, 80)
+_TAIL_TOL = 1e-8     # ||psi||^2 a projection onto the modes may miss
 
 
 @dataclass(frozen=True)
@@ -59,10 +64,13 @@ class FockVector:
     def __post_init__(self):
         coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise ValueError("coefficients must form a nonempty 1-d vector")
-        if not (self.hbar > 0):
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        require(coeffs.ndim == 1 and coeffs.size > 0,
+                "coefficients must form a nonempty 1-d vector")
+        guard("non-finite coefficients",
+              np.count_nonzero(~np.isfinite(coeffs)), 0,
+              "the coefficients overflowed or hold NaN")
+        require(0 < self.hbar < math.inf,
+                f"hbar must be positive and finite, got {self.hbar}")
 
     @property
     def n_max(self) -> int:
@@ -81,8 +89,7 @@ class FockVector:
         """The basis vector Z_n, truncated at n_max (default n)."""
         if n_max is None:
             n_max = n
-        if n > n_max:
-            raise ValueError(f"basis index {n} exceeds truncation {n_max}")
+        require(n <= n_max, f"basis index {n} exceeds truncation {n_max}")
         c = np.zeros(n_max + 1, dtype=complex)
         c[n] = 1.0
         return cls(c, hbar)
@@ -115,8 +122,7 @@ def _log_factorial(n):
 
 
 def _check_compatible(f: FockVector, g: FockVector):
-    if abs(f.hbar - g.hbar) > 1e-15 * max(f.hbar, g.hbar):
-        raise ValueError(
+    require(abs(f.hbar - g.hbar) <= 1e-15 * max(f.hbar, g.hbar),
             f"mismatched scales hbar={f.hbar} vs {g.hbar}")
 
 
@@ -142,8 +148,8 @@ class GaussianMeasure:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (self.hbar > 0):
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        require(0 < self.hbar < math.inf,
+                f"hbar must be positive and finite, got {self.hbar}")
 
     def quadrature_nodes(self, radial_nodes: int, angular_nodes: int):
         """Complex nodes and weights integrating dμ exactly on
@@ -156,9 +162,8 @@ class GaussianMeasure:
         w = np.outer(wu, np.full(angular_nodes, 1.0 / angular_nodes)).ravel()
         return z, w
 
-    def total_mass(self, radial_nodes: int = 24,
-                   angular_nodes: int = 16) -> float:
-        _, w = self.quadrature_nodes(radial_nodes, angular_nodes)
+    def total_mass(self) -> float:
+        _, w = self.quadrature_nodes(*_QUAD_NODES)
         return float(np.sum(w))
 
 
@@ -170,33 +175,28 @@ def _laggauss(n: int):
     return u, w
 
 
-def quadrature_inner_product(f: FockVector, g: FockVector,
-                             radial_nodes: int = 40,
-                             angular_nodes: int = 64) -> complex:
+def quadrature_inner_product(f: FockVector, g: FockVector) -> complex:
     """∫ dμ f(z) conj(g(z)) by polar quadrature over the Gaussian weight.
 
     An independent numerical oracle for :func:`inner_product`: radial
-    Gauss–Laguerre in u = |z|^2/ħ, uniform angular grid.  The value is
-    recomputed with enlarged node counts; a self-estimated error above
-    1e-8 raises NumericalGuardError.  Truncations above 12 are outside
-    the guaranteed-accuracy domain and are rejected.
+    Gauss–Laguerre in u = |z|^2/ħ, uniform angular grid, on 40 × 64
+    nodes.  The value is recomputed on 48 × 80 nodes; a self-estimated
+    error above 1e-8 raises NumericalGuardError.  Truncations above 12
+    are outside the guaranteed-accuracy domain and are rejected.
     """
     _check_compatible(f, g)
-    if f.n_max > 12 or g.n_max > 12:
-        raise ValueError("quadrature oracle limited to truncations <= 12")
+    require(f.n_max <= 12 and g.n_max <= 12,
+            "quadrature oracle limited to truncations <= 12")
     measure = GaussianMeasure(f.hbar)
 
-    def evaluate(rn, an):
-        z, w = measure.quadrature_nodes(rn, an)
+    def evaluate(nodes):
+        z, w = measure.quadrature_nodes(*nodes)
         return complex(np.sum(w * f.evaluate(z) * np.conj(g.evaluate(z))))
 
-    coarse = evaluate(radial_nodes, angular_nodes)
-    fine = evaluate(radial_nodes + 8, angular_nodes + 16)
-    if not (abs(coarse - fine) <= 1e-8):
-        raise NumericalGuardError(
-            f"quadrature self-estimate {abs(coarse - fine):.3e} above 1e-8; "
-            f"increase radial_nodes/angular_nodes from "
-            f"({radial_nodes}, {angular_nodes})")
+    coarse = evaluate(_QUAD_NODES)
+    fine = evaluate(_QUAD_NODES_FINE)
+    guard("quadrature self-estimate", abs(coarse - fine), 1e-8,
+          "the integrand is outside the oracle's accuracy domain")
     return fine
 
 
@@ -207,10 +207,8 @@ def raised(f: FockVector, grow: bool = False) -> FockVector:
     empty unless ``grow`` extends the truncation by one.
     """
     c = f.coeffs
-    if abs(c[-1]) != 0.0 and not grow:
-        raise ValueError(
-            "raising would overflow the truncation (top coefficient "
-            f"{c[-1]!r}); pass grow=True to extend it")
+    require(grow or c[-1] == 0.0, "raising would overflow the truncation "
+            f"(top coefficient {c[-1]!r}); pass grow=True to extend it")
     out = np.zeros(c.size + 1, dtype=complex)
     n = np.arange(c.size)
     out[1:] = np.sqrt((n + 1) * f.hbar) * c
@@ -248,8 +246,7 @@ def commutator_defect(n_max: int, hbar: float = 1.0,
     truncating raising, which manufactures a defect of magnitude
     ħ (n_max + 1) — the reason the edge is excluded by default.
     """
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
+    require(n_max >= 2, "need n_max >= 2")
     worst = 0.0
     top = n_max if include_edge else n_max - 1
     for n in range(top + 1):
@@ -289,8 +286,8 @@ def rescale_lambda(f: FockVector, lam: float) -> FockVector:
     """Non-canonical rescaling a -> a/sqrt(λ): same coefficients, scale
     ħ/λ, so the ladder commutator becomes ħ/λ while the spectrum of
     ω λ a⁺a + ω λ ħ'/2 is unchanged."""
-    if not (lam > 0):
-        raise ValueError(f"lambda must be positive, got {lam}")
+    require(0 < lam < math.inf,
+            f"lambda must be positive and finite, got {lam}")
     return FockVector(f.coeffs.copy(), f.hbar / lam)
 
 
@@ -305,16 +302,14 @@ def hermite_function(n: int, q) -> np.ndarray:
     recurrence Ψ_n = q sqrt(2/n) Ψ_{n-1} - sqrt((n-1)/n) Ψ_{n-2},
     Ψ_0 = π^{-1/4} e^{-q²/2}; accurate for n <= 200.
     """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+    require(n >= 0, "order must be nonnegative")
     q = np.asarray(q, dtype=float)
     return _hermite_table(n, q.ravel(), 1.0)[n].reshape(q.shape)
 
 
 def _hermite_table(n_max: int, q, hbar: float) -> np.ndarray:
     """Rows Ψ_0..Ψ_{n_max} of width-sqrt(ħ) Hermite functions on q."""
-    if n_max > _HERMITE_N_MAX:
-        raise ValueError(
+    require(n_max <= _HERMITE_N_MAX,
             f"order {n_max} above recurrence accuracy bound {_HERMITE_N_MAX}")
     q = np.asarray(q, dtype=float)
     s = q / np.sqrt(hbar)
@@ -349,11 +344,8 @@ def bargmann_kernel(z: complex, q, n_max: int = 64,
     NumericalGuardError suggests a larger n_max.  Satisfies
     ∫ dq U(z, q) conj(U(z', q)) = e^{z conj(z')/ħ}.
     """
-    tail = _kernel_tail_bound(abs(z), n_max, hbar)
-    if not (tail < 1e-10):
-        raise NumericalGuardError(
-            f"kernel tail bound {tail:.3e} above 1e-10 at |z|={abs(z):.3g}; "
-            f"increase n_max beyond {n_max}")
+    guard("kernel tail bound", _kernel_tail_bound(abs(z), n_max, hbar), 1e-10,
+          f"increase n_max beyond {n_max} for |z|={abs(z):.3g}")
     q = np.atleast_1d(np.asarray(q, dtype=float))
     table = _hermite_table(n_max, q, hbar)
     # Z_n(z) accumulated stably through the ratio recurrence
@@ -367,36 +359,31 @@ def bargmann_kernel(z: complex, q, n_max: int = 64,
 def to_position(f: FockVector, grid) -> GridWaveFunction:
     """ψ(q) = Σ c_n Ψ_n(q) on a uniform grid of q values."""
     q = np.asarray(grid, dtype=float)
-    if q.ndim != 1 or q.size < 2:
-        raise ValueError("grid must be a 1-d array of at least 2 points")
+    require(q.ndim == 1 and q.size >= 2,
+            "grid must be a 1-d array of at least 2 points")
     dq = q[1] - q[0]
-    if not np.allclose(np.diff(q), dq, rtol=0, atol=1e-12 * max(1.0, abs(dq))):
-        raise ValueError("grid must be uniformly spaced")
+    require(np.allclose(np.diff(q), dq, rtol=0,
+                        atol=1e-12 * max(1.0, abs(dq))),
+            "grid must be uniformly spaced")
     table = _hermite_table(f.n_max, q, f.hbar)
     values = f.coeffs @ table
     return GridWaveFunction(float(q[0]), float(dq), values)
 
 
 def from_position(psi: GridWaveFunction, n_max: int,
-                  hbar: float = 1.0, tail_tol: float = 1e-8) -> FockVector:
+                  hbar: float = 1.0) -> FockVector:
     """Project grid samples onto the first n_max+1 oscillator modes.
 
     c_n = ∫ ψ(q) Ψ_n(q) dq by trapezoidal quadrature.  The captured
-    coefficient mass must reach ||ψ||² within ``tail_tol`` (this guards
-    both a too-narrow grid and a too-small truncation); otherwise
+    coefficient mass must reach ||ψ||² within 1e-8 (this guards both a
+    too-narrow grid and a too-small truncation); otherwise
     NumericalGuardError is raised.
     """
-    q = psi.x
-    w = np.ones(q.size)
-    w[0] = w[-1] = 0.5
-    wv = psi.values * w * psi.dx
-    coeffs = _hermite_table(n_max, q, hbar).astype(complex) @ wv
-    captured = float(np.sum(np.abs(coeffs) ** 2))
-    total = psi.norm_squared()
-    if not (captured >= total - tail_tol):
-        raise NumericalGuardError(
-            f"projection captures {captured:.12g} of ||psi||^2={total:.12g}; "
-            f"widen the grid or increase n_max beyond {n_max}")
+    wv = psi.values * _trapezoid_weights(psi.n) * psi.dx
+    coeffs = _hermite_table(n_max, psi.x, hbar).astype(complex) @ wv
+    guard("projection mass shortfall",
+          psi.norm_squared() - float(np.sum(np.abs(coeffs) ** 2)), _TAIL_TOL,
+          f"widen the grid or increase n_max beyond {n_max}")
     return FockVector(coeffs, hbar)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalGuardError
+from .errors import guard, require
 
 __all__ = [
     "DensityMatrix",
@@ -44,6 +44,7 @@ __all__ = [
 _HERM_TOL = 1e-12
 _EIG_TOL = 1e-12
 _TRACE_TOL = 1e-12
+_SCHMIDT_TOL = 1e-12   # singular values above it count toward the rank
 
 
 @dataclass(frozen=True)
@@ -55,14 +56,14 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise ValueError("density matrix must be square and nonempty")
-        if not (float(np.max(np.abs(m - m.conj().T))) <= _HERM_TOL):
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        if not (float(np.min(np.linalg.eigvalsh(m))) >= -_EIG_TOL):
-            raise ValueError("matrix has an eigenvalue below -1e-12")
-        if not (abs(float(np.trace(m).real) - 1.0) <= _TRACE_TOL):
-            raise ValueError("trace differs from 1 by more than 1e-12")
+        require(m.ndim == 2 and m.shape[0] == m.shape[1] and m.shape[0] > 0,
+                "density matrix must be square and nonempty")
+        require(float(np.max(np.abs(m - m.conj().T))) <= _HERM_TOL,
+                "matrix is not Hermitian within 1e-12")
+        require(float(np.min(np.linalg.eigvalsh(m))) >= -_EIG_TOL,
+                "matrix has an eigenvalue below -1e-12")
+        require(abs(float(np.trace(m).real) - 1.0) <= _TRACE_TOL,
+                "trace differs from 1 by more than 1e-12")
 
     @property
     def d(self) -> int:
@@ -72,8 +73,7 @@ class DensityMatrix:
     def pure(cls, vector) -> "DensityMatrix":
         v = np.asarray(vector, dtype=complex)
         norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise ValueError("zero vector")
+        require(0.0 < norm < np.inf, "need a nonzero finite vector")
         v = v / norm
         return cls(np.outer(v, v.conj()))
 
@@ -107,11 +107,11 @@ class SectorStructure:
         object.__setattr__(self, "sectors", sectors)
         charges = {label: float(v) for label, v in self.charges.items()}
         object.__setattr__(self, "charges", charges)
-        if set(charges) != set(sectors):
-            raise ValueError("sector labels and charge labels differ")
+        require(set(charges) == set(sectors),
+                "sector labels and charge labels differ")
         seen = [i for idx in sectors.values() for i in idx]
-        if sorted(seen) != list(range(len(seen))) or not seen:
-            raise ValueError("sectors must partition 0..d-1 exactly once")
+        require(seen and sorted(seen) == list(range(len(seen))),
+                "sectors must partition 0..d-1 exactly once")
         # owner[i]: position in `sectors` of the sector holding index i
         owner = np.empty(len(seen), dtype=np.intp)
         for k, idx in enumerate(sectors.values()):
@@ -149,10 +149,10 @@ class BipartiteState:
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", a)
-        if a.ndim != 2 or min(a.shape) == 0:
-            raise ValueError("amplitude table must be a nonempty 2-d array")
-        if abs(float(np.sum(np.abs(a) ** 2)) - 1.0) > 1e-12:
-            raise ValueError("state is not normalized within 1e-12")
+        require(a.ndim == 2 and min(a.shape) > 0,
+                "amplitude table must be a nonempty 2-d array")
+        require(abs(float(np.sum(np.abs(a) ** 2)) - 1.0) <= 1e-12,
+                "state is not normalized within 1e-12")
 
     @property
     def d_object(self) -> int:
@@ -166,11 +166,11 @@ class BipartiteState:
         """Singular values of the amplitude table, descending."""
         return np.linalg.svd(self.amplitudes, compute_uv=False)
 
-    def schmidt_rank(self, tol: float = 1e-12) -> int:
-        return int(np.sum(self.schmidt_values() > tol))
+    def schmidt_rank(self) -> int:
+        return int(np.sum(self.schmidt_values() > _SCHMIDT_TOL))
 
-    def is_product(self, tol: float = 1e-12) -> bool:
-        return self.schmidt_rank(tol) == 1
+    def is_product(self) -> bool:
+        return self.schmidt_rank() == 1
 
 
 def entangle(c, d_object: int | None = None,
@@ -183,15 +183,14 @@ def entangle(c, d_object: int | None = None,
     product representation.
     """
     c = np.asarray(c, dtype=complex)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("need a nonempty 1-d amplitude list")
+    require(c.ndim == 1 and c.size > 0, "need a nonempty 1-d amplitude list")
     k = c.size
-    if abs(float(np.sum(np.abs(c) ** 2)) - 1.0) > 1e-12:
-        raise ValueError("branch amplitudes must satisfy sum |c_k|^2 = 1")
+    require(abs(float(np.sum(np.abs(c) ** 2)) - 1.0) <= 1e-12,
+            "branch amplitudes must satisfy sum |c_k|^2 = 1")
     d_object = k if d_object is None else int(d_object)
     d_apparatus = k if d_apparatus is None else int(d_apparatus)
-    if d_object < k or d_apparatus < k:
-        raise ValueError("subsystem dimensions must be at least len(c)")
+    require(d_object >= k and d_apparatus >= k,
+            "subsystem dimensions must be at least len(c)")
     table = np.zeros((d_object, d_apparatus), dtype=complex)
     table[np.arange(k), np.arange(k)] = c
     return BipartiteState(table)
@@ -220,8 +219,8 @@ def decohere(rho: DensityMatrix, sectors: SectorStructure) -> DensityMatrix:
     With singleton sectors this is full diagonalization in the pointer
     basis: the branch weights |c_k|² become classical frequencies.
     """
-    if sectors.d != rho.d:
-        raise ValueError("sector partition size does not match the matrix")
+    require(sectors.d == rho.d,
+            "sector partition size does not match the matrix")
     projected = np.where(sectors.block_mask(), rho.matrix, 0.0)
     return DensityMatrix(projected)
 
@@ -255,10 +254,9 @@ class OutcomeFrequencies:
 
 def sample_outcomes(rho: DensityMatrix, n: int, seed: int) -> OutcomeFrequencies:
     """Draw n outcomes with Born weights p_k = ρ_kk (diagonal ρ only)."""
-    if n < 1:
-        raise ValueError("need at least one draw")
-    if rho.off_diagonal_max() > 1e-12:
-        raise ValueError("matrix has coherences; decohere before sampling")
+    require(n >= 1, "need at least one draw")
+    require(rho.off_diagonal_max() <= 1e-12,
+            "matrix has coherences; decohere before sampling")
     p = rho.diagonal_part()
     p = np.maximum(p, 0.0)
     p = p / np.sum(p)
@@ -277,16 +275,15 @@ def sector_defect(op: np.ndarray, sectors: SectorStructure) -> float:
     block, so the commutator entries (s_i − s_j) F_ij vanish).
     """
     op = np.asarray(op, dtype=complex)
-    if op.shape != (sectors.d, sectors.d):
-        raise ValueError("operator shape does not match the sector space")
+    require(op.shape == (sectors.d, sectors.d),
+            "operator shape does not match the sector space")
     mask = sectors.block_mask()
     cross = np.where(mask, 0.0, op)
     defect = float(np.max(np.abs(cross)))
     if defect == 0.0:
-        if charge_commutator_norm(op, sectors) != 0.0:
-            raise NumericalGuardError(
-                "block-diagonal operator failed to commute with the "
-                "sector charge; sector bookkeeping is inconsistent")
+        guard("charge commutator of a block-diagonal operator",
+              charge_commutator_norm(op, sectors), 0.0,
+              "sector bookkeeping is inconsistent")
     return defect
 
 
@@ -307,11 +304,11 @@ def rotation_2pi(state, spins) -> np.ndarray:
     """
     state = np.asarray(state, dtype=complex)
     spins = np.asarray(spins, dtype=float)
-    if state.ndim != 1 or spins.shape != state.shape:
-        raise ValueError("need one spin label per component")
+    require(state.ndim == 1 and spins.shape == state.shape,
+            "need one spin label per component")
     doubled = 2.0 * spins
-    if np.any(np.abs(doubled - np.round(doubled)) > 1e-12):
-        raise ValueError("spin labels must be integer or half-integer")
+    require(np.all(np.abs(doubled - np.round(doubled)) <= 1e-12),
+            "spin labels must be integer or half-integer")
     half = np.abs(doubled.astype(int)) % 2 == 1
     return np.where(half, -state, state)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalGuardError
+from .errors import guard, require
 
 __all__ = [
     "SphereGeometry",
@@ -51,6 +51,8 @@ __all__ = [
     "classical_limit_table",
 ]
 
+_QUAD_TOL = 1e-10    # absolute and relative target of the dblquad oracles
+
 
 @dataclass(frozen=True)
 class SphereGeometry:
@@ -59,8 +61,8 @@ class SphereGeometry:
     radius: float
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        require(0 < self.radius < math.inf,
+                f"radius must be positive and finite, got {self.radius}")
 
     @property
     def area(self) -> float:
@@ -75,10 +77,10 @@ class SpherePoint:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not (0.0 <= self.phi < 2.0 * math.pi):
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
+        require(0.0 <= self.theta <= math.pi,
+                f"theta must lie in [0, pi], got {self.theta}")
+        require(0.0 <= self.phi < 2.0 * math.pi,
+                f"phi must lie in [0, 2*pi), got {self.phi}")
 
 
 @dataclass(frozen=True)
@@ -96,12 +98,13 @@ class ThermalOscillator:
     hbar: float | None = None
 
     def __post_init__(self):
-        if not (self.beta > 0 and self.omega > 0 and self.mass > 0):
-            raise ValueError("beta, omega, mass must all be positive")
+        require(0 < self.beta < math.inf and 0 < self.omega < math.inf
+                and 0 < self.mass < math.inf,
+                "beta, omega, mass must all be positive and finite")
         if self.hbar is None:
             object.__setattr__(self, "hbar", 1.0 / (self.beta * self.omega))
-        elif not (self.hbar > 0):
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        require(0 < self.hbar < math.inf,
+                f"hbar must be positive and finite, got {self.hbar}")
 
     @property
     def is_consistent(self) -> bool:
@@ -127,8 +130,8 @@ def stereographic(point: SpherePoint, radius: float = 1.0) -> complex:
 
     The projection pole θ = 0 maps to infinity and raises ValueError.
     """
-    if point.theta <= 0.0:
-        raise ValueError("theta = 0 is the projection pole (image at infinity)")
+    require(point.theta > 0.0,
+            "theta = 0 is the projection pole (image at infinity)")
     magnitude = 2.0 * radius / math.tan(point.theta / 2.0)
     return magnitude * complex(math.cos(point.phi), math.sin(point.phi))
 
@@ -153,8 +156,8 @@ def thermal_map_exact(point: SpherePoint, beta: float) -> complex:
     fractions agree identically.  The far pole θ = π is logarithmically
     singular and raises ValueError.
     """
-    if point.theta >= math.pi:
-        raise ValueError("theta = pi is the singular pole of the exact map")
+    require(point.theta < math.pi,
+            "theta = pi is the singular pole of the exact map")
     s2 = math.sin(point.theta / 2.0) ** 2
     r2 = -math.log1p(-s2) / beta
     return math.sqrt(r2) * complex(math.cos(point.phi), math.sin(point.phi))
@@ -177,8 +180,8 @@ def uniform_sphere_samples(n: int, seed: int, radius: float = 1.0):
 def pushforward_radii(theta: np.ndarray, beta: float) -> np.ndarray:
     """|z| for uniform-sphere angles θ under the exact thermal map."""
     s2 = np.sin(theta / 2.0) ** 2
-    if np.any(s2 >= 1.0):
-        raise ValueError("theta = pi is the singular pole of the exact map")
+    require(np.all(s2 < 1.0),
+            "theta = pi is the singular pole of the exact map")
     return np.sqrt(-np.log1p(-s2) / beta)
 
 
@@ -201,8 +204,7 @@ def pushforward_ks_statistic(beta: float, n: int, seed: int) -> float:
 # Gibbs-state checks on the plane
 # ---------------------------------------------------------------------------
 
-def gibbs_normalization_check(osc: ThermalOscillator,
-                              quad_tol: float = 1e-10) -> float:
+def gibbs_normalization_check(osc: ThermalOscillator) -> float:
     """h^{−1} ∫∫ e^{−βH} dq dp, evaluated by Gaussian quadrature.
 
     The analytic value is 2π/(βω h), which equals 1 exactly when
@@ -219,11 +221,10 @@ def gibbs_normalization_check(osc: ThermalOscillator,
         lambda p, q: math.exp(-osc.beta * float(osc.energy(q, p))) / osc.h,
         -12.0 * sigma_q, 12.0 * sigma_q,
         lambda q: -12.0 * sigma_p, lambda q: 12.0 * sigma_p,
-        epsabs=quad_tol, epsrel=quad_tol)
-    if abs(val - analytic) > 1e-8:
-        raise NumericalGuardError(
-            f"quadrature normalization {val:.12g} differs from analytic "
-            f"{analytic:.12g} by more than 1e-8")
+        epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
+    guard("quadrature normalization gap", abs(val - analytic), 1e-8,
+          f"the quadrature gave {val:.12g} against the analytic "
+          f"{analytic:.12g}")
     return val
 
 
@@ -238,10 +239,8 @@ def mean_energy(osc: ThermalOscillator, method: str = "analytic",
     """
     if method == "analytic":
         return 1.0 / osc.beta, 0.0
-    if method != "monte_carlo":
-        raise ValueError(f"unknown method {method!r}")
-    if n < 1000:
-        raise ValueError("monte_carlo needs n >= 1000")
+    require(method == "monte_carlo", f"unknown method {method!r}")
+    require(n >= 1000, "monte_carlo needs n >= 1000")
     rng = np.random.default_rng(seed)
     q = rng.normal(0.0, 1.0 / (osc.omega * math.sqrt(osc.beta * osc.mass)),
                    size=n)
@@ -262,8 +261,8 @@ class Rectangle:
     pmax: float
 
     def __post_init__(self):
-        if not (self.qmin <= self.qmax and self.pmin <= self.pmax):
-            raise ValueError("rectangle bounds must be ordered")
+        require(self.qmin <= self.qmax and self.pmin <= self.pmax,
+                "rectangle bounds must be ordered")
 
 
 @dataclass(frozen=True)
@@ -275,8 +274,8 @@ class Disk:
     p0: float = 0.0
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        require(0 < self.radius < math.inf,
+                f"radius must be positive and finite, got {self.radius}")
 
 
 FULL_PLANE = Rectangle(-math.inf, math.inf, -math.inf, math.inf)
@@ -288,14 +287,12 @@ def gibbs_median_radius(osc: ThermalOscillator) -> float:
     Defined for isotropic oscillators (mω = 1, circular level sets),
     where the radial mass law is 1 − e^{−βr²/2}: r = sqrt(2 ln2 / β).
     """
-    if abs(osc.mass * osc.omega - 1.0) > 1e-12:
-        raise ValueError(
+    require(abs(osc.mass * osc.omega - 1.0) <= 1e-12,
             "median disk radius requires an isotropic oscillator (m*omega=1)")
     return math.sqrt(2.0 * math.log(2.0) / osc.beta)
 
 
-def region_probability(region, osc: ThermalOscillator,
-                       quad_tol: float = 1e-10) -> float:
+def region_probability(region, osc: ThermalOscillator) -> float:
     """P(A) = ∫_A e^{−βH} dq dp / h for a Rectangle or Disk region.
 
     Adaptive quadrature with exact region boundaries; a reported
@@ -310,7 +307,7 @@ def region_probability(region, osc: ThermalOscillator,
         val, abserr = integrate.dblquad(
             integrand, region.qmin, region.qmax,
             lambda q: region.pmin, lambda q: region.pmax,
-            epsabs=quad_tol, epsrel=quad_tol)
+            epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
     elif isinstance(region, Disk):
         r, q0, p0 = region.radius, region.q0, region.p0
 
@@ -322,12 +319,11 @@ def region_probability(region, osc: ThermalOscillator,
 
         val, abserr = integrate.dblquad(integrand, q0 - r, q0 + r,
                                         p_lo, p_hi,
-                                        epsabs=quad_tol, epsrel=quad_tol)
+                                        epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
     else:
         raise ValueError(f"unsupported region type {type(region).__name__}")
-    if abserr > 1e-7:
-        raise NumericalGuardError(
-            f"region quadrature error estimate {abserr:.3e} above 1e-7")
+    guard("region quadrature error estimate", abserr, 1e-7,
+          "the integrand is too sharp for the adaptive quadrature")
     return val
 
 
@@ -347,8 +343,8 @@ class PlanckConstants:
 def planck_density(nu: float, temperature: float,
                    constants: PlanckConstants = PlanckConstants()) -> float:
     """Spectral energy density u(ν, T) = (8πhν³/c³) / (e^{hν/kT} − 1)."""
-    if not (nu > 0 and temperature > 0):
-        raise ValueError("nu and temperature must be positive")
+    require(0 < nu < math.inf and 0 < temperature < math.inf,
+            "nu and temperature must be positive and finite")
     x = constants.h * nu / (constants.k * temperature)
     prefactor = 8.0 * math.pi * constants.h * nu ** 3 / constants.c ** 3
     return prefactor / math.expm1(x)
@@ -361,8 +357,8 @@ def limit_ratios(nu: float, temperature: float,
     u/Wien = 1/(1 − e^{−x}) → 1 as x → ∞;
     u/RJ = x/(e^x − 1) → 1 as x → 0.
     """
-    if not (nu > 0 and temperature > 0):
-        raise ValueError("nu and temperature must be positive")
+    require(0 < nu < math.inf and 0 < temperature < math.inf,
+            "nu and temperature must be positive and finite")
     x = constants.h * nu / (constants.k * temperature)
     return 1.0 / (-math.expm1(-x)), x / math.expm1(x)
 
@@ -372,12 +368,11 @@ def classical_limit_table(hbar_values, omega: float):
 
     Both scales vanish with the area quantum — the freezing regime.
     """
-    if not (omega > 0):
-        raise ValueError("omega must be positive")
+    require(0 < omega < math.inf, "omega must be positive and finite")
     rows = []
     for hbar in hbar_values:
-        if hbar < 0:
-            raise ValueError(f"hbar must be nonnegative, got {hbar}")
+        require(0 <= hbar < math.inf,
+                f"hbar must be nonnegative and finite, got {hbar}")
         rows.append((float(hbar), float(hbar) * omega,
                      math.sqrt(float(hbar) / 2.0)))
     return rows

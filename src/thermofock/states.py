@@ -28,7 +28,7 @@ import numpy as np
 
 from .charfn import DensityGrid, GridWaveFunction
 from .chain import MultiModeFockVector, mm_raised
-from .errors import NumericalGuardError
+from .errors import guard, require
 
 __all__ = [
     "ModeProfile",
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _SUPPORT_TOL = 1e-14
+_TAIL_TOL = 1e-8     # mass allowed in the outer 2% of either grid
 _SINGLET_BLOCK = 256   # x1 rows per block of the 2-D singlet integrand
 
 
@@ -61,16 +62,14 @@ class ModeProfile:
         object.__setattr__(self, "values", values)
         support = frozenset(int(j) for j in self.support)
         object.__setattr__(self, "support", support)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("profile values must form a nonempty 1-d array")
-        if any(j < 0 or j >= values.size for j in support):
-            raise ValueError("support indices outside the mode range")
+        require(values.ndim == 1 and values.size > 0,
+                "profile values must form a nonempty 1-d array")
+        require(all(0 <= j < values.size for j in support),
+                "support indices outside the mode range")
         total = float(np.sum(np.abs(values) ** 2))
-        if total == 0.0:
-            raise ValueError("profile must be nonzero")
+        require(0 < total < np.inf, "profile must be nonzero and finite")
         outside = total - sum(abs(values[j]) ** 2 for j in support)
-        if outside > _SUPPORT_TOL * total:
-            raise ValueError(
+        require(outside <= _SUPPORT_TOL * total,
                 f"mass {outside:.3e} lies outside the declared support")
 
     @classmethod
@@ -91,10 +90,8 @@ class ModeProfile:
 
 
 def _check_disjoint_profiles(f1: ModeProfile, f2: ModeProfile) -> int:
-    if f1.n_modes != f2.n_modes:
-        raise ValueError("profiles live on different mode sets")
-    if f1.overlaps(f2):
-        raise ValueError(
+    require(f1.n_modes == f2.n_modes, "profiles live on different mode sets")
+    require(not f1.overlaps(f2),
             f"supports intersect at modes {sorted(f1.support & f2.support)}")
     return f1.n_modes
 
@@ -110,27 +107,23 @@ def _moments(weights: np.ndarray, grid: np.ndarray, step: float):
     return mass, mean, var
 
 
-def rms_widths(psi: GridWaveFunction, tail_tol: float = 1e-8):
+def rms_widths(psi: GridWaveFunction):
     """Root-mean-square widths (Δx, Δk) of a normalized packet.
 
     Position moments come straight from |ψ|²; wavenumber moments from
     the squared modulus of the discrete Fourier transform (continuum
-    normalization).  Mass in the outer 2% of either grid above
-    ``tail_tol`` trips the guard — the moments would then be
-    grid-artifact dominated.  The product obeys Δx·Δk ≥ ½ − 1e−9.
+    normalization).  Mass in the outer 2% of either grid above 1e−8
+    trips the guard — the moments would then be grid-artifact
+    dominated.  The product obeys Δx·Δk ≥ ½ − 1e−9.
     """
-    if not psi.is_normalized:
-        raise ValueError("packet must be normalized")
+    require(psi.is_normalized, "packet must be normalized")
     n = psi.n
     edge = max(2, n // 50)
 
     weights_x = np.abs(psi.values) ** 2
     tail_x = float((np.sum(weights_x[:edge]) + np.sum(weights_x[-edge:]))
                    * psi.dx)
-    if tail_x > tail_tol:
-        raise NumericalGuardError(
-            f"position tail mass {tail_x:.3e} exceeds {tail_tol:.1e}; "
-            "enlarge the grid span")
+    guard("position tail mass", tail_x, _TAIL_TOL, "enlarge the grid span")
 
     spectrum = np.fft.fftshift(np.fft.fft(psi.values)) * psi.dx / math.sqrt(
         2.0 * math.pi)
@@ -138,19 +131,14 @@ def rms_widths(psi: GridWaveFunction, tail_tol: float = 1e-8):
     dk = k[1] - k[0]
     weights_k = np.abs(spectrum) ** 2
     tail_k = float((np.sum(weights_k[:edge]) + np.sum(weights_k[-edge:])) * dk)
-    if tail_k > tail_tol:
-        raise NumericalGuardError(
-            f"spectral tail mass {tail_k:.3e} exceeds {tail_tol:.1e}; "
-            "refine the grid spacing")
+    guard("spectral tail mass", tail_k, _TAIL_TOL, "refine the grid spacing")
 
     _, _, var_x = _moments(weights_x, psi.x, psi.dx)
     _, _, var_k = _moments(weights_k, k, dk)
     width_x = math.sqrt(var_x)
     width_k = math.sqrt(var_k)
-    if width_x * width_k < 0.5 - 1e-9:
-        raise NumericalGuardError(
-            f"width product {width_x * width_k:.12f} fell below the "
-            "lower bound 1/2; the grid under-resolves the packet")
+    guard("width product deficit below 1/2", 0.5 - width_x * width_k, 1e-9,
+          "the grid under-resolves the packet")
     return width_x, width_k
 
 
@@ -173,8 +161,8 @@ def circle_uncertainty(momentum_index: int) -> CircleUncertainty:
     width 2π and RMS deviation 2π/sqrt(12).  Both angle measures are
     reported; they answer different questions about "Δφ".
     """
-    if momentum_index != int(momentum_index):
-        raise ValueError("momentum index must be an integer")
+    require(momentum_index == int(momentum_index),
+            "momentum index must be an integer")
     return CircleUncertainty(
         delta_p=0.0,
         delta_phi_rms=2.0 * math.pi / math.sqrt(12.0),
@@ -193,8 +181,7 @@ def _create_particle(phi: MultiModeFockVector,
     for j in sorted(profile.support):
         term = mm_raised(phi, j).scaled(profile.values[j])
         result = term if result is None else result.add_scaled(term)
-    if result is None:
-        raise ValueError("profile has empty support")
+    require(result is not None, "profile has empty support")
     return result
 
 
@@ -225,16 +212,14 @@ def two_particle_state(f1: ModeProfile, f2: ModeProfile) -> MultiModeFockVector:
 def number_expectation(phi: MultiModeFockVector) -> float:
     """⟨N̂⟩ = Σ_occ |c|² (Σ_k n_k) / ‖Φ‖²."""
     norm2 = phi.norm_squared()
-    if norm2 == 0.0:
-        raise ValueError("zero vector has no number expectation")
+    require(norm2 > 0.0, "zero vector has no number expectation")
     return sum(abs(c) ** 2 * sum(occ) for occ, c in phi.coeffs.items()) / norm2
 
 
 def number_variance(phi: MultiModeFockVector) -> float:
     """Var(N̂) = ⟨N̂²⟩ − ⟨N̂⟩² over the occupation distribution."""
     norm2 = phi.norm_squared()
-    if norm2 == 0.0:
-        raise ValueError("zero vector has no number variance")
+    require(norm2 > 0.0, "zero vector has no number variance")
     mean = sum(abs(c) ** 2 * sum(occ) for occ, c in phi.coeffs.items()) / norm2
     second = sum(abs(c) ** 2 * sum(occ) ** 2
                  for occ, c in phi.coeffs.items()) / norm2
@@ -244,8 +229,7 @@ def number_variance(phi: MultiModeFockVector) -> float:
 def occupation_density(phi: MultiModeFockVector) -> np.ndarray:
     """Per-mode occupation expectations ⟨n̂_j⟩ (unnormalized vector OK)."""
     norm2 = phi.norm_squared()
-    if norm2 == 0.0:
-        raise ValueError("zero vector has no occupation density")
+    require(norm2 > 0.0, "zero vector has no occupation density")
     density = np.zeros(phi.modes)
     for occ, c in phi.coeffs.items():
         density += (abs(c) ** 2 / norm2) * np.asarray(occ, dtype=float)
@@ -276,13 +260,12 @@ def singlet_marginal(f1: GridWaveFunction, f2: GridWaveFunction,
     Returns (marginal DensityGrid, mass in ``region``); ``region`` is an
     (xmin, xmax) interval, defaulting to the full grid line.
     """
-    if (f1.n != f2.n or f1.x0 != f2.x0 or f1.dx != f2.dx):
-        raise ValueError("orbitals must share one grid")
-    if not (f1.is_normalized and f2.is_normalized):
-        raise ValueError("orbitals must be normalized")
+    require(f1.n == f2.n and f1.x0 == f2.x0 and f1.dx == f2.dx,
+            "orbitals must share one grid")
+    require(f1.is_normalized and f2.is_normalized,
+            "orbitals must be normalized")
     overlap = _grid_support_overlap(f1, f2)
-    if overlap > _SUPPORT_TOL:
-        raise ValueError(
+    require(overlap <= _SUPPORT_TOL,
             f"orbital supports overlap with mass {overlap:.3e}")
 
     a1, a2 = f1.values, f2.values
@@ -299,8 +282,7 @@ def singlet_marginal(f1: GridWaveFunction, f2: GridWaveFunction,
         mass = density.total_mass()
     else:
         lo, hi = region
-        if not (hi > lo):
-            raise ValueError("region must satisfy xmax > xmin")
+        require(hi > lo, "region must satisfy xmax > xmin")
         masked = np.where((density.x >= lo) & (density.x <= hi), marginal, 0.0)
         mass = float(np.trapezoid(masked, dx=f1.dx))
     return density, mass

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require
+
 __all__ = [
     "StochasticMatrix",
     "ToyUnitary",
@@ -42,6 +44,7 @@ __all__ = [
 ]
 
 _COLUMN_TOL = 1e-12
+_WITNESS_TOL = 1e-6    # largest residual a feasibility witness may leave
 
 
 @dataclass(frozen=True)
@@ -56,13 +59,12 @@ class StochasticMatrix:
     def __post_init__(self):
         w = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", w)
-        if w.shape != (2, 2):
-            raise ValueError("need a 2x2 matrix")
-        if np.any(w < -_COLUMN_TOL) or np.any(w > 1.0 + _COLUMN_TOL):
-            raise ValueError("entries must lie in [0, 1]")
+        require(w.shape == (2, 2), "need a 2x2 matrix")
+        require(np.all((w >= -_COLUMN_TOL) & (w <= 1.0 + _COLUMN_TOL)),
+                "entries must lie in [0, 1]")
         sums = np.sum(w, axis=0)
-        if np.any(np.abs(sums - 1.0) > _COLUMN_TOL):
-            raise ValueError(f"columns must sum to 1, got {sums}")
+        require(np.all(np.abs(sums - 1.0) <= _COLUMN_TOL),
+                f"columns must sum to 1, got {sums.tolist()}")
 
     @classmethod
     def identity(cls) -> "StochasticMatrix":
@@ -91,11 +93,10 @@ class ToyUnitary:
     def __post_init__(self):
         s = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", s)
-        if s.shape != (2, 2):
-            raise ValueError("need a 2x2 matrix")
+        require(s.shape == (2, 2), "need a 2x2 matrix")
         defect = float(np.max(np.abs(s.conj().T @ s - np.eye(2))))
-        if defect > 1e-12:
-            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+        require(defect <= 1e-12,
+                f"matrix is not unitary (defect {defect:.3e})")
 
     @classmethod
     def hadamard(cls) -> "ToyUnitary":
@@ -106,20 +107,18 @@ class ToyUnitary:
 
 def classical_step(site: int, rule) -> int:
     """Deterministic update: apply a site map to one of the two sites."""
-    if site not in (0, 1):
-        raise ValueError("site must be 0 or 1")
+    require(site in (0, 1), "site must be 0 or 1")
     nxt = rule(site)
-    if nxt not in (0, 1):
-        raise ValueError(f"rule left the two-site space: {nxt!r}")
+    require(nxt in (0, 1), f"rule left the two-site space: {nxt!r}")
     return int(nxt)
 
 
 def _check_probability_pair(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if p.shape != (2,):
-        raise ValueError("need a probability pair")
-    if np.any(p < -_COLUMN_TOL) or abs(float(np.sum(p)) - 1.0) > _COLUMN_TOL:
-        raise ValueError(f"not a normalized probability pair: {p}")
+    require(p.shape == (2,), "need a probability pair")
+    require(np.all(p >= -_COLUMN_TOL)
+            and abs(float(np.sum(p)) - 1.0) <= _COLUMN_TOL,
+            f"not a normalized probability pair: {p.tolist()}")
     return p
 
 
@@ -133,10 +132,9 @@ def quantum_step(psi, s: ToyUnitary) -> np.ndarray:
     """One unitary step ψ ↦ S ψ; stays on the unit sphere, outcome
     probabilities are |ψ_i|²."""
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,):
-        raise ValueError("need an amplitude pair")
-    if abs(float(np.sum(np.abs(psi) ** 2)) - 1.0) > 1e-12:
-        raise ValueError("amplitude pair must be normalized")
+    require(psi.shape == (2,), "need an amplitude pair")
+    require(abs(float(np.sum(np.abs(psi) ** 2)) - 1.0) <= 1e-12,
+            "amplitude pair must be normalized")
     return s.entries @ psi
 
 
@@ -165,8 +163,7 @@ class Constraint:
             float(v) for v in _check_probability_pair(self.p_in)))
         object.__setattr__(self, "p_out", tuple(
             float(v) for v in _check_probability_pair(self.p_out)))
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        require(self.steps >= 1, "steps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -191,8 +188,7 @@ def _as_constraints(step_maps) -> list[Constraint]:
             out.append(Constraint(item[0], item[1]))
         else:
             out.append(Constraint(item[0], item[1], int(item[2])))
-    if not out:
-        raise ValueError("need at least one constraint")
+    require(out, "need at least one constraint")
     return out
 
 
@@ -229,7 +225,7 @@ def _forced_columns(constraints):
     return (float(sol[0]), float(sol[1])), None
 
 
-def _spectral_search(constraints, tol: float) -> FeasibilityResult:
+def _spectral_search(constraints) -> FeasibilityResult:
     """Each requirement reads Sₙ(λ)·b = p_out[0] − λⁿp₀ in λ = a − b, so
     whether some b in the box max(0, −λ) ≤ b ≤ min(1, 1 − λ) meets them
     all can change only at real roots of the pairwise consistency, the
@@ -259,7 +255,7 @@ def _spectral_search(constraints, tol: float) -> FeasibilityResult:
         a = min(max(x + b, 0.0), 1.0)
         best = min(best, (_residual(a, b, constraints), a, b))
     residual, a, b = best
-    if residual <= tol:
+    if residual <= _WITNESS_TOL:
         return FeasibilityResult(True, StochasticMatrix.from_params(a, b),
                                  residual, None)
     return FeasibilityResult(
@@ -269,10 +265,10 @@ def _spectral_search(constraints, tol: float) -> FeasibilityResult:
         f"{knots.size} knots in [−1, 1] (−1, 0, 1 and the real roots of the "
         "consistency, box-edge and step-sum polynomials); at the knots and "
         f"the midpoints between them the smallest residual is {residual:.6g}"
-        f" > {tol:.1g}")
+        f" > {_WITNESS_TOL:.1g}")
 
 
-def markov_feasibility(step_maps, tol: float = 1e-6) -> FeasibilityResult:
+def markov_feasibility(step_maps) -> FeasibilityResult:
     """Decide whether some 2×2 column-stochastic matrix satisfies every
     (input, output, steps) requirement.
 
@@ -282,7 +278,7 @@ def markov_feasibility(step_maps, tol: float = 1e-6) -> FeasibilityResult:
     exact forcing certificate on failure.  Otherwise the exact spectral
     form of w (λ = a − b, n steps send p₀ to λⁿp₀ + b·Sₙ(λ)) reduces
     the question to real polynomial roots in λ ∈ [−1, 1]; every call
-    returns either a witness with residual ≤ tol or a certificate
+    returns either a witness with residual ≤ 1e-6 or a certificate
     starting with ``infeasible:``.
     """
     constraints = _as_constraints(step_maps)
@@ -302,7 +298,7 @@ def markov_feasibility(step_maps, tol: float = 1e-6) -> FeasibilityResult:
                 "outside [0, 1]")
         a, b = min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)
         residual = _residual(a, b, constraints)
-        if residual <= tol:
+        if residual <= _WITNESS_TOL:
             return FeasibilityResult(True, StochasticMatrix.from_params(a, b),
                                      residual, None)
         bad = max(constraints,
@@ -318,7 +314,7 @@ def markov_feasibility(step_maps, tol: float = 1e-6) -> FeasibilityResult:
             f"then {bad.steps} step(s) send {bad.p_in} to "
             f"({p[0]:.6g}, {p[1]:.6g}) instead of {bad.p_out}")
 
-    return _spectral_search(constraints, tol)
+    return _spectral_search(constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +344,7 @@ def interference_demo(steps: int = 2,
     to (1, 0) at step 2 while the forced competitor stays at (½, ½):
     total-variation gap ½.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    require(steps >= 0, "steps must be >= 0")
     s = ToyUnitary.hadamard() if unitary is None else unitary
     w = StochasticMatrix(np.abs(s.entries) ** 2)
 

@@ -434,14 +434,6 @@ class TestNonrelativisticLimit:
         value = nonrelativistic_overlap(packet, m=100.0, t=1.0)
         np.testing.assert_allclose(value, 0.99999999999995315, rtol=1e-9)
 
-    def test_light_packet_is_reported_not_asserted(self):
-        # A mass-1 packet violates the heavy-mass premise; the overlap
-        # is still a fidelity in [0, 1] but no closeness to 1 is claimed.
-        packet = standard_packet()
-        value = nonrelativistic_overlap(packet, m=1.0, t=1.0,
-                                        check_momentum=False)
-        assert 0.0 <= value <= 1.0 + 1e-12
-
     def test_momentum_tail_guard(self):
         packet = standard_packet()
         with pytest.raises(NumericalGuardError):

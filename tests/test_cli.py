@@ -18,7 +18,12 @@ import pytest
 
 import thermofock
 from thermofock import chain as chain_mod
+from thermofock import charfn as charfn_mod
 from thermofock import cli as cli_mod
+from thermofock import fock as fock_mod
+from thermofock import measurement as measure_mod
+from thermofock import sphere as sphere_mod
+from thermofock import toy as toy_mod
 from thermofock.cli import main
 
 WIEN_RATIO_AT_10 = "1.0000454019910097"
@@ -195,14 +200,48 @@ class TestExitCodes:
         monkeypatch.setattr(chain_mod.ChainSpec, "coupling_matrix", refuse)
         monkeypatch.setattr(chain_mod, "gibbs_sample", refuse)
         monkeypatch.setattr(chain_mod, "normal_modes", refuse)
-        assert (cli_mod._chain_footprint(experiment, sites, samples)
-                > cli_mod._CHAIN_BUDGET_BYTES)
-        start = time.perf_counter()
-        assert main(["chain", "--experiment", experiment, "--sites",
-                     str(sites), "--samples", str(samples)]) == 2
-        assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "budget" in err
+        assert_refused_by_the_budget(
+            ["chain", "--experiment", experiment, "--sites", str(sites),
+             "--samples", str(samples)], capsys)
+
+    @pytest.mark.parametrize("argv, allocators", [
+        (["fock", "--nmax", "1000000000"],
+         [(fock_mod.FockVector, "basis_state")]),
+        (["spectrum", "--points", "1000000000"], [(np, "geomspace")]),
+        (["toy", "--steps", "1000000000"], [(toy_mod, "interference_demo")]),
+        (["charfn", "--points", "1000000000"],
+         [(charfn_mod.GridWaveFunction, "sampled")]),
+        (["sphere", "--samples", "10000000000"],
+         [(sphere_mod, "pushforward_ks_statistic"),
+          (sphere_mod, "mean_energy")]),
+        (["measure", "--samples", "10000000000"],
+         [(measure_mod, "entangle"), (measure_mod, "sample_outcomes")]),
+        (["measure", "--amps", ",".join(["0.1"] * 5000)],
+         [(measure_mod, "entangle"), (measure_mod, "sample_outcomes")]),
+    ], ids=["fock-nmax", "spectrum-points", "toy-steps", "charfn-points",
+            "sphere-samples", "measure-samples", "measure-amps"])
+    def test_oversized_request_exits_before_allocating(
+            self, argv, allocators, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table allocated its arrays")
+
+        for owner, name in allocators:
+            monkeypatch.setattr(owner, name, refuse)
+        assert_refused_by_the_budget(argv, capsys)
+
+
+def assert_refused_by_the_budget(argv, capsys):
+    """The estimated footprint of argv is above the budget, and main
+    refuses it with exit code 2 at once."""
+    args = vars(cli_mod._build_parser().parse_args(argv))
+    args.pop("config")
+    cfg = cli_mod.config_precedence(args.pop("subcommand"), args, {})
+    assert cli_mod._footprint(cfg) > cli_mod._BUDGET_BYTES
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "budget" in err
 
 
 class TestJsonMirror:

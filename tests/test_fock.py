@@ -9,6 +9,8 @@ position-side checks.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_laguerre
 
 from thermofock.charfn import GridWaveFunction
@@ -74,8 +76,9 @@ class TestInnerProduct:
                                        1.0, atol=1e-9)
 
     def test_quadrature_guard_on_a_nan_coefficient(self):
-        f = FockVector([1.0, np.nan, 0.0])
+        # The vector itself trips the guard, before any quadrature runs.
         with pytest.raises(NumericalGuardError):
+            f = FockVector([1.0, np.nan, 0.0])
             quadrature_inner_product(f, f)
 
     def test_quadrature_truncation_limit(self):
@@ -122,6 +125,18 @@ class TestLadders:
             commutator_defect(6, 1.0, include_edge=True), 7.0, atol=1e-12)
         np.testing.assert_allclose(
             commutator_defect(6, 2.0, include_edge=True), 14.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_max=st.integers(2, 60),
+           hbar=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+    def test_commutator_defect_over_random_truncations_and_scales(
+            self, n_max, hbar):
+        # Interior slots cancel to rounding; the silently truncated top
+        # slot leaves exactly hbar*(n_max + 1).
+        tol = 1e-12 * hbar * (n_max + 1)
+        assert commutator_defect(n_max, hbar) <= tol
+        assert abs(commutator_defect(n_max, hbar, include_edge=True)
+                   - hbar * (n_max + 1)) <= tol
 
     def test_adjointness_of_raising_and_lowering(self):
         rng = np.random.default_rng(20240603)

@@ -1,0 +1,97 @@
+"""The one guard policy: NaN and infinite input raise, and only
+``errors.py`` raises NumericalGuardError.
+
+Each case below was accepted without complaint before every guard went
+through ``errors.guard`` and ``errors.require``, which are written as
+the passing condition, so that a comparison with NaN fails them.
+"""
+
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from thermofock import (chain, charfn, errors, exterior, fock, measurement,
+                        sphere, states, toy)
+
+NAN = math.nan
+INF = math.inf
+
+
+def _nan_packet():
+    return charfn.GridWaveFunction(-20.0, 0.02, np.full(2000, NAN))
+
+
+NON_FINITE_CALLS = {
+    "chain.nonrelativistic_overlap(nan packet)":
+        lambda: chain.nonrelativistic_overlap(_nan_packet(), 100.0, 1.0),
+    "chain.continuum_limit_error(a=nan)":
+        lambda: chain.continuum_limit_error(1.0, 1.0, [NAN]),
+    "chain.gibbs_sample(beta=inf)":
+        lambda: chain.gibbs_sample(chain.ChainSpec(8), INF, 4, seed=0),
+    "toy.StochasticMatrix(nan)":
+        lambda: toy.StochasticMatrix(np.full((2, 2), NAN)),
+    "toy.ToyUnitary(nan)":
+        lambda: toy.ToyUnitary(np.full((2, 2), NAN)),
+    "toy.Constraint((nan, nan))":
+        lambda: toy.Constraint((NAN, NAN), (0.5, 0.5)),
+    "toy.markov_step([nan, nan])":
+        lambda: toy.markov_step([NAN, NAN], toy.StochasticMatrix.identity()),
+    "toy.quantum_step([nan, nan])":
+        lambda: toy.quantum_step([NAN, NAN], toy.ToyUnitary.hadamard()),
+    "measurement.BipartiteState([[nan]])":
+        lambda: measurement.BipartiteState([[NAN]]),
+    "measurement.entangle([nan])":
+        lambda: measurement.entangle([NAN]),
+    "measurement.rotation_2pi(nan spin)":
+        lambda: measurement.rotation_2pi([1.0, 0.0], [0.5, NAN]),
+    "exterior.bilinear_density(nan, 1)":
+        lambda: exterior.bilinear_density(NAN, 1.0),
+    "sphere.ThermalOscillator(beta=inf)":
+        lambda: sphere.ThermalOscillator(beta=INF),
+    "sphere.mean_energy(beta=inf)":
+        lambda: sphere.mean_energy(sphere.ThermalOscillator(beta=INF)),
+    "sphere.SphereGeometry(inf)":
+        lambda: sphere.SphereGeometry(INF),
+    "sphere.planck_density(inf, 1)":
+        lambda: sphere.planck_density(INF, 1.0),
+    "states.ModeProfile([nan, 1])":
+        lambda: states.ModeProfile([NAN, 1.0], {0, 1}),
+    "fock.FockVector([nan])":
+        lambda: fock.FockVector([NAN]),
+    "fock.FockVector(hbar=inf)":
+        lambda: fock.FockVector([1.0], hbar=INF),
+    "fock.GaussianMeasure(inf)":
+        lambda: fock.GaussianMeasure(INF),
+    "charfn.GridWaveFunction(nan samples)":
+        lambda: charfn.GridWaveFunction(0.0, 0.1, [1.0, NAN, 1.0]),
+    "charfn.DensityGrid([inf, 1])":
+        lambda: charfn.DensityGrid(0.0, 0.1, [INF, 1.0]),
+}
+
+
+@pytest.mark.parametrize("call", list(NON_FINITE_CALLS.values()),
+                         ids=list(NON_FINITE_CALLS))
+def test_nan_and_infinite_input_raise(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_guard_reports_its_triple_and_trips_on_nan():
+    errors.guard("tail mass", 1e-9, 1e-8, "unused")
+    with pytest.raises(errors.NumericalGuardError,
+                       match=r"tail mass is 0\.1, not within its bound 0\.01"):
+        errors.guard("tail mass", 0.1, 0.01, "widen the grid")
+    with pytest.raises(errors.NumericalGuardError, match="nan"):
+        errors.guard("tail mass", NAN, 0.01, "widen the grid")
+
+
+def test_only_errors_py_raises_the_guard_error():
+    package = Path(errors.__file__).parent
+    raising = [path.name for path in sorted(package.glob("*.py"))
+               if path.name != "errors.py"
+               and re.search(r"raise\s+NumericalGuardError",
+                             path.read_text(encoding="utf-8"))]
+    assert raising == []

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermofock.errors import NumericalGuardError
 from thermofock.measurement import (
@@ -330,3 +332,58 @@ class TestRandomDensity:
         evals = np.sort(np.linalg.eigvalsh(rho.matrix))
         assert np.all(evals[:3] < 1e-12)
         assert np.all(evals[3:] > 1e-12)
+
+
+@st.composite
+def sector_partitions(draw):
+    """A labeled partition of 0..d-1 (d <= 10) with shuffled indices and
+    possibly repeated charges, as a plain dict and as a SectorStructure."""
+    d = draw(st.integers(1, 10))
+    owners = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+    order = draw(st.permutations(range(d)))
+    groups = {}
+    for index, owner in zip(order, owners):
+        groups.setdefault(owner, []).append(index)
+    charges = {k: float(draw(st.integers(-2, 2))) for k in groups}
+    return groups, SectorStructure(groups, charges)
+
+
+def same_sector(groups, d):
+    """Pairwise oracle for the block mask: True where i and j share a
+    group."""
+    owner = {i: k for k, idx in groups.items() for i in idx}
+    return np.array([[owner[i] == owner[j] for j in range(d)]
+                     for i in range(d)])
+
+
+class TestSectorProperties:
+    """Decoherence and sector algebra over generated partitions."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(partition=sector_partitions(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_decohere_is_an_exact_pinching(self, partition, seed):
+        groups, sectors = partition
+        rho = random_density(sectors.d, np.random.default_rng(seed))
+        once = decohere(rho, sectors)
+        assert np.array_equal(decohere(once, sectors).matrix, once.matrix)
+        assert np.trace(once.matrix) == np.trace(rho.matrix)
+        assert purity(once) <= purity(rho) + 1e-12
+        cross = ~same_sector(groups, sectors.d)
+        assert np.all(once.matrix[cross] == 0.0)
+        assert np.array_equal(once.matrix[~cross], rho.matrix[~cross])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(partition=sector_partitions(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_diagonal_operators_are_physical(self, partition, seed):
+        groups, sectors = partition
+        d = sectors.d
+        rng = np.random.default_rng(seed)
+        op = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) \
+            * same_sector(groups, d)
+        assert sector_defect(op, sectors) == 0.0
+        assert charge_commutator_norm(op, sectors) == 0.0
+        cross = np.argwhere(~same_sector(groups, d))
+        if cross.size:
+            i, j = cross[rng.integers(len(cross))]
+            op[i, j] = 0.25 - 0.5j
+            assert sector_defect(op, sectors) == abs(0.25 - 0.5j)
