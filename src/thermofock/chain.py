@@ -129,6 +129,8 @@ class ChainState:
         object.__setattr__(self, "p", p)
         require(q.shape == p.shape and q.ndim == 1,
                 "q and p must be 1-d arrays of equal length")
+        require(np.all(np.isfinite(q)) and np.all(np.isfinite(p)),
+                "q and p must be finite")
 
     @classmethod
     def zero(cls, n: int) -> "ChainState":

@@ -186,6 +186,7 @@ def _dense_fourier(x: np.ndarray, weights: np.ndarray,
 def characteristic_function(p: DensityGrid, t_grid) -> CharacteristicSamples:
     """f(t) = integral of exp(itx) p(x) dx by trapezoidal quadrature."""
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    require(np.all(np.isfinite(t)), "t values must be finite")
     w = _trapezoid_weights(p.n) * p.values * p.dx
     return CharacteristicSamples(t, _dense_fourier(p.x, w, t))
 
@@ -227,6 +228,7 @@ def autocorrelation_charfn(psi: GridWaveFunction,
     if not psi.is_normalized:
         psi = psi.normalized()
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    require(np.all(np.isfinite(t)), "t values must be finite")
     m, dxi = _xi_lattice(psi)
     i = np.arange(psi.n)
     a = _trapezoid_weights(psi.n) * psi.values * np.where(i % 2, -1.0, 1.0)

@@ -498,13 +498,14 @@ def _run_measure(cfg: RunConfig):
     after = measure_mod.purity(rho_dec)
     table = measure_mod.sample_outcomes(rho_dec, cfg.params["samples"],
                                         cfg.seed)
+    stderrs = table.standard_errors()
+    within = table.within_3_sigma()
     rows = []
     for k in range(rho.d):
         rows.append((float(k), float(np.abs(amps[k]) ** 2 if k < amps.size
                                      else 0.0),
-                     float(table.frequencies[k]),
-                     float(table.standard_errors()[k]),
-                     1.0 if bool(table.within_3_sigma()[k]) else 0.0))
+                     float(table.frequencies[k]), float(stderrs[k]),
+                     1.0 if bool(within[k]) else 0.0))
     comments = [f"purity_before={before:.17g}",
                 f"purity_after={after:.17g}"]
     return ("measurement branch weights against sampled outcome "

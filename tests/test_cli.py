@@ -391,7 +391,7 @@ class TestTableContents:
 
 
 class TestImportFootprint:
-    """scipy is loaded only by the sphere quadrature oracles."""
+    """No table loads scipy: it is a test-only oracle."""
 
     def test_no_scipy_after_import_or_default_tables(self):
         script = (
@@ -403,7 +403,8 @@ class TestImportFootprint:
             "from thermofock.cli import main\n"
             "seen = [scipy_modules()]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [main(['toy']), main(['fock', '--nmax', '4'])]\n"
+            "    codes = [main(['toy']), main(['fock', '--nmax', '4']),\n"
+            "             main(['sphere', '--samples', '2000'])]\n"
             "seen.append(scipy_modules())\n"
             "print(json.dumps({'codes': codes, 'seen': seen}))\n")
         src = str(Path(thermofock.__file__).resolve().parent.parent)
@@ -412,5 +413,5 @@ class TestImportFootprint:
                               capture_output=True, text=True, timeout=120,
                               check=True)
         report = json.loads(done.stdout)
-        assert report["codes"] == [0, 0]
+        assert report["codes"] == [0, 0, 0]
         assert report["seen"] == [[], []]

@@ -24,6 +24,11 @@ def _nan_packet():
     return charfn.GridWaveFunction(-20.0, 0.02, np.full(2000, NAN))
 
 
+def _gaussian_samples():
+    x = np.linspace(-10.0, 10.0, 201)
+    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
 NON_FINITE_CALLS = {
     "chain.nonrelativistic_overlap(nan packet)":
         lambda: chain.nonrelativistic_overlap(_nan_packet(), 100.0, 1.0),
@@ -53,6 +58,8 @@ NON_FINITE_CALLS = {
         lambda: sphere.ThermalOscillator(beta=INF),
     "sphere.mean_energy(beta=inf)":
         lambda: sphere.mean_energy(sphere.ThermalOscillator(beta=INF)),
+    "sphere.Disk(1, q0=nan)":
+        lambda: sphere.Disk(1.0, NAN, 0.0),
     "sphere.SphereGeometry(inf)":
         lambda: sphere.SphereGeometry(INF),
     "sphere.planck_density(inf, 1)":
@@ -69,7 +76,31 @@ NON_FINITE_CALLS = {
         lambda: charfn.GridWaveFunction(0.0, 0.1, [1.0, NAN, 1.0]),
     "charfn.DensityGrid([inf, 1])":
         lambda: charfn.DensityGrid(0.0, 0.1, [INF, 1.0]),
+    "charfn.characteristic_function(t=nan)":
+        lambda: charfn.characteristic_function(
+            charfn.DensityGrid(-10.0, 0.1, _gaussian_samples()), [0.0, NAN]),
+    "charfn.autocorrelation_charfn(t=nan)":
+        lambda: charfn.autocorrelation_charfn(
+            charfn.GridWaveFunction(-10.0, 0.1, _gaussian_samples()), [NAN]),
+    "chain.ChainState([nan, 0])":
+        lambda: chain.ChainState([NAN, 0.0], [0.0, 0.0]),
 }
+
+# The sphere maps take beta from the caller with no oscillator in between.
+SPHERE_BETA_CALLS = {
+    "sphere.thermal_map_paper":
+        lambda beta: sphere.thermal_map_paper(sphere.SpherePoint(1.0), 1.0,
+                                              beta),
+    "sphere.thermal_map_exact":
+        lambda beta: sphere.thermal_map_exact(sphere.SpherePoint(1.0), beta),
+    "sphere.pushforward_radii":
+        lambda beta: sphere.pushforward_radii(np.array([1.0]), beta),
+    "sphere.pushforward_ks_statistic":
+        lambda beta: sphere.pushforward_ks_statistic(beta, 100, 0),
+}
+NON_FINITE_CALLS.update(
+    (f"{name}(beta={beta})", lambda call=call, beta=beta: call(beta))
+    for name, call in SPHERE_BETA_CALLS.items() for beta in (NAN, 0.0, INF))
 
 
 @pytest.mark.parametrize("call", list(NON_FINITE_CALLS.values()),
