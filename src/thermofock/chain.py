@@ -13,9 +13,9 @@ the mode energies ω_k |a(k)|², and the non-canonical rescaling
 a_k = sqrt(λ_k) a(k) with λ_k = ω_k/ω̄, ω̄ = sqrt(m² + γ/a²), turns the
 total into ω̄ Σ_k |a_k|².
 
-Dynamics integrate with a symplectic leapfrog step; thermal states are
-sampled exactly in normal coordinates.  A sparse multimode occupation
-algebra provides the quantum counterpart with per-mode ladder
+Dynamics follow the exact leapfrog map in normal coordinates, and
+thermal states are sampled exactly in them.  A sparse multimode
+occupation algebra provides the quantum counterpart with per-mode ladder
 commutator ħ δ_kk' (the discrete stand-in for a continuum δ(k−k')) and
 the mode-sum Hamiltonian with eigenvalues Σ_k ω_k ħ (n_k + ½).
 
@@ -27,6 +27,7 @@ frequency evolution approaches the free-particle phase e^{−ik²t/2m}.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -244,49 +245,109 @@ def rescaled_modes(modes: ModeData, spec: ChainSpec) -> ModeData:
 # Dynamics and thermal sampling
 # ---------------------------------------------------------------------------
 
+class _Rows:
+    """Row view of a (steps+1)×N trajectory array that computes only the
+    rows it is indexed with; ``np.asarray`` materialises every row."""
+
+    def __init__(self, rows, shape):
+        self._rows = rows       # step numbers (1-d int array) -> rows
+        self.shape = shape
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        steps = np.arange(self.shape[0])[key]
+        out = self._rows(np.atleast_1d(steps))
+        return out[0] if steps.ndim == 0 else out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[:], dtype=dtype)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Leapfrog trajectory: times and stacked (q, p) rows."""
+    """Leapfrog trajectory in closed form.
+
+    Stores the rfft modes ``u0``, ``p0`` of the initial state, the
+    rotation angle ``theta`` (θ_k per step) and the modified frequency
+    ``omega_mod`` (Ω_k) of each mode, and the step dt.  ``q`` and ``p``
+    are row views: ``q[i]`` and ``q[::stride]`` cost one irfft over the
+    indexed rows, and ``np.asarray(q)`` builds the full (steps+1)×N
+    array.
+    """
 
     times: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
+    u0: np.ndarray
+    p0: np.ndarray
+    theta: np.ndarray
+    omega_mod: np.ndarray
+    dt: float
+    n_sites: int
+
+    @property
+    def q(self) -> _Rows:
+        return _Rows(lambda n: self._rows(n, momentum=False),
+                     (self.times.size, self.n_sites))
+
+    @property
+    def p(self) -> _Rows:
+        return _Rows(lambda n: self._rows(n, momentum=True),
+                     (self.times.size, self.n_sites))
+
+    def _rows(self, steps: np.ndarray, momentum: bool) -> np.ndarray:
+        """u_n = cos(nθ) u_0 + sin(nθ)/Ω p_0 and
+        p_n = cos(nθ) p_0 − Ω sin(nθ) u_0 at the given step numbers.
+        On the massless uniform mode (Ω = θ = 0) sin(nθ)/Ω is n·dt."""
+        n = steps[:, None]
+        phase = n * self.theta
+        cos, sin = np.cos(phase), np.sin(phase)
+        if momentum:
+            modes = cos * self.p0 - self.omega_mod * sin * self.u0
+        else:
+            moving = self.omega_mod > 0.0
+            ratio = np.where(moving,
+                             sin / np.where(moving, self.omega_mod, 1.0),
+                             n * self.dt)
+            modes = cos * self.u0 + ratio * self.p0
+        return np.fft.irfft(modes, n=self.n_sites, axis=1)
 
     def energies(self, spec: ChainSpec) -> np.ndarray:
-        return total_energies(self.q, self.p, spec)
-
-
-def _force(q: np.ndarray, spec: ChainSpec) -> np.ndarray:
-    lap = np.roll(q, -1) - 2.0 * q + np.roll(q, 1)
-    return -spec.mass ** 2 * q + spec.spring * lap
+        return total_energies(np.asarray(self.q), np.asarray(self.p), spec)
 
 
 def evolve(state: ChainState, spec: ChainSpec, dt: float | None = None,
            steps: int = 1000) -> Trajectory:
-    """Integrate the chain with the symplectic leapfrog map.
+    """Exact leapfrog map in normal coordinates.
+
+    Kick–drift–kick with step h = dt acts on each rfft mode as the 2×2
+    matrix L_k = [[c, h], [−hω²(1 − h²ω²/4), c]], c = cos θ_k,
+    θ_k = 2 arcsin(hω_k/2), det L_k = 1; its n-th power is a rotation
+    by nθ_k with modified frequency Ω_k = ω_k sqrt(1 − h²ω_k²/4).  So
+    the trajectory is stored as its initial modes and any step costs
+    one irfft, with no loop over steps (Hairer–Lubich–Wanner, Geometric
+    Numerical Integration, Störmer–Verlet on the harmonic oscillator).
+    The tests check it against the stepping loop.
 
     Default step dt = 0.1/ω_max; steps above the stability bound
-    2/ω_max are rejected.  Kick–drift–kick form, exactly time
-    reversible, bounded energy oscillation with no secular drift.
+    2/ω_max (|c| ≥ 1) are rejected.  Exactly time reversible, bounded
+    energy oscillation with no secular drift.
     """
-    omega_max = float(np.max(spec.dispersion(spec.k_grid())))
+    steps = operator.index(steps)
+    require(steps >= 0, f"steps must be nonnegative, got {steps}")
+    require(state.q.size == spec.n_sites,
+            "state length does not match the chain")
+    omega = spec.dispersion(spec.k_grid()[: spec.n_sites // 2 + 1])
+    omega_max = float(np.max(omega))
     if dt is None:
         dt = 0.1 / omega_max
     require(0.0 < dt < 2.0 / omega_max,
             f"dt={dt} outside the stability interval (0, {2.0 / omega_max:.6g})")
-    q = state.q.copy()
-    p = state.p.copy()
-    qs = np.empty((steps + 1, q.size))
-    ps = np.empty((steps + 1, q.size))
-    qs[0], ps[0] = q, p
-    force = _force(q, spec)
-    for i in range(1, steps + 1):
-        p = p + 0.5 * dt * force
-        q = q + dt * p
-        force = _force(q, spec)   # closes this step, opens the next
-        p = p + 0.5 * dt * force
-        qs[i], ps[i] = q, p
-    return Trajectory(dt * np.arange(steps + 1), qs, ps)
+    half = 0.5 * dt * omega
+    return Trajectory(dt * np.arange(steps + 1),
+                      np.fft.rfft(state.q), np.fft.rfft(state.p),
+                      2.0 * np.arcsin(half), omega * np.sqrt(1.0 - half * half),
+                      dt, spec.n_sites)
 
 
 def gibbs_sample(spec: ChainSpec, beta: float, n: int, seed: int):

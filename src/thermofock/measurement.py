@@ -54,14 +54,38 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        self._check(None)
+
+    @classmethod
+    def _block_diagonal(cls, matrix, blocks) -> "DensityMatrix":
+        """Construct from a matrix that vanishes outside the diagonal
+        blocks on the index sets ``blocks`` (a partition of 0..d−1).
+
+        Its spectrum is the union of the blocks' spectra, so positivity
+        is checked block by block at Σ d_i³ cost, singleton blocks on
+        their diagonal entry; the other checks are the constructor's.
+        """
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", matrix)
+        rho._check(blocks)
+        return rho
+
+    def _check(self, blocks) -> None:
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         require(m.ndim == 2 and m.shape[0] == m.shape[1] and m.shape[0] > 0,
                 "density matrix must be square and nonempty")
         require(float(np.max(np.abs(m - m.conj().T))) <= _HERM_TOL,
                 "matrix is not Hermitian within 1e-12")
-        require(float(np.min(np.linalg.eigvalsh(m))) >= -_EIG_TOL,
-                "matrix has an eigenvalue below -1e-12")
+        if blocks is None:
+            lam_min = float(np.min(np.linalg.eigvalsh(m)))
+        else:
+            singles = [idx[0] for idx in blocks if len(idx) == 1]
+            lam_min = float(np.min(
+                [np.min(np.linalg.eigvalsh(m[np.ix_(idx, idx)]))
+                 for idx in blocks if len(idx) > 1]
+                + [np.min(np.diag(m)[singles].real, initial=np.inf)]))
+        require(lam_min >= -_EIG_TOL, "matrix has an eigenvalue below -1e-12")
         require(abs(float(np.trace(m).real) - 1.0) <= _TRACE_TOL,
                 "trace differs from 1 by more than 1e-12")
 
@@ -222,7 +246,7 @@ def decohere(rho: DensityMatrix, sectors: SectorStructure) -> DensityMatrix:
     require(sectors.d == rho.d,
             "sector partition size does not match the matrix")
     projected = np.where(sectors.block_mask(), rho.matrix, 0.0)
-    return DensityMatrix(projected)
+    return DensityMatrix._block_diagonal(projected, sectors.sectors.values())
 
 
 def purity(rho: DensityMatrix) -> float:

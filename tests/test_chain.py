@@ -3,18 +3,19 @@ dynamics, Gibbs sampling, multimode ladder algebra, and the continuum
 and nonrelativistic limits.
 
 Oracles: dense eigendecomposition of an independently assembled
-coupling matrix for the dispersion law, direct Hamiltonian evaluation
+coupling matrix for the dispersion law, the kick–drift–kick stepping
+loop for the closed-form leapfrog map, direct Hamiltonian evaluation
 for energy bookkeeping, a windowed and zero-padded FFT of a single-mode
 trajectory for the oscillation frequency, and closed-form
 lattice/continuum frequencies for the limit studies.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from thermofock import chain
 from thermofock.chain import (
     ChainSpec,
     ChainState,
@@ -50,6 +51,30 @@ def dense_coupling(spec):
         mat[j, (j + 1) % n] -= gamma_eff
         mat[j, (j - 1) % n] -= gamma_eff
     return mat
+
+
+def _force(q, spec):
+    lap = np.roll(q, -1) - 2.0 * q + np.roll(q, 1)
+    return -spec.mass ** 2 * q + spec.spring * lap
+
+
+def leapfrog_loop(state, spec, dt, steps):
+    """Oracle: the kick–drift–kick stepping loop, stacked (q, p) rows.
+
+    The closing kick's force opens the next step, so the loop evaluates
+    the force steps + 1 times."""
+    q, p = state.q.copy(), state.p.copy()
+    qs = np.empty((steps + 1, q.size))
+    ps = np.empty((steps + 1, q.size))
+    qs[0], ps[0] = q, p
+    force = _force(q, spec)
+    for i in range(1, steps + 1):
+        p = p + 0.5 * dt * force
+        q = q + dt * p
+        force = _force(q, spec)
+        p = p + 0.5 * dt * force
+        qs[i], ps[i] = q, p
+    return qs, ps
 
 
 def random_state(rng, n):
@@ -212,28 +237,99 @@ class TestDynamics:
         np.testing.assert_allclose(-back.p[-1], state.p, atol=1e-8)
 
     def test_one_force_evaluation_per_step(self, monkeypatch):
-        # The closing kick's force opens the next step, so evolve must
-        # evaluate it steps + 1 times and reproduce the textbook
-        # two-force kick-drift-kick loop bit for bit.
+        # The oracle loop reuses the closing kick's force to open the
+        # next step: steps + 1 evaluations, bit for bit the textbook
+        # two-force kick-drift-kick loop.
         spec = ChainSpec(n_sites=16, spacing=0.9, mass=0.7, gamma=1.3)
         state = random_state(np.random.default_rng(23), 16)
         dt, steps = 0.03, 400
         q, p = state.q.copy(), state.p.copy()
         for _ in range(steps):
-            p = p + 0.5 * dt * chain._force(q, spec)
+            p = p + 0.5 * dt * _force(q, spec)
             q = q + dt * p
-            p = p + 0.5 * dt * chain._force(q, spec)
+            p = p + 0.5 * dt * _force(q, spec)
         calls = []
-        force = chain._force
 
-        def counted(q_, spec_):
+        def counted(q_, spec_, force=_force):
             calls.append(1)
             return force(q_, spec_)
-        monkeypatch.setattr(chain, "_force", counted)
-        traj = evolve(state, spec, dt=dt, steps=steps)
+        monkeypatch.setitem(globals(), "_force", counted)
+        qs, ps = leapfrog_loop(state, spec, dt, steps)
         assert len(calls) == steps + 1
-        assert np.array_equal(traj.q[-1], q)
-        assert np.array_equal(traj.p[-1], p)
+        assert np.array_equal(qs[-1], q)
+        assert np.array_equal(ps[-1], p)
+
+    @pytest.mark.parametrize("n_sites, params, dt_over, steps, mean_p", [
+        (16, {}, 0.1, 2000, 0.0),
+        (16, {}, 1e-5, 2000, 0.0),
+        (17, dict(spacing=0.7, mass=0.3, gamma=1.9), 0.5, 3000, 0.0),
+        (33, dict(mass=0.0), 0.1, 2000, 0.4),
+        (32, dict(mass=0.0, spacing=1.3, gamma=0.6), 0.3, 2000, -0.7),
+        (16, {}, 1.999, 3000, 0.0),
+        (15, dict(spacing=0.5, gamma=2.5), 1.999, 3000, 0.0),
+        (64, {}, 0.1, 20_000, 0.0),
+    ])
+    def test_closed_form_matches_the_stepping_loop(self, n_sites, params,
+                                                   dt_over, steps, mean_p):
+        # Every row of q and p, relative to the largest |q|, |p|; the
+        # m = 0 cases drift the uniform mode (Ω = 0, sin(nθ)/Ω = n dt),
+        # and at dt = 1e-5/ω_max θ = arccos(c) would lose half its digits.
+        spec = ChainSpec(n_sites=n_sites, **params)
+        rng = np.random.default_rng(n_sites + steps)
+        state = ChainState(rng.standard_normal(n_sites),
+                           rng.standard_normal(n_sites) + mean_p)
+        dt = dt_over / normal_modes(spec).omega.max()
+        traj = evolve(state, spec, dt=dt, steps=steps)
+        qs, ps = leapfrog_loop(state, spec, dt, steps)
+        scale = max(np.max(np.abs(qs)), np.max(np.abs(ps)))
+        np.testing.assert_allclose(np.asarray(traj.q), qs, rtol=0.0,
+                                   atol=1e-10 * scale)
+        np.testing.assert_allclose(np.asarray(traj.p), ps, rtol=0.0,
+                                   atol=1e-10 * scale)
+        np.testing.assert_array_equal(traj.times, dt * np.arange(steps + 1))
+
+    @pytest.mark.parametrize("stride", [1, 3, 7, 200])
+    def test_row_views_agree_with_the_materialised_array(self, stride):
+        spec = ChainSpec(n_sites=12, spacing=0.8, mass=0.9, gamma=1.2)
+        state = random_state(np.random.default_rng(31), 12)
+        steps = 100
+        traj = evolve(state, spec, dt=0.05, steps=steps)
+        for rows in (traj.q, traj.p):
+            full = np.asarray(rows)
+            scale = np.max(np.abs(full))
+            assert len(rows) == steps + 1
+            assert rows.shape == full.shape == (steps + 1, 12)
+            assert rows[-1].shape == (12,)
+            strided = rows[::stride]
+            assert strided.shape == (-(-(steps + 1) // stride), 12)
+            np.testing.assert_allclose(rows[-1], full[-1], rtol=0.0,
+                                       atol=1e-14 * scale)
+            np.testing.assert_allclose(rows[7], full[7], rtol=0.0,
+                                       atol=1e-14 * scale)
+            np.testing.assert_allclose(strided, full[::stride], rtol=0.0,
+                                       atol=1e-14 * scale)
+        np.testing.assert_allclose(traj.q[0], state.q, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(traj.p[0], state.p, rtol=0.0, atol=1e-14)
+
+    def test_evolve_stores_no_history(self):
+        # 4001 rows of q and p at N = 512 would take 33 MB; the closed
+        # form keeps the initial modes and the per-mode rotation only.
+        spec = ChainSpec(n_sites=512)
+        state = random_state(np.random.default_rng(37), 512)
+        tracemalloc.start()
+        try:
+            traj = evolve(state, spec, steps=4000)
+            last = traj.q[-1]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert last.shape == (512,)
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("steps", [-1, -5])
+    def test_negative_step_count_is_rejected(self, steps):
+        with pytest.raises(ValueError):
+            evolve(ChainState.zero(8), ChainSpec(n_sites=8), steps=steps)
 
     def test_stability_limit_is_enforced(self):
         spec = ChainSpec(n_sites=8)

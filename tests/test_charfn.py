@@ -208,6 +208,30 @@ class TestSpectralSide:
         mass = np.sum(np.abs(g) ** 2) * (period / m)
         np.testing.assert_allclose(mass, 1.0, atol=1e-9)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 64), per_sample=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1),
+           dx=st.floats(0.05, 2.0), x0=st.floats(-20.0, 20.0),
+           offset=st.floats(-1.0, 1.0))
+    def test_parseval_holds_for_any_samples_and_period(
+            self, n, per_sample, seed, dx, x0, offset):
+        # Discrete Parseval on any full Nyquist period of M >= N points:
+        # the squared amplitude sums to dx Σ |w_i psi_i|² (trapezoid
+        # weights w), whatever the samples, grid origin and lattice
+        # offset.
+        rng = np.random.default_rng(seed)
+        psi = GridWaveFunction(x0, dx, rng.standard_normal(n)
+                               + 1j * rng.standard_normal(n))
+        period = 2.0 * np.pi / dx
+        m = per_sample * n
+        xi = period * (offset + np.arange(m) / m)
+        g = fourier_amplitude(psi, xi)
+        weighted = psi.values.copy()
+        weighted[[0, -1]] *= 0.5
+        mass = np.sum(np.abs(g) ** 2) * (period / m)
+        np.testing.assert_allclose(
+            mass, dx * np.sum(np.abs(weighted) ** 2), rtol=1e-10)
+
     def test_packet_cut_off_at_the_grid_end_trips_the_guard(self):
         # exp(-x^2) on [0, 8) is largest at the first sample, so the
         # end-point trapezoid weight drops spectral mass well above 1e-8.

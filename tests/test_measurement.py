@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermofock.errors import NumericalGuardError
@@ -171,6 +171,25 @@ class TestDecoherence:
         with pytest.raises(ValueError):
             decohere(DensityMatrix.maximally_mixed(3),
                      SectorStructure.singletons(2))
+
+    def test_positivity_is_checked_block_by_block(self, monkeypatch):
+        # A pinching needs no full eigvalsh: one per block of two or
+        # more indices, singletons read off the diagonal.
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a, *args, **kwargs):
+            sizes.append(a.shape[-1])
+            return eigvalsh(a, *args, **kwargs)
+        rho = random_density(8, np.random.default_rng(20240624))
+        sectors = SectorStructure(
+            {"a": (0, 3, 5), "b": (1, 2), "c": (4,), "d": (6,), "e": (7,)},
+            {"a": 0.0, "b": 1.0, "c": 0.0, "d": 1.0, "e": 1.0})
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        out = decohere(rho, sectors)
+        assert sorted(sizes) == [2, 3]
+        mask = sectors.block_mask()
+        assert np.array_equal(out.matrix, np.where(mask, rho.matrix, 0.0))
 
 
 class TestBornSampling:
@@ -387,3 +406,44 @@ class TestSectorProperties:
             i, j = cross[rng.integers(len(cross))]
             op[i, j] = 0.25 - 0.5j
             assert sector_defect(op, sectors) == abs(0.25 - 0.5j)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(partition=sector_partitions(), seed=st.integers(0, 2 ** 32 - 1),
+           lowest=st.sampled_from([None, 0.0, -0.99e-12, -1.01e-12, -1.5e-12,
+                                   -1e-3]),
+           where=st.integers(0, 9))
+    @example(partition=({"a": [0, 1, 2], "b": [3]},
+                        SectorStructure({"a": (0, 1, 2), "b": (3,)},
+                                        {"a": 1.0, "b": 1.0})),
+             seed=7, lowest=-1.01e-12, where=1)
+    def test_block_positivity_verdict_equals_the_dense_one(
+            self, partition, seed, lowest, where):
+        # Block-diagonal unit-trace matrices whose lowest eigenvalue sits
+        # at a chosen index, on either side of -1e-12.
+        groups, sectors = partition
+        d = sectors.d
+        rng = np.random.default_rng(seed)
+        eigs = rng.uniform(0.1, 1.0, d)
+        if lowest is not None and d > 1:
+            eigs[where % d] = lowest
+            rest = np.arange(d) != where % d
+            eigs[rest] *= (1.0 - lowest) / np.sum(eigs[rest])
+        else:
+            eigs /= np.sum(eigs)
+        m = np.zeros((d, d), dtype=complex)
+        for idx in groups.values():
+            k = len(idx)
+            q, _ = np.linalg.qr(rng.standard_normal((k, k))
+                                + 1j * rng.standard_normal((k, k)))
+            m[np.ix_(idx, idx)] = (q * eigs[idx]) @ q.conj().T
+        dense_ok = float(np.min(np.linalg.eigvalsh(m))) >= -1e-12
+        assert dense_ok == (lowest is None or d == 1 or lowest > -1e-12)
+        if dense_ok:
+            DensityMatrix(m)
+            block = DensityMatrix._block_diagonal(m, sectors.sectors.values())
+            assert np.array_equal(block.matrix, m)
+        else:
+            with pytest.raises(ValueError, match="eigenvalue below"):
+                DensityMatrix(m)
+            with pytest.raises(ValueError, match="eigenvalue below"):
+                DensityMatrix._block_diagonal(m, sectors.sectors.values())
