@@ -33,133 +33,11 @@ toy
     Markov-feasibility contrast.
 cli
     Command-line tables for every headline experiment.
-"""
-from .errors import NumericalGuardError
-from .exterior import (
-    AmplitudeEventSpace,
-    AxiomReport,
-    ExteriorElement,
-    GrassmannElement,
-    bilinear_density,
-    boson_density,
-    check_axioms,
-    complex_pair_density,
-    fermion_density,
-    sum_density,
-)
-from .charfn import (
-    CharacteristicSamples,
-    DensityGrid,
-    GridWaveFunction,
-    autocorrelation_charfn,
-    characteristic_function,
-    default_t_grid,
-    density_from_amplitude,
-    fourier_amplitude,
-    verify_theorem,
-)
-from .fock import (
-    FockVector,
-    GaussianMeasure,
-    bargmann_kernel,
-    classical_trajectory,
-    commutator_defect,
-    evolved,
-    from_position,
-    hamiltonian_apply,
-    hermite_function,
-    inner_product,
-    lowered,
-    quadrature_inner_product,
-    raised,
-    rescale_lambda,
-    to_position,
-)
-from .sphere import (
-    Disk,
-    FULL_PLANE,
-    PlanckConstants,
-    Rectangle,
-    SphereGeometry,
-    SpherePoint,
-    ThermalOscillator,
-    cap_area_fraction,
-    classical_limit_table,
-    gibbs_median_radius,
-    gibbs_normalization_check,
-    limit_ratios,
-    mean_energy,
-    planck_density,
-    pushforward_ks_statistic,
-    pushforward_radii,
-    region_probability,
-    stereographic,
-    thermal_map_exact,
-    thermal_map_paper,
-    uniform_sphere_samples,
-)
-from .chain import (
-    ChainSpec,
-    ChainState,
-    ModeData,
-    MultiModeFockVector,
-    Trajectory,
-    continuum_limit_error,
-    evolve,
-    fock_inner,
-    gibbs_sample,
-    hamiltonian,
-    hamiltonian_operator_apply,
-    inverse_transform,
-    mm_lowered,
-    mm_raised,
-    mode_energies,
-    mode_transform,
-    nonrelativistic_overlap,
-    normal_modes,
-    rescaled_modes,
-    standard_packet,
-    total_energies,
-)
-from .states import (
-    CircleUncertainty,
-    ModeProfile,
-    circle_uncertainty,
-    exotic_state,
-    number_expectation,
-    number_variance,
-    occupation_density,
-    rms_widths,
-    singlet_marginal,
-    two_particle_state,
-)
-from .measurement import (
-    BipartiteState,
-    DensityMatrix,
-    OutcomeFrequencies,
-    SectorStructure,
-    charge_commutator_norm,
-    decohere,
-    entangle,
-    purity,
-    random_density,
-    reduced_density,
-    rotation_2pi,
-    sample_outcomes,
-    sector_defect,
-)
-from .toy import (
-    Constraint,
-    FeasibilityResult,
-    InterferenceRow,
-    StochasticMatrix,
-    ToyUnitary,
-    classical_step,
-    interference_demo,
-    markov_feasibility,
-    markov_step,
-    quantum_step,
-    total_variation,
-)
+errors
+    NumericalGuardError and the guard policy every module follows.
 
+Each submodule's ``__all__`` is its public API; import from it, as in
+``from thermofock.fock import FockVector``.  ``import thermofock`` by
+itself loads no submodule.
+"""
 __version__ = "0.1.0"

@@ -34,6 +34,7 @@ import numpy as np
 
 from .charfn import GridWaveFunction
 from .errors import guard, require
+from .fock import hermite_function
 
 __all__ = [
     "ChainSpec",
@@ -543,8 +544,7 @@ def standard_packet(n: int = 2048, span: float = 40.0) -> GridWaveFunction:
     dx = span / n
     x0 = -span / 2.0
     x = x0 + dx * np.arange(n)
-    return GridWaveFunction(x0, dx, np.pi ** -0.25
-                            * np.exp(-0.5 * x * x)).normalized()
+    return GridWaveFunction(x0, dx, hermite_function(0, x)).normalized()
 
 
 def nonrelativistic_overlap(packet: GridWaveFunction, m: float,

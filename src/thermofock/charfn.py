@@ -35,6 +35,7 @@ __all__ = [
     "density_from_amplitude",
     "characteristic_function",
     "autocorrelation_charfn",
+    "default_t_grid",
     "fourier_amplitude",
     "verify_theorem",
 ]

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from . import states as states_mod
 from . import toy as toy_mod
 from .errors import NumericalGuardError, require
 
-__all__ = ["RunConfig", "main", "run", "config_precedence"]
+__all__ = ["ConfigError", "RunConfig", "main", "run", "config_precedence"]
 
 _BUILTIN_SEED = 12345
 
@@ -53,76 +53,65 @@ class ConfigError(ValueError):
     """Malformed configuration file or unknown configuration key."""
 
 
-# Per-subcommand parameter tables: name -> (type, default, help).
+# Parameter tables: name -> (type, default, help).  The parser appends
+# "(default: X)" to each help text whose default is not None or empty.
 _COMMON = {
     "seed": (int, None, "master RNG seed (default: THERMOFOCK_SEED or "
                         f"{_BUILTIN_SEED})"),
     "out": (str, None, "output path (default: stdout)"),
-    "format": (str, "csv", "output format: csv or json (default: csv)"),
+    "format": (str, "csv", "output format: csv or json"),
 }
 
 _PARAMS = {
     "fock": {
-        "nmax": (int, 12, "orthonormality truncation, at most 12 "
-                          "(default: 12)"),
-        "hbar": (float, 1.0, "ladder scale constant (default: 1.0)"),
-        "omega": (float, 1.0, "oscillator frequency for the eigenvalue "
-                              "check (default: 1.0)"),
+        "nmax": (int, 12, "orthonormality truncation, at most 12"),
+        "hbar": (float, 1.0, "ladder scale constant"),
+        "omega": (float, 1.0, "oscillator frequency for the eigenvalue check"),
     },
     "sphere": {
-        "beta": (float, 1.0, "inverse temperature (default: 1.0)"),
-        "radius": (float, 1.0, "sphere radius (default: 1.0)"),
+        "beta": (float, 1.0, "inverse temperature"),
+        "radius": (float, 1.0, "sphere radius"),
         "samples": (int, 100000, "sample count for the pushforward and "
-                                 "Monte Carlo checks (default: 100000)"),
+                                 "Monte Carlo checks"),
     },
     "spectrum": {
-        "tmin": (float, 0.01, "smallest hv/kT (default: 0.01)"),
-        "tmax": (float, 10.0, "largest hv/kT (default: 10.0)"),
-        "points": (int, 25, "number of log-spaced points (default: 25)"),
+        "tmin": (float, 0.01, "smallest hv/kT"),
+        "tmax": (float, 10.0, "largest hv/kT"),
+        "points": (int, 25, "number of log-spaced points"),
     },
     "chain": {
         "experiment": (str, "dispersion",
-                       "dispersion, equipartition, continuum or nonrel "
-                       "(default: dispersion)"),
-        "sites": (int, 64, "number of sites (default: 64)"),
-        "mass": (float, 1.0, "site mass term (default: 1.0)"),
-        "gamma": (float, 1.0, "coupling strength (default: 1.0)"),
+                       "dispersion, equipartition, continuum or nonrel"),
+        "sites": (int, 64, "number of sites"),
+        "mass": (float, 1.0, "site mass term"),
+        "gamma": (float, 1.0, "coupling strength"),
         "spacing": (float, 1.0, "lattice spacing; continuum runs halve it "
-                                "repeatedly (default: 1.0)"),
-        "beta": (float, 1.0, "inverse temperature for equipartition "
-                             "(default: 1.0)"),
-        "dt": (float, 0.01, "time step; the nonrel run evolves for "
-                            "dt*steps (default: 0.01)"),
-        "steps": (int, 100, "step count; the nonrel run evolves for "
-                            "dt*steps (default: 100)"),
-        "samples": (int, 20000, "thermal sample count for equipartition "
-                                "(default: 20000)"),
+                                "repeatedly"),
+        "beta": (float, 1.0, "inverse temperature for equipartition"),
+        "dt": (float, 0.01, "time step; the nonrel run evolves for dt*steps"),
+        "steps": (int, 100, "step count; the nonrel run evolves for dt*steps"),
+        "samples": (int, 20000, "thermal sample count for equipartition"),
     },
     "charfn": {
-        "packet": (str, "gaussian", "test amplitude: gaussian or hermite1 "
-                                    "(default: gaussian)"),
-        "span": (float, 40.0, "grid span (default: 40.0)"),
-        "points": (int, 512, "grid points (default: 512)"),
+        "packet": (str, "gaussian", "test amplitude: gaussian or hermite1"),
+        "span": (float, 40.0, "grid span"),
+        "points": (int, 512, "grid points"),
     },
     "states": {
         "experiment": (str, "uncertainty", "uncertainty, exotic, singlet or "
-                                           "circle (default: uncertainty)"),
-        "nmax": (int, 6, "highest Hermite order for the uncertainty table "
-                         "(default: 6)"),
+                                           "circle"),
+        "nmax": (int, 6, "highest Hermite order for the uncertainty table"),
     },
     "measure": {
-        "amps": (str, "0.6,0.8", "comma list of branch amplitudes "
-                                 "(default: 0.6,0.8)"),
-        "samples": (int, 100000, "number of sampled outcomes "
-                                 "(default: 100000)"),
-        "sectors": (str, "", "sector partition like '0,1;2' "
-                             "(default: one sector per outcome)"),
+        "amps": (str, "0.6,0.8", "comma list of branch amplitudes"),
+        "samples": (int, 100000, "number of sampled outcomes"),
+        "sectors": (str, "", "sector partition like '0,1;2'; empty means "
+                             "one sector per outcome"),
     },
     "toy": {
-        "steps": (int, 2, "number of steps in the interference table "
-                          "(default: 2)"),
+        "steps": (int, 2, "number of steps in the interference table"),
         "matrix": (str, "hadamard", "'hadamard' or four comma-separated "
-                                    "reals a,b,c,d (default: hadamard)"),
+                                    "reals a,b,c,d"),
     },
 }
 
@@ -166,11 +155,13 @@ def _parse_config_file(path: str) -> dict:
 
 def config_precedence(subcommand: str, flag_values: dict,
                       file_values: dict) -> RunConfig:
-    """Resolve one run: flags over file entries over built-in defaults."""
-    table = dict(_PARAMS[subcommand])
-    known = set(table) | set(_COMMON)
+    """Resolve one run: flags over file entries over built-in defaults.
+
+    Raises ConfigError for an unknown key, an unreadable value or a
+    format other than csv and json."""
+    table = {**_PARAMS[subcommand], **_COMMON}
     for key in file_values:
-        if key not in known:
+        if key not in table:
             raise ConfigError(f"unknown configuration key {key!r} for "
                               f"subcommand {subcommand!r}")
 
@@ -188,11 +179,9 @@ def config_precedence(subcommand: str, flag_values: dict,
 
     params = {key: resolve(key, kind, default)
               for key, (kind, default, _) in table.items()}
-    seed = resolve("seed", int, None)
+    seed, out, fmt = (params.pop(key) for key in ("seed", "out", "format"))
     if seed is None:
         seed = _default_seed()
-    out = resolve("out", str, None)
-    fmt = resolve("format", str, "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
     return RunConfig(subcommand, params, int(seed), out, fmt)
@@ -305,10 +294,11 @@ def _chain_equipartition(cfg: RunConfig, spec):
     beta = cfg.params["beta"]
     n = cfg.params["samples"]
     q, p = chain_mod.gibbs_sample(spec, beta, n, cfg.seed)
-    modes = chain_mod.normal_modes(spec)
-    u = np.fft.fft(q, axis=1) / math.sqrt(spec.n_sites)
-    v = np.fft.fft(p, axis=1) / math.sqrt(spec.n_sites)
-    energies = 0.5 * (np.abs(v) ** 2 + modes.omega ** 2 * np.abs(u) ** 2)
+    root_n = math.sqrt(spec.n_sites)
+    modes = replace(chain_mod.normal_modes(spec),
+                    u=np.fft.fft(q, axis=1) / root_n,
+                    p=np.fft.fft(p, axis=1) / root_n)
+    energies = chain_mod.mode_energies(modes)
     means = np.mean(energies, axis=0)
     stderrs = np.std(energies, axis=0, ddof=1) / math.sqrt(n)
     rows = []
@@ -343,33 +333,33 @@ def _chain_nonrel(cfg: RunConfig, spec):
             "free-particle law", ("quantity", "value"), rows, [])
 
 
+def _experiment(cfg: RunConfig, runners: dict):
+    """The runner named by the ``experiment`` parameter."""
+    experiment = cfg.params["experiment"]
+    require(experiment in runners,
+            "experiment must be one of " + ", ".join(sorted(runners)))
+    return runners[experiment]
+
+
 def _run_chain(cfg: RunConfig):
     spec = chain_mod.ChainSpec(cfg.params["sites"], cfg.params["spacing"],
                                cfg.params["mass"], cfg.params["gamma"])
-    runners = {
+    return _experiment(cfg, {
         "dispersion": _chain_dispersion,
         "equipartition": _chain_equipartition,
         "continuum": _chain_continuum,
         "nonrel": _chain_nonrel,
-    }
-    experiment = cfg.params["experiment"]
-    require(experiment in runners,
-            "experiment must be one of " + ", ".join(sorted(runners)))
-    return runners[experiment](cfg, spec)
+    })(cfg, spec)
 
 
 def _run_charfn(cfg: RunConfig):
     which = cfg.params["packet"]
     span, points = cfg.params["span"], cfg.params["points"]
     x0, dx = -span / 2.0, span / points
-    if which == "gaussian":
-        psi = charfn_mod.GridWaveFunction.sampled(
-            lambda x: np.pi ** -0.25 * np.exp(-0.5 * x * x), x0, dx, points)
-    elif which == "hermite1":
-        psi = charfn_mod.GridWaveFunction.sampled(
-            lambda x: fock_mod.hermite_function(1, x), x0, dx, points)
-    else:
-        raise ValueError("packet must be gaussian or hermite1")
+    orders = {"gaussian": 0, "hermite1": 1}
+    require(which in orders, "packet must be gaussian or hermite1")
+    psi = charfn_mod.GridWaveFunction.sampled(
+        lambda x: fock_mod.hermite_function(orders[which], x), x0, dx, points)
     t_grid = charfn_mod.default_t_grid(psi)
     direct = charfn_mod.characteristic_function(
         charfn_mod.density_from_amplitude(psi), t_grid)
@@ -458,16 +448,12 @@ def _states_circle(cfg: RunConfig):
 
 
 def _run_states(cfg: RunConfig):
-    experiment = cfg.params["experiment"]
-    runners = {
+    return _experiment(cfg, {
         "uncertainty": _states_uncertainty,
         "exotic": _states_exotic,
         "singlet": _states_singlet,
         "circle": _states_circle,
-    }
-    require(experiment in runners,
-            "experiment must be one of " + ", ".join(sorted(runners)))
-    return runners[experiment](cfg)
+    })(cfg)
 
 
 def _parse_sectors(text: str, d: int) -> measure_mod.SectorStructure:
@@ -663,15 +649,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, table in _PARAMS.items():
         p = sub.add_parser(name, help=f"run the {name} experiment table")
-        for key, (kind, default, help_text) in table.items():
+        for key, (kind, default, help_text) in {**table, **_COMMON}.items():
+            if default not in (None, ""):
+                help_text += f" (default: {default})"
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
                            default=None, help=help_text)
-        p.add_argument("--seed", type=int, default=None,
-                       help=_COMMON["seed"][2])
-        p.add_argument("--out", type=str, default=None,
-                       help=_COMMON["out"][2])
-        p.add_argument("--format", type=str, default=None,
-                       choices=("csv", "json"), help=_COMMON["format"][2])
         p.add_argument("--config", type=str, default=None,
                        help="key = value file; flags override it")
     return parser

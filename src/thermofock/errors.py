@@ -14,6 +14,8 @@ finite:
 Bounds are module constants at the call sites, never arguments.
 """
 
+__all__ = ["NumericalGuardError", "guard", "require"]
+
 
 class NumericalGuardError(ValueError):
     """A numerical self-check failed (tail mass, quadrature error estimate,

@@ -227,16 +227,6 @@ def lowered(f: FockVector) -> FockVector:
     return FockVector(out, f.hbar)
 
 
-def _raised_truncated(f: FockVector) -> FockVector:
-    """Raising with silent truncation — only for demonstrating the edge
-    artifact in commutator_defect."""
-    c = f.coeffs
-    out = np.zeros(c.size, dtype=complex)
-    n = np.arange(c.size - 1)
-    out[1:] = np.sqrt((n + 1) * f.hbar) * c[:-1]
-    return FockVector(out, f.hbar)
-
-
 def commutator_defect(n_max: int, hbar: float = 1.0,
                       include_edge: bool = False) -> float:
     """max_n ||([a, a⁺] - ħ) Z_n|| over basis slots.
@@ -253,8 +243,9 @@ def commutator_defect(n_max: int, hbar: float = 1.0,
         z_n = FockVector.basis_state(n, n_max, hbar)
         if n < n_max:
             a_adag = lowered(raised(z_n))
-        else:
-            a_adag = lowered(_raised_truncated(z_n))
+        else:   # raise past the top slot, then drop it
+            a_adag = lowered(FockVector(raised(z_n, grow=True).coeffs[:-1],
+                                        hbar))
         adag_a = raised(lowered(z_n))
         defect = a_adag.coeffs - adag_a.coeffs - hbar * z_n.coeffs
         worst = max(worst, float(np.linalg.norm(defect)))

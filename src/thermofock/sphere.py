@@ -38,6 +38,7 @@ __all__ = [
     "PlanckConstants",
     "Rectangle",
     "Disk",
+    "FULL_PLANE",
     "stereographic",
     "thermal_map_paper",
     "thermal_map_exact",
@@ -178,7 +179,7 @@ def cap_area_fraction(theta: float) -> float:
     return math.sin(theta / 2.0) ** 2
 
 
-def uniform_sphere_samples(n: int, seed: int, radius: float = 1.0):
+def uniform_sphere_samples(n: int, seed: int):
     """(θ, φ) samples uniform in area: cosθ uniform on [−1, 1]."""
     rng = np.random.default_rng(seed)
     cos_theta = rng.uniform(-1.0, 1.0, size=n)

@@ -220,7 +220,7 @@ def number_variance(phi: MultiModeFockVector) -> float:
     """Var(N̂) = ⟨N̂²⟩ − ⟨N̂⟩² over the occupation distribution."""
     norm2 = phi.norm_squared()
     require(norm2 > 0.0, "zero vector has no number variance")
-    mean = sum(abs(c) ** 2 * sum(occ) for occ, c in phi.coeffs.items()) / norm2
+    mean = number_expectation(phi)
     second = sum(abs(c) ** 2 * sum(occ) ** 2
                  for occ, c in phi.coeffs.items()) / norm2
     return second - mean ** 2

@@ -188,6 +188,11 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["toy", "--config", "/nonexistent/path.cfg"]) == 2
 
+    def test_bad_format_flag(self, capsys):
+        # The flag is checked where a --config entry is, not by argparse.
+        assert main(["toy", "--format", "xml"]) == 2
+        assert "format must be csv or json" in capsys.readouterr().err
+
     @pytest.mark.parametrize("experiment, sites, samples", [
         ("dispersion", 1_000_000, 20000),
         ("equipartition", 64, 1_000_000_000),
@@ -390,8 +395,33 @@ class TestTableContents:
         assert values["mean_energy_gap_sigmas"] < 4.0
 
 
+def _modules_after(script):
+    """Sorted sys.modules names after running ``script`` in a fresh
+    interpreter that sees only this checkout's package."""
+    script += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    src = str(Path(thermofock.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return json.loads(done.stdout)
+
+
 class TestImportFootprint:
-    """No table loads scipy: it is a test-only oracle."""
+    """No table loads scipy: it is a test-only oracle.  Importing the
+    package loads nothing else; importing a module loads only what it
+    uses."""
+
+    def test_package_import_loads_no_submodule_and_no_numpy(self):
+        loaded = _modules_after("import thermofock")
+        assert [m for m in loaded if m.startswith("thermofock.")] == []
+        assert "numpy" not in loaded
+
+    def test_toy_loads_no_unrelated_module(self):
+        loaded = _modules_after("import thermofock.toy")
+        assert "thermofock.toy" in loaded
+        for name in ("chain", "fock", "sphere"):
+            assert f"thermofock.{name}" not in loaded
 
     def test_no_scipy_after_import_or_default_tables(self):
         script = (
