@@ -31,7 +31,7 @@ from . import measurement as measure_mod
 from . import sphere as sphere_mod
 from . import states as states_mod
 from . import toy as toy_mod
-from .errors import NumericalGuardError, require
+from .errors import NumericalGuardError, guard, require
 
 __all__ = ["ConfigError", "RunConfig", "main", "run", "config_precedence"]
 
@@ -192,6 +192,9 @@ def config_precedence(subcommand: str, flag_values: dict,
 # ---------------------------------------------------------------------------
 
 _KERNEL_POINTS = (0.0 + 0.0j, 0.7 - 0.3j, 1.2 + 0.8j, -1.5j, 2.0 + 0.0j)
+# Rounding floor of the dense coupling spectrum, relative to its largest
+# eigenvalue: a massless chain's zero mode comes out near -1e-16.
+_EIGVAL_FLOOR = 1e-12
 
 
 def _run_fock(cfg: RunConfig):
@@ -276,7 +279,10 @@ def _run_spectrum(cfg: RunConfig):
 def _chain_dispersion(cfg: RunConfig, spec):
     modes = chain_mod.normal_modes(spec)
     order = np.argsort(modes.omega)
-    oracle = np.sqrt(np.linalg.eigvalsh(spec.coupling_matrix()))
+    lam = np.linalg.eigvalsh(spec.coupling_matrix())
+    guard("negative coupling eigenvalue", -lam[0], _EIGVAL_FLOOR * lam[-1],
+          "the coupling matrix is not positive semidefinite")
+    oracle = np.sqrt(np.maximum(lam, 0.0))
     dispersion_sorted = modes.omega[order]
     rows = []
     for idx, pos in enumerate(order):

@@ -51,6 +51,7 @@ _HERMITE_N_MAX = 200
 # of the oracle, and the finer pair that checks it.
 _QUAD_NODES = (40, 64)
 _QUAD_NODES_FINE = (48, 80)
+_QUAD_N_MAX = 12     # highest truncation the oracle accepts
 _TAIL_TOL = 1e-8     # ||psi||^2 a projection onto the modes may miss
 
 
@@ -109,12 +110,18 @@ class FockVector:
     def evaluate(self, z) -> np.ndarray:
         """f(z) = Σ c_n Z_n(z) at complex points z."""
         z = np.asarray(z, dtype=complex)
-        basis = np.ones(z.shape, dtype=complex)
-        total = self.coeffs[0] * basis
-        for n in range(1, self.coeffs.size):
-            basis = basis * z / np.sqrt(n * self.hbar)
-            total = total + self.coeffs[n] * basis
-        return total
+        rows = _basis_rows(z.ravel(), self.n_max, self.hbar)
+        return (self.coeffs @ rows).reshape(z.shape)
+
+
+def _basis_rows(z, n_max: int, hbar: float) -> np.ndarray:
+    """Rows Z_0..Z_{n_max} at the points of the 1-d array z, by the ratio
+    recurrence Z_n = Z_{n-1} z / sqrt(n ħ), Z_0 = 1."""
+    rows = np.empty((n_max + 1, z.size), dtype=complex)
+    rows[0] = 1.0
+    for n in range(1, n_max + 1):
+        rows[n] = rows[n - 1] * z / np.sqrt(n * hbar)
+    return rows
 
 
 def _log_factorial(n):
@@ -175,6 +182,17 @@ def _laggauss(n: int):
     return u, w
 
 
+@lru_cache(maxsize=8)
+def _quadrature_rows(hbar: float, nodes: tuple):
+    """Weights and basis rows Z_0..Z_{_QUAD_N_MAX} at the oracle's nodes
+    for one scale and node set, read-only."""
+    z, w = GaussianMeasure(hbar).quadrature_nodes(*nodes)
+    rows = _basis_rows(z, _QUAD_N_MAX, hbar)
+    w.setflags(write=False)
+    rows.setflags(write=False)
+    return w, rows
+
+
 def quadrature_inner_product(f: FockVector, g: FockVector) -> complex:
     """∫ dμ f(z) conj(g(z)) by polar quadrature over the Gaussian weight.
 
@@ -185,16 +203,16 @@ def quadrature_inner_product(f: FockVector, g: FockVector) -> complex:
     are outside the guaranteed-accuracy domain and are rejected.
     """
     _check_compatible(f, g)
-    require(f.n_max <= 12 and g.n_max <= 12,
-            "quadrature oracle limited to truncations <= 12")
-    measure = GaussianMeasure(f.hbar)
+    require(f.n_max <= _QUAD_N_MAX and g.n_max <= _QUAD_N_MAX,
+            f"quadrature oracle limited to truncations <= {_QUAD_N_MAX}")
 
-    def evaluate(nodes):
-        z, w = measure.quadrature_nodes(*nodes)
-        return complex(np.sum(w * f.evaluate(z) * np.conj(g.evaluate(z))))
+    def integral(nodes):
+        w, rows = _quadrature_rows(f.hbar, nodes)
+        return complex(np.sum(w * (f.coeffs @ rows[:f.coeffs.size])
+                              * np.conj(g.coeffs @ rows[:g.coeffs.size])))
 
-    coarse = evaluate(_QUAD_NODES)
-    fine = evaluate(_QUAD_NODES_FINE)
+    coarse = integral(_QUAD_NODES)
+    fine = integral(_QUAD_NODES_FINE)
     guard("quadrature self-estimate", abs(coarse - fine), 1e-8,
           "the integrand is outside the oracle's accuracy domain")
     return fine

@@ -185,6 +185,16 @@ class TestExitCodes:
                      "--dt", "0.1", "--steps", "10"]) == 3
         assert "numerical guard" in capsys.readouterr().err
 
+    def test_negative_coupling_eigenvalue_trips_the_guard(
+            self, monkeypatch, capsys):
+        shifted = chain_mod.ChainSpec.coupling_matrix
+        monkeypatch.setattr(
+            chain_mod.ChainSpec, "coupling_matrix",
+            lambda spec: shifted(spec) - 1e-6 * np.eye(spec.n_sites))
+        assert main(["chain", "--experiment", "dispersion", "--sites", "8",
+                     "--mass", "0"]) == 3
+        assert "negative coupling eigenvalue" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         assert main(["toy", "--config", "/nonexistent/path.cfg"]) == 2
 
@@ -339,6 +349,17 @@ class TestTableContents:
         assert header == ["a", "max_error", "halving_ratio"]
         ratios = [float(row[2]) for row in rows[1:]]
         assert all(3.6 < r < 4.4 for r in ratios)
+
+    def test_massless_dispersion_is_finite(self, tmp_path):
+        # The zero mode's dense eigenvalue rounds to about -1e-16.
+        text = run_to_file(tmp_path, ["chain", "--experiment", "dispersion",
+                                      "--sites", "8", "--mass", "0"])
+        comments, header, rows = parse_csv(text)
+        worst = float(comments[-1].rsplit(": ", 1)[1])
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+        assert math.isfinite(worst) and worst < 1e-12
+        k0 = [row for row in rows if float(row[header.index("k")]) == 0.0]
+        assert float(k0[0][header.index("oracle_error")]) == 0.0
 
     def test_chain_equipartition_table(self, tmp_path):
         text = run_to_file(tmp_path, ["chain", "--experiment",

@@ -7,12 +7,15 @@ completeness kernel, and closed-form Hermite/Gaussian integrals for the
 position-side checks.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_laguerre
 
+from thermofock import fock as fock_mod
 from thermofock.charfn import GridWaveFunction
 from thermofock.errors import NumericalGuardError
 from thermofock.fock import (
@@ -42,6 +45,27 @@ def random_vector(rng, n_max, hbar=1.0, interior=False):
     return FockVector(c, hbar)
 
 
+def per_node_quadrature(f, g):
+    """The quadrature oracle evaluated node by node: each vector summed
+    through its own Z_n recurrence at freshly built 40 x 64 and 48 x 80
+    nodes, the fine value returned once the pair agrees within 1e-8."""
+    def series(vec, z):
+        basis = np.ones(z.shape, dtype=complex)
+        total = vec.coeffs[0] * basis
+        for n in range(1, vec.coeffs.size):
+            basis = basis * z / np.sqrt(n * vec.hbar)
+            total = total + vec.coeffs[n] * basis
+        return total
+
+    def integral(nodes):
+        z, w = GaussianMeasure(f.hbar).quadrature_nodes(*nodes)
+        return complex(np.sum(w * series(f, z) * np.conj(series(g, z))))
+
+    coarse, fine = integral((40, 64)), integral((48, 80))
+    assert abs(coarse - fine) <= 1e-8
+    return fine
+
+
 class TestInnerProduct:
     """Coefficient pairing against the Gaussian-measure quadrature."""
 
@@ -68,6 +92,42 @@ class TestInnerProduct:
             f = random_vector(rng, 8)
             gap = abs(quadrature_inner_product(f, f) - inner_product(f, f))
             assert gap < 1e-8
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_f=st.integers(0, 12), n_g=st.integers(0, 12),
+           hbar=st.floats(0.25, 4.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_quadrature_matches_pairing_on_cross_pairs(self, n_f, n_g, hbar,
+                                                       seed):
+        rng = np.random.default_rng(seed)
+        f = random_vector(rng, n_f, hbar)
+        g = random_vector(rng, n_g, hbar)
+        assert abs(quadrature_inner_product(f, g)
+                   - inner_product(f, g)) <= 1e-8
+
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+    def test_quadrature_equals_the_per_node_oracle_on_the_basis(self, hbar):
+        basis = [FockVector.basis_state(n, 12, hbar) for n in range(13)]
+        for zn in basis:
+            for zm in basis:
+                assert (quadrature_inner_product(zn, zm)
+                        == per_node_quadrature(zn, zm))
+
+    def test_quadrature_matches_the_per_node_oracle_on_random_pairs(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(40):
+            n_f, n_g = rng.integers(0, 13, size=2)
+            hbar = float(rng.choice([0.5, 1.0, 2.0]))
+            f = random_vector(rng, n_f, hbar)
+            g = random_vector(rng, n_g, hbar)
+            assert abs(quadrature_inner_product(f, g)
+                       - per_node_quadrature(f, g)) <= 1e-14
+
+    def test_cached_quadrature_rows_are_read_only(self):
+        w, rows = fock_mod._quadrature_rows(1.0, fock_mod._QUAD_NODES)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
     def test_quadrature_respects_scale(self):
         for hbar in (0.5, 2.0):
@@ -96,6 +156,34 @@ class TestInnerProduct:
                                    atol=1e-14)
         np.testing.assert_allclose(GaussianMeasure(0.5).total_mass(), 1.0,
                                    atol=1e-14)
+
+
+class TestEvaluation:
+    """f(z) = Σ c_n Z_n(z) at points of any shape."""
+
+    @pytest.mark.parametrize("hbar", [0.25, 1.0, 4.0])
+    def test_evaluate_matches_the_explicit_series(self, hbar):
+        rng = np.random.default_rng(7)
+        f = random_vector(rng, 20, hbar)
+        z = 2.0 * (rng.standard_normal(50) + 1j * rng.standard_normal(50))
+        norms = [math.sqrt(math.factorial(n) * hbar ** n)
+                 for n in range(f.coeffs.size)]
+        terms = np.array([[c * zi ** n / norm
+                           for n, (c, norm) in enumerate(zip(f.coeffs, norms))]
+                          for zi in z])
+        scale = np.abs(terms).sum(axis=1)
+        assert np.all(np.abs(f.evaluate(z) - terms.sum(axis=1))
+                      <= 1e-12 * scale)
+
+    def test_evaluate_keeps_the_shape_of_its_points(self):
+        f = random_vector(np.random.default_rng(8), 5)
+        z = np.array([[0.3 + 0.1j, -1.0], [2.0j, 0.5 - 0.5j]])
+        grid = f.evaluate(z)
+        assert grid.shape == (2, 2)
+        point = f.evaluate(z[1, 0])
+        assert np.shape(point) == ()
+        np.testing.assert_allclose(point, grid[1, 0], rtol=1e-14)
+        assert f.evaluate(z.ravel()).shape == (4,)
 
 
 class TestLadders:
