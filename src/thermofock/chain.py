@@ -385,16 +385,14 @@ def gibbs_sample(spec: ChainSpec, beta: float, n: int, seed: int):
 class MultiModeFockVector:
     """Sparse vector over occupation tuples (n_1..n_M), orthonormal basis.
 
-    ``cutoff`` bounds each n_k; ``total_cutoff`` (optional) bounds
-    Σ n_k.  Ladder factors carry the scale: sqrt((n_k+1) ħ) up,
-    sqrt(n_k ħ) down.
+    ``cutoff`` bounds each n_k.  Ladder factors carry the scale:
+    sqrt((n_k+1) ħ) up, sqrt(n_k ħ) down.
     """
 
     modes: int
     cutoff: int
     coeffs: dict
     hbar: float = 1.0
-    total_cutoff: int | None = None
 
     def __post_init__(self):
         require(self.modes >= 1 and self.cutoff >= 0,
@@ -403,19 +401,18 @@ class MultiModeFockVector:
                 f"hbar must be positive and finite, got {self.hbar}")
         coeffs = {tuple(map(int, occ)): complex(c)
                   for occ, c in self.coeffs.items()}
-        total = math.inf if self.total_cutoff is None else self.total_cutoff
         bad = [occ for occ in coeffs if not (
             len(occ) == self.modes and 0 <= min(occ)
-            and max(occ) <= self.cutoff and sum(occ) <= total)]
+            and max(occ) <= self.cutoff)]
         require(not bad, f"occupations {bad} outside {self.modes} modes, "
-                f"cutoff {self.cutoff}, total cutoff {self.total_cutoff}")
+                f"cutoff {self.cutoff}")
         object.__setattr__(self, "coeffs",
                            {occ: c for occ, c in coeffs.items() if c != 0})
 
     @classmethod
-    def vacuum(cls, modes: int, cutoff: int, hbar: float = 1.0,
-               total_cutoff: int | None = None) -> "MultiModeFockVector":
-        return cls(modes, cutoff, {(0,) * modes: 1.0}, hbar, total_cutoff)
+    def vacuum(cls, modes: int, cutoff: int,
+               hbar: float = 1.0) -> "MultiModeFockVector":
+        return cls(modes, cutoff, {(0,) * modes: 1.0}, hbar)
 
     def norm_squared(self) -> float:
         return float(sum(abs(c) ** 2 for c in self.coeffs.values()))
@@ -432,14 +429,12 @@ class MultiModeFockVector:
         for occ, c in other.coeffs.items():
             out[occ] = out.get(occ, 0j) + factor * c
         cutoff = max(self.cutoff, other.cutoff)
-        return MultiModeFockVector(self.modes, cutoff, out, self.hbar,
-                                   self.total_cutoff)
+        return MultiModeFockVector(self.modes, cutoff, out, self.hbar)
 
     def scaled(self, factor: complex) -> "MultiModeFockVector":
         return MultiModeFockVector(
             self.modes, self.cutoff,
-            {occ: factor * c for occ, c in self.coeffs.items()},
-            self.hbar, self.total_cutoff)
+            {occ: factor * c for occ, c in self.coeffs.items()}, self.hbar)
 
 
 def fock_inner(phi1: MultiModeFockVector,
@@ -457,25 +452,17 @@ def fock_inner(phi1: MultiModeFockVector,
                        for occ, c in small.items() if occ in large))
 
 
-def mm_raised(phi: MultiModeFockVector, mode: int,
-              grow: bool = False) -> MultiModeFockVector:
+def mm_raised(phi: MultiModeFockVector, mode: int) -> MultiModeFockVector:
     """Apply the raising operator of one mode: sqrt((n_k+1) ħ) factors."""
     require(0 <= mode < phi.modes, f"mode {mode} outside 0..{phi.modes - 1}")
     out = {}
-    cutoff = phi.cutoff
     for occ, c in phi.coeffs.items():
         n = occ[mode]
-        if n + 1 > phi.cutoff or (phi.total_cutoff is not None
-                                  and sum(occ) + 1 > phi.total_cutoff):
-            require(grow, f"raising mode {mode} overflows the truncation at "
-                    f"{occ}; pass grow=True to extend it")
-            cutoff = max(cutoff, n + 1)
+        require(n < phi.cutoff,
+                f"raising mode {mode} overflows the truncation at {occ}")
         new = occ[:mode] + (n + 1,) + occ[mode + 1:]
         out[new] = out.get(new, 0j) + math.sqrt((n + 1) * phi.hbar) * c
-    total = phi.total_cutoff
-    if grow and total is not None:
-        total += 1
-    return MultiModeFockVector(phi.modes, cutoff, out, phi.hbar, total)
+    return MultiModeFockVector(phi.modes, phi.cutoff, out, phi.hbar)
 
 
 def mm_lowered(phi: MultiModeFockVector, mode: int) -> MultiModeFockVector:
@@ -488,8 +475,7 @@ def mm_lowered(phi: MultiModeFockVector, mode: int) -> MultiModeFockVector:
             continue
         new = occ[:mode] + (n - 1,) + occ[mode + 1:]
         out[new] = out.get(new, 0j) + math.sqrt(n * phi.hbar) * c
-    return MultiModeFockVector(phi.modes, phi.cutoff, out, phi.hbar,
-                               phi.total_cutoff)
+    return MultiModeFockVector(phi.modes, phi.cutoff, out, phi.hbar)
 
 
 def hamiltonian_operator_apply(phi: MultiModeFockVector,
@@ -539,12 +525,10 @@ def continuum_limit_error(m: float, k_window: float, a_list):
     return results
 
 
-def standard_packet(n: int = 2048, span: float = 40.0) -> GridWaveFunction:
+def standard_packet() -> GridWaveFunction:
     """Normalized unit-width Gaussian packet centered at the origin."""
-    dx = span / n
-    x0 = -span / 2.0
-    x = x0 + dx * np.arange(n)
-    return GridWaveFunction(x0, dx, hermite_function(0, x)).normalized()
+    return GridWaveFunction.sampled(lambda x: hermite_function(0, x),
+                                    -20.0, 40.0 / 2048, 2048)
 
 
 def nonrelativistic_overlap(packet: GridWaveFunction, m: float,

@@ -93,11 +93,10 @@ class GridWaveFunction:
                                 self.values / np.sqrt(nrm2))
 
     @classmethod
-    def sampled(cls, func, x0: float, dx: float, n: int,
-                normalize: bool = True) -> "GridWaveFunction":
+    def sampled(cls, func, x0: float, dx: float, n: int) -> "GridWaveFunction":
+        """func sampled at x0 + i*dx, normalized to unit norm."""
         x = x0 + dx * np.arange(n)
-        psi = cls(x0, dx, np.asarray(func(x), dtype=complex))
-        return psi.normalized() if normalize else psi
+        return cls(x0, dx, np.asarray(func(x), dtype=complex)).normalized()
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,6 @@ class DensityGrid:
     x0: float
     dx: float
     values: np.ndarray
-    renormalized: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -162,14 +160,12 @@ class CharacteristicSamples:
 def density_from_amplitude(psi: GridWaveFunction) -> DensityGrid:
     """p_i = |psi_i|^2, normalized to unit total mass.
 
-    A sample list whose norm differs from 1 is normalized on the fly and
-    the result flagged ``renormalized``; zero norm raises ValueError.
+    A sample list whose norm differs from 1 is normalized on the fly;
+    zero norm raises ValueError.
     """
     nrm2 = psi.norm_squared()
     require(0 < nrm2 < np.inf, "zero-norm amplitude has no density")
-    p = np.abs(psi.values) ** 2 / nrm2
-    return DensityGrid(psi.x0, psi.dx, p,
-                       renormalized=abs(nrm2 - 1.0) > _NORM_TOL)
+    return DensityGrid(psi.x0, psi.dx, np.abs(psi.values) ** 2 / nrm2)
 
 
 def _dense_fourier(x: np.ndarray, weights: np.ndarray,
@@ -257,17 +253,16 @@ def default_t_grid(psi: GridWaveFunction) -> np.ndarray:
     return np.round(raw / dxi) * dxi
 
 
-def verify_theorem(psi: GridWaveFunction, t_grid=None) -> float:
+def verify_theorem(psi: GridWaveFunction) -> float:
     """Max modulus gap between the direct and autocorrelation routes.
 
-    Returns max over the t grid of |f_direct(t) - f_autocorr(t)| for the
-    density p = |psi|^2; the defining identity of characteristic
+    Returns max over :func:`default_t_grid` of |f_direct(t) - f_autocorr(t)|
+    for the density p = |psi|^2; the defining identity of characteristic
     functions of absolutely continuous distributions.
     """
     if not psi.is_normalized:
         psi = psi.normalized()
-    if t_grid is None:
-        t_grid = default_t_grid(psi)
+    t_grid = default_t_grid(psi)
     direct = characteristic_function(density_from_amplitude(psi), t_grid)
     auto = autocorrelation_charfn(psi, t_grid)
     return float(np.max(np.abs(direct.values - auto.values)))

@@ -199,6 +199,7 @@ _EIGVAL_FLOOR = 1e-12
 
 def _run_fock(cfg: RunConfig):
     nmax = cfg.params["nmax"]
+    require(nmax >= 0, f"nmax must be nonnegative, got {nmax}")
     hbar = cfg.params["hbar"]
     omega = cfg.params["omega"]
     rows = []
@@ -299,6 +300,8 @@ def _chain_dispersion(cfg: RunConfig, spec):
 def _chain_equipartition(cfg: RunConfig, spec):
     beta = cfg.params["beta"]
     n = cfg.params["samples"]
+    require(n >= 2, "equipartition needs at least 2 samples for its "
+            f"standard errors, got {n}")
     q, p = chain_mod.gibbs_sample(spec, beta, n, cfg.seed)
     root_n = math.sqrt(spec.n_sites)
     modes = replace(chain_mod.normal_modes(spec),
@@ -361,6 +364,7 @@ def _run_chain(cfg: RunConfig):
 def _run_charfn(cfg: RunConfig):
     which = cfg.params["packet"]
     span, points = cfg.params["span"], cfg.params["points"]
+    require(points >= 2, f"need at least 2 grid points, got {points}")
     x0, dx = -span / 2.0, span / points
     orders = {"gaussian": 0, "hermite1": 1}
     require(which in orders, "packet must be gaussian or hermite1")
@@ -383,8 +387,10 @@ def _run_charfn(cfg: RunConfig):
 
 
 def _states_uncertainty(cfg: RunConfig):
+    nmax = cfg.params["nmax"]
+    require(nmax >= 0, f"nmax must be nonnegative, got {nmax}")
     rows = []
-    for n in range(cfg.params["nmax"] + 1):
+    for n in range(nmax + 1):
         psi = charfn_mod.GridWaveFunction.sampled(
             lambda x, n=n: fock_mod.hermite_function(n, x),
             -20.0, 40.0 / 1024, 1024)

@@ -100,8 +100,8 @@ class _Graded2:
     def wedge(self, other):
         return self * other
 
-    def is_zero(self, tol=0.0):
-        return all(_abs_coeff(c) <= tol for c in self.coefficients())
+    def is_zero(self):
+        return all(_abs_coeff(c) == 0 for c in self.coefficients())
 
     def __repr__(self):
         return (f"{type(self).__name__}(c0={self.c0!r}, c1={self.c1!r}, "
@@ -310,7 +310,8 @@ class AmplitudeEventSpace:
 
     @property
     def n_events(self) -> int:
-        return len(self.amp_e)
+        """Events that both sides define (Q1 asks the sides to agree)."""
+        return min(len(self.amp_e), len(self.amp_ebar))
 
     def event_amplitude(self, j: int) -> complex:
         return self.amp_ebar[j] * self.amp_e[j]

@@ -162,7 +162,7 @@ class GaussianMeasure:
         """Complex nodes and weights integrating dμ exactly on
         polynomials of degree <= 2*radial_nodes - 1 in |z|^2 and
         angular harmonics |k| < angular_nodes."""
-        u, wu = _laggauss(radial_nodes)
+        u, wu = np.polynomial.laguerre.laggauss(radial_nodes)
         phi = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
         r = np.sqrt(self.hbar * u)
         z = np.outer(r, np.exp(1j * phi)).ravel()
@@ -172,14 +172,6 @@ class GaussianMeasure:
     def total_mass(self) -> float:
         _, w = self.quadrature_nodes(*_QUAD_NODES)
         return float(np.sum(w))
-
-
-@lru_cache(maxsize=32)
-def _laggauss(n: int):
-    u, w = np.polynomial.laguerre.laggauss(n)
-    u.setflags(write=False)
-    w.setflags(write=False)
-    return u, w
 
 
 @lru_cache(maxsize=8)

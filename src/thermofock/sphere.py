@@ -163,15 +163,10 @@ def thermal_map_exact(point: SpherePoint, beta: float) -> complex:
     Exactly measure-preserving: the polar cap of area fraction
     sin²(θ/2) maps onto the disk of Gibbs mass 1−e^{−β|z|²}, and the two
     fractions agree identically.  The far pole θ = π is logarithmically
-    singular and raises ValueError.
+    singular and raises ValueError.  |z| is :func:`pushforward_radii`.
     """
-    require(0 < beta < math.inf,
-            f"beta must be positive and finite, got {beta}")
-    require(point.theta < math.pi,
-            "theta = pi is the singular pole of the exact map")
-    s2 = math.sin(point.theta / 2.0) ** 2
-    r2 = -math.log1p(-s2) / beta
-    return math.sqrt(r2) * complex(math.cos(point.phi), math.sin(point.phi))
+    radius = float(pushforward_radii(np.array([point.theta]), beta)[0])
+    return radius * complex(math.cos(point.phi), math.sin(point.phi))
 
 
 def cap_area_fraction(theta: float) -> float:
@@ -207,6 +202,7 @@ def pushforward_ks_statistic(beta: float, n: int, seed: int) -> float:
     """
     require(0 < beta < math.inf,
             f"beta must be positive and finite, got {beta}")
+    require(n >= 1, f"the KS statistic needs at least 1 sample, got {n}")
     theta, _ = uniform_sphere_samples(n, seed)
     radii = np.sort(pushforward_radii(theta, beta))
     cdf = -np.expm1(-beta * radii * radii)

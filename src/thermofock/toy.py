@@ -179,19 +179,6 @@ class FeasibilityResult:
         return self.feasible
 
 
-def _as_constraints(step_maps) -> list[Constraint]:
-    out = []
-    for item in step_maps:
-        if isinstance(item, Constraint):
-            out.append(item)
-        elif len(item) == 2:
-            out.append(Constraint(item[0], item[1]))
-        else:
-            out.append(Constraint(item[0], item[1], int(item[2])))
-    require(out, "need at least one constraint")
-    return out
-
-
 def _residual(a: float, b: float, constraints) -> float:
     w = np.array([[a, b], [1.0 - a, 1.0 - b]])
     worst = 0.0
@@ -268,9 +255,9 @@ def _spectral_search(constraints) -> FeasibilityResult:
         f" > {_WITNESS_TOL:.1g}")
 
 
-def markov_feasibility(step_maps) -> FeasibilityResult:
+def markov_feasibility(constraints) -> FeasibilityResult:
     """Decide whether some 2×2 column-stochastic matrix satisfies every
-    (input, output, steps) requirement.
+    :class:`Constraint` in a nonempty list.
 
     The family is two-dimensional: w = [[a, b], [1−a, 1−b]].  One-step
     requirements are linear in (a, b); when they pin a unique point,
@@ -281,7 +268,9 @@ def markov_feasibility(step_maps) -> FeasibilityResult:
     returns either a witness with residual ≤ 1e-6 or a certificate
     starting with ``infeasible:``.
     """
-    constraints = _as_constraints(step_maps)
+    require(constraints and all(isinstance(c, Constraint)
+                                for c in constraints),
+            "need a nonempty list of Constraint")
 
     forced, inconsistency = _forced_columns(constraints)
     if inconsistency is not None:

@@ -71,10 +71,9 @@ class TestDensityFromAmplitude:
     def test_disjoint_two_bump_density_is_the_sum_of_bump_densities(self):
         n, span = 2048, 20.0
         x0, dx = -span / 2.0, span / n
-        f1 = GridWaveFunction.sampled(bump(-4.0, 2.0), x0, dx, n,
-                                      normalize=False)
-        f2 = GridWaveFunction.sampled(bump(4.0, 2.0), x0, dx, n,
-                                      normalize=False)
+        x = x0 + dx * np.arange(n)
+        f1 = GridWaveFunction(x0, dx, bump(-4.0, 2.0)(x))
+        f2 = GridWaveFunction(x0, dx, bump(4.0, 2.0)(x))
         combined = GridWaveFunction(x0, dx, f1.values + f2.values)
         p = density_from_amplitude(combined)
         expected = (np.abs(f1.values) ** 2 + np.abs(f2.values) ** 2)
@@ -98,13 +97,12 @@ class TestDensityFromAmplitude:
         with pytest.raises(ValueError):
             density_from_amplitude(psi)
 
-    def test_renormalized_flag(self):
+    def test_unnormalized_amplitude_has_unit_mass_density(self):
         psi = GridWaveFunction.sampled(lambda x: np.exp(-x * x), -10.0,
-                                       20.0 / 512, 512, normalize=False)
+                                       20.0 / 512, 512)
         scaled = GridWaveFunction(psi.x0, psi.dx, 2.0 * psi.values)
-        assert density_from_amplitude(scaled).renormalized
-        assert not density_from_amplitude(
-            scaled.normalized()).renormalized
+        assert not scaled.is_normalized
+        assert density_from_amplitude(scaled).is_normalized
 
 
 class TestDirectRoute:

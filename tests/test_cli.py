@@ -177,7 +177,23 @@ class TestExitCodes:
         assert main(["chain", "--experiment", "warp"]) == 2
 
     def test_bad_parameter_value(self, capsys):
-        assert main(["spectrum", "--tmin", "5.0", "--tmax", "1.0"]) == 2
+        for argv, message in [
+            (["spectrum", "--tmin", "5.0", "--tmax", "1.0"], "tmin < tmax"),
+            (["fock", "--nmax", "-1"], "nmax must be nonnegative"),
+            (["states", "--experiment", "uncertainty", "--nmax", "-1"],
+             "nmax must be nonnegative"),
+            (["charfn", "--points", "0"], "at least 2 grid points"),
+            (["sphere", "--samples", "0"], "at least 1 sample"),
+            (["sphere", "--samples", "-3"], "at least 1 sample"),
+            # one sample has no standard error, zero samples no mean
+            (["chain", "--experiment", "equipartition", "--samples", "1"],
+             "at least 2 samples"),
+            (["chain", "--experiment", "equipartition", "--samples", "0"],
+             "at least 2 samples"),
+        ]:
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and message in err
 
     def test_numerical_guard_maps_to_exit_3(self, capsys):
         # A mass-1 packet fails the heavy-mass spectral-tail guard.

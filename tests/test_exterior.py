@@ -60,7 +60,7 @@ class TestGradedProduct:
             np.testing.assert_allclose(
                 left.coefficients(),
                 [-x for x in right.coefficients()], atol=1e-14)
-            assert v.wedge(v).is_zero(tol=1e-15)
+            assert v.wedge(v).is_zero()
 
     def test_grassmann_generators_are_nilpotent(self):
         theta = GrassmannElement.theta()
@@ -241,6 +241,13 @@ class TestAxioms:
         assert relaxed.passed
         np.testing.assert_allclose(relaxed.probabilities, [0.25, 0.25, 0.5],
                                    atol=1e-14)
+
+    @pytest.mark.parametrize("amp_e, amp_ebar", [
+        ((1.0, 0.5), (1.0,)), ((1.0,), (1.0, 0.5))])
+    def test_mismatched_sides_fail_q1(self, amp_e, amp_ebar):
+        report = check_axioms(AmplitudeEventSpace(amp_e, amp_ebar))
+        assert not report.passed
+        assert any(v.startswith("Q1:") for v in report.violations)
 
     def test_unnormalized_total_fails_q4(self):
         space = AmplitudeEventSpace((1.0, 1.0), (1.0, 1.0))

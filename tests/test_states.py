@@ -82,9 +82,8 @@ class TestWidthProducts:
             assert wx * wk >= 0.5 - 1e-9
 
     def test_unnormalized_packet_rejected(self):
-        psi = GridWaveFunction.sampled(
-            lambda x: np.exp(-0.5 * x ** 2), -15.0, 0.025, 1200,
-            normalize=False)
+        x = -15.0 + 0.025 * np.arange(1200)
+        psi = GridWaveFunction(-15.0, 0.025, np.exp(-0.5 * x ** 2))
         with pytest.raises(ValueError):
             rms_widths(psi)
 

@@ -103,12 +103,16 @@ class TestFeasibilitySearch:
     """Witnesses and certificates over the stochastic family."""
 
     def test_single_swap_requirement_is_feasible(self):
-        result = markov_feasibility([((1.0, 0.0), (0.0, 1.0))])
+        result = markov_feasibility([Constraint((1.0, 0.0), (0.0, 1.0))])
         assert result
         assert result.residual <= 1e-6
         # the requirement pins only the first column
         np.testing.assert_allclose(result.w.entries[:, 0], [0.0, 1.0],
                                    atol=1e-6)
+        # bare (input, output[, steps]) tuples are not constraints
+        for bare in (((1.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (0.0, 1.0), 1)):
+            with pytest.raises(ValueError, match="list of Constraint"):
+                markov_feasibility([bare])
 
     def test_swap_itself_satisfies_its_own_two_step_law(self):
         constraints = [
