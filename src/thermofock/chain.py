@@ -365,6 +365,7 @@ def gibbs_sample(spec: ChainSpec, beta: float, n: int, seed: int):
     """
     require(0 < beta < math.inf,
             f"beta must be positive and finite, got {beta}")
+    require(n >= 1, f"need at least one sample, got n={n}")
     omega2 = spec.dispersion(spec.k_grid()[: spec.n_sites // 2 + 1]) ** 2
     guard("modes with omega^2 <= 1e-12 max omega^2",
           np.count_nonzero(~(omega2 > 1e-12 * np.max(omega2))), 0,

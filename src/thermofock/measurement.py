@@ -8,10 +8,13 @@ weights appear as relative frequencies under repeated sampling.
 
 Decoherence is modeled as the exact projection onto the block diagonal
 of a sector partition: trace preserved, purity never increased,
-idempotent.  A charge operator S = Σ_i s_i Π_i built from the sectors
-commutes with every block-diagonal ("physical") operator, and no
-operator with vanishing cross-sector matrix elements connects distinct
-sectors — the superselection rule at the level where it is exact.
+idempotent; a validated matrix is read-only, and each block of the
+projection is a principal submatrix of it, so positivity carries over
+without an ``eigvalsh`` (Cauchy interlacing).  A charge operator
+S = Σ_i s_i Π_i built from the sectors commutes with every
+block-diagonal ("physical") operator, and no operator with vanishing
+cross-sector matrix elements connects distinct sectors — the
+superselection rule at the level where it is exact.
 A 2π rotation multiplies half-integer-spin components by −1 and leaves
 integer-spin components alone: pure sectors stay on their ray, mixed
 superpositions move to a different ray, which is why such mixtures are
@@ -49,45 +52,33 @@ _SCHMIDT_TOL = 1e-12   # singular values above it count toward the rank
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace d×d matrix."""
+    """Hermitian, positive-semidefinite, unit-trace d×d matrix, kept as
+    a read-only copy of the input."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        self._check(None)
+        self._check(np.array(self.matrix, dtype=complex), True)
 
     @classmethod
-    def _block_diagonal(cls, matrix, blocks) -> "DensityMatrix":
-        """Construct from a matrix that vanishes outside the diagonal
-        blocks on the index sets ``blocks`` (a partition of 0..d−1).
-
-        Its spectrum is the union of the blocks' spectra, so positivity
-        is checked block by block at Σ d_i³ cost, singleton blocks on
-        their diagonal entry; the other checks are the constructor's.
-        """
+    def _known_positive(cls, matrix: np.ndarray) -> "DensityMatrix":
+        """A fresh matrix, positive by construction: skip the eigvalsh."""
         rho = object.__new__(cls)
-        object.__setattr__(rho, "matrix", matrix)
-        rho._check(blocks)
+        rho._check(matrix, False)
         return rho
 
-    def _check(self, blocks) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
+    def _check(self, m: np.ndarray, spectrum: bool) -> None:
         require(m.ndim == 2 and m.shape[0] == m.shape[1] and m.shape[0] > 0,
                 "density matrix must be square and nonempty")
         require(float(np.max(np.abs(m - m.conj().T))) <= _HERM_TOL,
                 "matrix is not Hermitian within 1e-12")
-        if blocks is None:
-            lam_min = float(np.min(np.linalg.eigvalsh(m)))
-        else:
-            singles = [idx[0] for idx in blocks if len(idx) == 1]
-            lam_min = float(np.min(
-                [np.min(np.linalg.eigvalsh(m[np.ix_(idx, idx)]))
-                 for idx in blocks if len(idx) > 1]
-                + [np.min(np.diag(m)[singles].real, initial=np.inf)]))
-        require(lam_min >= -_EIG_TOL, "matrix has an eigenvalue below -1e-12")
+        if spectrum:
+            require(float(np.min(np.linalg.eigvalsh(m))) >= -_EIG_TOL,
+                    "matrix has an eigenvalue below -1e-12")
         require(abs(float(np.trace(m).real) - 1.0) <= _TRACE_TOL,
                 "trace differs from 1 by more than 1e-12")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     @property
     def d(self) -> int:
@@ -103,8 +94,7 @@ class DensityMatrix:
 
     @classmethod
     def diagonal(cls, probs) -> "DensityMatrix":
-        p = np.asarray(probs, dtype=float)
-        return cls(np.diag(p.astype(complex)))
+        return cls(np.diag(np.asarray(probs, dtype=float)))
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "DensityMatrix":
@@ -147,12 +137,9 @@ class SectorStructure:
         return self._owner.size
 
     @classmethod
-    def singletons(cls, d: int, charges=None) -> "SectorStructure":
-        """One sector per basis index; default charges are the indices."""
-        if charges is None:
-            charges = list(range(d))
-        return cls({i: (i,) for i in range(d)},
-                   {i: charges[i] for i in range(d)})
+    def singletons(cls, d: int) -> "SectorStructure":
+        """One sector per basis index, charged with the index."""
+        return cls({i: (i,) for i in range(d)}, {i: i for i in range(d)})
 
     def block_mask(self) -> np.ndarray:
         """Boolean d×d mask, True where row and column share a sector."""
@@ -245,8 +232,10 @@ def decohere(rho: DensityMatrix, sectors: SectorStructure) -> DensityMatrix:
     """
     require(sectors.d == rho.d,
             "sector partition size does not match the matrix")
+    # Each block is a copied principal submatrix of ρ: by Cauchy
+    # interlacing its lowest eigenvalue is at least ρ's, so ≥ −1e-12.
     projected = np.where(sectors.block_mask(), rho.matrix, 0.0)
-    return DensityMatrix._block_diagonal(projected, sectors.sectors.values())
+    return DensityMatrix._known_positive(projected)
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -340,8 +329,15 @@ def rotation_2pi(state, spins) -> np.ndarray:
 def random_density(d: int, rng: np.random.Generator,
                    rank: int | None = None) -> DensityMatrix:
     """Random density matrix: normalized Wishart A A† with A of shape
-    (d, rank)."""
+    (d, rank), positive by construction.  Rounding moves its spectrum
+    by at most γ_{rank+2} ≈ rank·u (Higham, §3.5), so the ``eigvalsh``
+    runs only when that exceeds 1e-12 (rank above about 9000)."""
     rank = d if rank is None else rank
+    require(d >= 1 and rank >= 1,
+            f"need d >= 1 and rank >= 1, got d={d}, rank={rank}")
     a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = a @ a.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    m /= np.trace(m).real
+    if (rank + 2) * np.finfo(float).eps / 2 <= _EIG_TOL:
+        return DensityMatrix._known_positive(m)
+    return DensityMatrix(m)

@@ -176,6 +176,7 @@ def cap_area_fraction(theta: float) -> float:
 
 def uniform_sphere_samples(n: int, seed: int):
     """(θ, φ) samples uniform in area: cosθ uniform on [−1, 1]."""
+    require(n >= 1, f"need at least one sample, got n={n}")
     rng = np.random.default_rng(seed)
     cos_theta = rng.uniform(-1.0, 1.0, size=n)
     theta = np.arccos(cos_theta)

@@ -17,7 +17,8 @@ For two fermions in an antisymmetrized spatial wave function with
 disjoint orbitals, the single-position marginal is
 ½(|f1(x)|² + |f2(x)|²): the orbital that vanishes in a region still
 claims half the probability mass elsewhere, so the mass found in the
-first orbital's home region is exactly ½.
+first orbital's home region is exactly ½.  The x2 integral reduces
+exactly to three 1-D trapezoid sums, so the marginal costs O(N).
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ __all__ = [
 
 _SUPPORT_TOL = 1e-14
 _TAIL_TOL = 1e-8     # mass allowed in the outer 2% of either grid
-_SINGLET_BLOCK = 256   # x1 rows per block of the 2-D singlet integrand
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,10 @@ def _check_disjoint_profiles(f1: ModeProfile, f2: ModeProfile) -> int:
 # Width products
 # ---------------------------------------------------------------------------
 
-def _moments(weights: np.ndarray, grid: np.ndarray, step: float):
+def _rms_width(weights: np.ndarray, grid: np.ndarray, step: float) -> float:
     mass = float(np.sum(weights) * step)
     mean = float(np.sum(grid * weights) * step / mass)
-    var = float(np.sum((grid - mean) ** 2 * weights) * step / mass)
-    return mass, mean, var
+    return math.sqrt(float(np.sum((grid - mean) ** 2 * weights) * step / mass))
 
 
 def rms_widths(psi: GridWaveFunction):
@@ -133,10 +132,8 @@ def rms_widths(psi: GridWaveFunction):
     tail_k = float((np.sum(weights_k[:edge]) + np.sum(weights_k[-edge:])) * dk)
     guard("spectral tail mass", tail_k, _TAIL_TOL, "refine the grid spacing")
 
-    _, _, var_x = _moments(weights_x, psi.x, psi.dx)
-    _, _, var_k = _moments(weights_k, k, dk)
-    width_x = math.sqrt(var_x)
-    width_k = math.sqrt(var_k)
+    width_x = _rms_width(weights_x, psi.x, psi.dx)
+    width_k = _rms_width(weights_k, k, dk)
     guard("width product deficit below 1/2", 0.5 - width_x * width_k, 1e-9,
           "the grid under-resolves the packet")
     return width_x, width_k
@@ -246,16 +243,26 @@ def _grid_support_overlap(f1: GridWaveFunction, f2: GridWaveFunction) -> float:
     return float(np.sum(w1[w2 > 0]) * f1.dx + np.sum(w2[w1 > 0]) * f1.dx)
 
 
+def _singlet_reduction(a1, a2, dx: float) -> np.ndarray:
+    """Trapezoid sum over x2 of |Ψ(x1, x2)|² for any two orbitals: the
+    sum T is linear, so m = ½[|a1|² T(|a2|²) + |a2|² T(|a1|²)
+    − 2 Re(a1 ā2 T(a2 ā1))], the one-body density of a two-orbital
+    determinant (Löwdin 1955)."""
+    w1, w2 = np.abs(a1) ** 2, np.abs(a2) ** 2
+    cross = np.trapezoid(a2 * a1.conj(), dx=dx)
+    return 0.5 * (w1 * np.trapezoid(w2, dx=dx) + w2 * np.trapezoid(w1, dx=dx)
+                  - 2.0 * (a1 * a2.conj() * cross).real)
+
+
 def singlet_marginal(f1: GridWaveFunction, f2: GridWaveFunction,
                      region: tuple[float, float] | None = None):
     """Single-position marginal of the antisymmetrized two-orbital state.
 
     Ψ(x1, x2) = [f1(x1) f2(x2) − f2(x1) f1(x2)] / sqrt(2) is integrated
-    over x2 by quadrature on the full 2-D grid, one block of x1 rows at
-    a time, so memory stays O(N).  For normalized orbitals with disjoint
-    supports the marginal is ½(|f1(x1)|² + |f2(x1)|²), and the mass
-    inside any region containing one orbital's support — and none of the
-    other's — is exactly ½.
+    over x2 by the trapezoid rule, in O(N) (``_singlet_reduction``).
+    For normalized orbitals with disjoint supports the marginal is
+    ½(|f1(x1)|² + |f2(x1)|²), and the mass inside any region containing
+    one orbital's support — and none of the other's — is exactly ½.
 
     Returns (marginal DensityGrid, mass in ``region``); ``region`` is an
     (xmin, xmax) interval, defaulting to the full grid line.
@@ -268,21 +275,15 @@ def singlet_marginal(f1: GridWaveFunction, f2: GridWaveFunction,
     require(overlap <= _SUPPORT_TOL,
             f"orbital supports overlap with mass {overlap:.3e}")
 
-    a1, a2 = f1.values, f2.values
-    marginal = np.empty(f1.n)
-    for start in range(0, f1.n, _SINGLET_BLOCK):
-        rows = slice(start, start + _SINGLET_BLOCK)
-        # |Ψ(x1, x2)|² on a block of x1 rows (axis 0), all of x2.
-        psi_sq = 0.5 * np.abs(np.outer(a1[rows], a2)
-                              - np.outer(a2[rows], a1)) ** 2
-        marginal[rows] = np.trapezoid(psi_sq, dx=f1.dx, axis=1)
-    density = DensityGrid(f1.x0, f1.dx, marginal)
+    density = DensityGrid(f1.x0, f1.dx,
+                          _singlet_reduction(f1.values, f2.values, f1.dx))
 
     if region is None:
         mass = density.total_mass()
     else:
         lo, hi = region
         require(hi > lo, "region must satisfy xmax > xmin")
-        masked = np.where((density.x >= lo) & (density.x <= hi), marginal, 0.0)
+        masked = np.where((density.x >= lo) & (density.x <= hi),
+                          density.values, 0.0)
         mass = float(np.trapezoid(masked, dx=f1.dx))
     return density, mass

@@ -110,6 +110,36 @@ def test_nan_and_infinite_input_raise(call):
         call()
 
 
+# A count below one is refused by name, before numpy turns it into an
+# empty array, a "negative dimensions" error or a zero trace.
+BAD_COUNT_CALLS = {
+    "chain.gibbs_sample(n=0)":
+        (lambda: chain.gibbs_sample(chain.ChainSpec(8), 1.0, 0, seed=0),
+         "at least one sample"),
+    "chain.gibbs_sample(n=-1)":
+        (lambda: chain.gibbs_sample(chain.ChainSpec(8), 1.0, -1, seed=0),
+         "at least one sample"),
+    "sphere.uniform_sphere_samples(0)":
+        (lambda: sphere.uniform_sphere_samples(0, 0), "at least one sample"),
+    "sphere.uniform_sphere_samples(-1)":
+        (lambda: sphere.uniform_sphere_samples(-1, 0), "at least one sample"),
+    "measurement.random_density(4, rank=0)":
+        (lambda: measurement.random_density(4, np.random.default_rng(0),
+                                            rank=0), "rank >= 1"),
+    "measurement.random_density(0)":
+        (lambda: measurement.random_density(0, np.random.default_rng(0)),
+         "d >= 1"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", list(BAD_COUNT_CALLS.values()),
+                         ids=list(BAD_COUNT_CALLS))
+def test_counts_below_one_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_guard_reports_its_triple_and_trips_on_nan():
     errors.guard("tail mass", 1e-9, 1e-8, "unused")
     with pytest.raises(errors.NumericalGuardError,

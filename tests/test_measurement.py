@@ -31,6 +31,19 @@ from thermofock.measurement import (
 )
 
 
+def count_eigvalsh(monkeypatch):
+    """Route np.linalg.eigvalsh through a recorder; returns the list of
+    the sizes it was called on."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return eigvalsh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return sizes
+
+
 class TestDensityMatrix:
     """Constructor invariants and convenience constructors."""
 
@@ -60,6 +73,30 @@ class TestDensityMatrix:
     def test_maximally_mixed_purity(self):
         np.testing.assert_allclose(purity(DensityMatrix.maximally_mixed(4)),
                                    0.25, atol=1e-15)
+
+    def test_validated_matrix_is_read_only(self):
+        rng = np.random.default_rng(20240628)
+        rho = DensityMatrix(np.eye(2) / 2.0)
+        made = {
+            "constructor": rho,
+            "pure": DensityMatrix.pure([0.6, 0.8j]),
+            "decohere": decohere(rho, SectorStructure.singletons(2)),
+            "random_density": random_density(3, rng),
+            "random_density(rank=10_000)": random_density(2, rng,
+                                                          rank=10_000),
+        }
+        for name, out in made.items():
+            before = out.matrix.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                out.matrix[0, 0] = -5
+            assert np.array_equal(out.matrix, before), name
+
+    def test_constructor_copies_its_input(self):
+        m = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
+        rho = DensityMatrix(m)
+        m[0, 0] = -5.0
+        assert rho.matrix[0, 0] == 0.5
+        assert purity(rho) == pytest.approx(0.625, abs=1e-15)
 
 
 class TestEntangling:
@@ -172,22 +209,15 @@ class TestDecoherence:
             decohere(DensityMatrix.maximally_mixed(3),
                      SectorStructure.singletons(2))
 
-    def test_positivity_is_checked_block_by_block(self, monkeypatch):
-        # A pinching needs no full eigvalsh: one per block of two or
-        # more indices, singletons read off the diagonal.
-        sizes = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recorded(a, *args, **kwargs):
-            sizes.append(a.shape[-1])
-            return eigvalsh(a, *args, **kwargs)
+    def test_decohere_calls_no_eigvalsh(self, monkeypatch):
+        # Positivity of a pinching follows from Cauchy interlacing.
         rho = random_density(8, np.random.default_rng(20240624))
         sectors = SectorStructure(
             {"a": (0, 3, 5), "b": (1, 2), "c": (4,), "d": (6,), "e": (7,)},
             {"a": 0.0, "b": 1.0, "c": 0.0, "d": 1.0, "e": 1.0})
-        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        calls = count_eigvalsh(monkeypatch)
         out = decohere(rho, sectors)
-        assert sorted(sizes) == [2, 3]
+        assert calls == []
         mask = sectors.block_mask()
         assert np.array_equal(out.matrix, np.where(mask, rho.matrix, 0.0))
 
@@ -345,6 +375,16 @@ class TestRotation:
 
 
 class TestRandomDensity:
+    def test_gram_bound_replaces_eigvalsh(self, monkeypatch):
+        # The Gram rounding bound γ_{rank+2} is within 1e-12 up to rank
+        # about 9000; past it the constructor's eigvalsh runs once.
+        rng = np.random.default_rng(20240629)
+        calls = count_eigvalsh(monkeypatch)
+        random_density(64, rng)
+        assert calls == []
+        random_density(2, rng, rank=10_000)
+        assert calls == [2]
+
     def test_rank_control(self):
         rng = np.random.default_rng(20240627)
         rho = random_density(5, rng, rank=2)
@@ -409,17 +449,21 @@ class TestSectorProperties:
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(partition=sector_partitions(), seed=st.integers(0, 2 ** 32 - 1),
-           lowest=st.sampled_from([None, 0.0, -0.99e-12, -1.01e-12, -1.5e-12,
-                                   -1e-3]),
-           where=st.integers(0, 9))
+           lowest=st.sampled_from([None, 0.0, -0.5e-12, -0.99e-12,
+                                   -1.01e-12, -1.5e-12, -1e-3]),
+           where=st.integers(0, 9), aligned=st.booleans())
     @example(partition=({"a": [0, 1, 2], "b": [3]},
                         SectorStructure({"a": (0, 1, 2), "b": (3,)},
                                         {"a": 1.0, "b": 1.0})),
-             seed=7, lowest=-1.01e-12, where=1)
-    def test_block_positivity_verdict_equals_the_dense_one(
-            self, partition, seed, lowest, where):
-        # Block-diagonal unit-trace matrices whose lowest eigenvalue sits
-        # at a chosen index, on either side of -1e-12.
+             seed=7, lowest=-0.99e-12, where=1, aligned=True)
+    def test_decohere_of_a_valid_rho_passes_the_dense_check(
+            self, partition, seed, lowest, where, aligned):
+        # Unit-trace matrices whose lowest eigenvalue sits at a chosen
+        # index, on either side of -1e-12, with eigenvectors spread over
+        # all indices or kept inside the sectors (then the pinching is ρ
+        # itself).  The constructor's eigvalsh rejects the invalid ones;
+        # by Cauchy interlacing the pinching of a valid one passes the
+        # dense eigvalsh that decohere skips.
         groups, sectors = partition
         d = sectors.d
         rng = np.random.default_rng(seed)
@@ -430,20 +474,19 @@ class TestSectorProperties:
             eigs[rest] *= (1.0 - lowest) / np.sum(eigs[rest])
         else:
             eigs /= np.sum(eigs)
-        m = np.zeros((d, d), dtype=complex)
-        for idx in groups.values():
+        q = np.zeros((d, d), dtype=complex)
+        for idx in (groups.values() if aligned else [list(range(d))]):
             k = len(idx)
-            q, _ = np.linalg.qr(rng.standard_normal((k, k))
-                                + 1j * rng.standard_normal((k, k)))
-            m[np.ix_(idx, idx)] = (q * eigs[idx]) @ q.conj().T
-        dense_ok = float(np.min(np.linalg.eigvalsh(m))) >= -1e-12
-        assert dense_ok == (lowest is None or d == 1 or lowest > -1e-12)
-        if dense_ok:
-            DensityMatrix(m)
-            block = DensityMatrix._block_diagonal(m, sectors.sectors.values())
-            assert np.array_equal(block.matrix, m)
-        else:
+            q[np.ix_(idx, idx)], _ = np.linalg.qr(
+                rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        m = (q * eigs) @ q.conj().T
+        if lowest is not None and d > 1 and lowest < -1e-12:
             with pytest.raises(ValueError, match="eigenvalue below"):
                 DensityMatrix(m)
-            with pytest.raises(ValueError, match="eigenvalue below"):
-                DensityMatrix._block_diagonal(m, sectors.sectors.values())
+            return
+        rho = DensityMatrix(m)
+        out = decohere(rho, sectors)
+        if aligned:
+            assert np.array_equal(out.matrix, rho.matrix)
+        assert float(np.min(np.linalg.eigvalsh(out.matrix))) >= -1e-12
+        DensityMatrix(out.matrix)

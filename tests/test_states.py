@@ -3,8 +3,9 @@ states, and the antisymmetrized two-orbital marginal.
 
 Oracles: the closed-form Hermite width product n + 1/2, the Gaussian
 saturation of the lower bound, exact occupation-number bookkeeping on
-sparse multimode vectors, and the pointwise half-sum formula for the
-marginal of an antisymmetrized pair of disjoint orbitals.
+sparse multimode vectors, the pointwise half-sum formula for the
+marginal of an antisymmetrized pair of disjoint orbitals, and the
+blocked 2-D trapezoid integral of |Ψ|² for any pair of orbitals.
 """
 
 import math
@@ -196,6 +197,19 @@ class TestSplitQuantum:
             ModeProfile(np.zeros((0,)), frozenset())
 
 
+def blocked_singlet_marginal(a1, a2, dx, block=256):
+    """Named oracle: the trapezoid integral over x2 of |Ψ(x1, x2)|² on
+    the full 2-D grid, 256 x1 rows at a time (1001 rows leave a short
+    last block)."""
+    marginal = np.empty(a1.size)
+    for start in range(0, a1.size, block):
+        rows = slice(start, start + block)
+        psi_sq = 0.5 * np.abs(np.outer(a1[rows], a2)
+                              - np.outer(a2[rows], a1)) ** 2
+        marginal[rows] = np.trapezoid(psi_sq, dx=dx, axis=1)
+    return marginal
+
+
 class TestSingletMarginal:
     """Antisymmetrized two-orbital position marginal."""
 
@@ -227,16 +241,24 @@ class TestSingletMarginal:
         _, mass2 = singlet_marginal(f1, f2, region=(0.0, 8.0))
         np.testing.assert_allclose(mass2, 0.5, atol=1e-10)
 
-    def test_blocked_marginal_equals_the_full_outer_product(self):
-        # 1001 rows: several full blocks and a short last one.
-        assert states._SINGLET_BLOCK < 1001
-        assert 1001 % states._SINGLET_BLOCK != 0
+    def test_closed_form_equals_the_blocked_2d_oracle(self):
+        # Disjoint orbitals through the public call; overlapping complex
+        # ones through the reduction, where the cross term is nonzero.
         f1, f2 = self.make_orbitals(points=1001)
         density, _ = singlet_marginal(f1, f2)
-        a1, a2 = f1.values, f2.values
-        psi_sq = 0.5 * np.abs(np.outer(a1, a2) - np.outer(a2, a1)) ** 2
-        dense = np.trapezoid(psi_sq, dx=f1.dx, axis=1)
-        assert np.array_equal(density.values, dense)
+        np.testing.assert_allclose(
+            density.values, blocked_singlet_marginal(f1.values, f2.values,
+                                                     f1.dx),
+            rtol=0.0, atol=1e-14)
+        x = f1.x
+        a1 = windowed_gaussian(-0.5, 0.7, 3.0, x) * np.exp(1.3j * x)
+        a2 = windowed_gaussian(0.8, 0.5, 3.0, x) * np.exp(-0.4j * x)
+        a1, a2 = (a / math.sqrt(np.trapezoid(np.abs(a) ** 2, dx=f1.dx))
+                  for a in (a1, a2))
+        assert abs(np.trapezoid(a2 * a1.conj(), dx=f1.dx)) > 0.1
+        np.testing.assert_allclose(
+            states._singlet_reduction(a1, a2, f1.dx),
+            blocked_singlet_marginal(a1, a2, f1.dx), rtol=0.0, atol=1e-14)
 
     def test_overlapping_orbitals_rejected(self):
         points = 1601
