@@ -179,13 +179,19 @@ class FeasibilityResult:
         return self.feasible
 
 
+def _stepped(w: np.ndarray, c: Constraint) -> np.ndarray:
+    """The input of ``c`` after ``c.steps`` applications of w."""
+    p = np.array(c.p_in)
+    for _ in range(c.steps):
+        p = w @ p
+    return p
+
+
 def _residual(a: float, b: float, constraints) -> float:
     w = np.array([[a, b], [1.0 - a, 1.0 - b]])
     worst = 0.0
     for c in constraints:
-        p = np.array(c.p_in)
-        for _ in range(c.steps):
-            p = w @ p
+        p = _stepped(w, c)
         worst = max(worst, float(np.max(np.abs(p - np.array(c.p_out)))))
     return worst
 
@@ -292,10 +298,8 @@ def markov_feasibility(constraints) -> FeasibilityResult:
                                      residual, None)
         bad = max(constraints,
                   key=lambda c: _residual(a, b, [c]))
-        p = np.array(bad.p_in)
         w = np.array([[a, b], [1.0 - a, 1.0 - b]])
-        for _ in range(bad.steps):
-            p = w @ p
+        p = _stepped(w, bad)
         return FeasibilityResult(
             False, None, residual,
             "infeasible: the one-step requirements force both columns — "

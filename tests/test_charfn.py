@@ -206,7 +206,7 @@ class TestSpectralSide:
         mass = np.sum(np.abs(g) ** 2) * (period / m)
         np.testing.assert_allclose(mass, 1.0, atol=1e-9)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(n=st.integers(2, 64), per_sample=st.integers(1, 4),
            seed=st.integers(0, 2 ** 32 - 1),
            dx=st.floats(0.05, 2.0), x0=st.floats(-20.0, 20.0),
@@ -253,7 +253,7 @@ def dense_autocorrelation(psi, t):
 class TestAutocorrelationProperty:
     """The FFT autocorrelation equals its dense definition for every t."""
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     @given(n=st.integers(64, 512), seed=st.integers(0, 2 ** 32 - 1),
            lattice=st.lists(st.integers(-4096, 4096), min_size=1,
                             max_size=4),

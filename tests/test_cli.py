@@ -190,6 +190,11 @@ class TestExitCodes:
              "at least 2 samples"),
             (["chain", "--experiment", "equipartition", "--samples", "0"],
              "at least 2 samples"),
+            (["measure", "--sectors", "0;;1"], "empty sector group"),
+            (["measure", "--sectors", "0,5"],
+             "sectors must partition 0..d-1 exactly once"),
+            (["toy", "--matrix", "1,2,3"],
+             "matrix must be 'hadamard' or four comma-separated numbers"),
         ]:
             assert main(argv) == 2
             out, err = capsys.readouterr()
@@ -342,6 +347,24 @@ class TestTableContents:
                        if "two_step_feasibility" in c]
         assert len(certificate) == 1
         assert "force both columns" in certificate[0]
+
+    def test_toy_permutation_matrix_never_separates(self, tmp_path):
+        # A permutation unitary is its own stochastic competitor.
+        text = run_to_file(tmp_path, ["toy", "--matrix", "0,1,1,0",
+                                      "--steps", "3"])
+        _, _, rows = parse_csv(text)
+        assert [float(row[0]) for row in rows] == [0.0, 1.0, 2.0, 3.0]
+        assert all(float(row[-1]) == 0.0 for row in rows)
+
+    def test_measure_with_explicit_sectors(self, tmp_path):
+        text = run_to_file(tmp_path, ["measure", "--amps", "0.6,0.48,0.64",
+                                      "--sectors", "0,1;2"])
+        comments, _, rows = parse_csv(text)
+        assert len(rows) == 3
+        purity = dict(c[2:].split("=") for c in comments
+                      if c.startswith("# purity_"))
+        assert (float(purity["purity_after"])
+                <= float(purity["purity_before"]))
 
     def test_measure_probabilities_and_purity(self, tmp_path):
         text = run_to_file(tmp_path, ["measure", "--amps", "0.6,0.8",

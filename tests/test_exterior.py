@@ -7,10 +7,15 @@ substitution for the current density, and Grassmann arithmetic for the
 fermionic pairing.
 """
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermofock.exterior import (
+    _AXIOM_TOL,
     AmplitudeEventSpace,
     ExteriorElement,
     GrassmannElement,
@@ -191,7 +196,7 @@ class TestAxioms:
             space = AmplitudeEventSpace((np.exp(1j * alpha),),
                                         (np.exp(-1j * alpha),))
             report = check_axioms(space)
-            assert report.passed
+            assert report.passed and bool(report)
             np.testing.assert_allclose(report.probabilities, [1.0],
                                        atol=1e-14)
 
@@ -226,7 +231,7 @@ class TestAxioms:
             (0.5, 0.5, np.sqrt(0.5)),
             subset_overrides={frozenset({0, 1}): 0.9})
         report = check_axioms(space)
-        assert not report.passed
+        assert not report.passed and not bool(report)
         assert any("Q3" in v for v in report.violations)
 
     def test_dropping_additivity_admits_the_rejected_space(self):
@@ -266,3 +271,78 @@ class TestAxioms:
         space = AmplitudeEventSpace((1.0,), (1.0,))
         with pytest.raises(ValueError):
             check_axioms(space, mode="thermal")
+
+    def test_override_off_the_checked_splits_fails_q3(self):
+        # Five events of amplitude 0.2: {0, 1, 2} sums to 0.6, not 0.9.
+        root = np.sqrt(0.2)
+        space = AmplitudeEventSpace(
+            (root,) * 5, (root,) * 5,
+            subset_overrides={frozenset({0, 1, 2}): 0.9})
+        report = check_axioms(space)
+        assert [v for v in report.violations if v.startswith("Q3")] == [
+            "Q3: additivity fails on override [0, 1, 2] (gap 3.000e-01)"]
+
+    def test_override_naming_a_non_event_fails_q3(self):
+        root = np.sqrt(0.2)
+        space = AmplitudeEventSpace(
+            (root,) * 5, (root,) * 5,
+            subset_overrides={frozenset({0, 1, 7}): 0.4})
+        report = check_axioms(space)
+        assert report.violations == [
+            "Q3: override [0, 1, 7] names an index that is not one of "
+            "the 5 events"]
+
+    def test_large_amplitudes_without_overrides_are_additive(self):
+        # Additive by construction: the old pair and complement splits
+        # read rounding gaps of about 1e-8 here as Q3 failures.
+        rng = np.random.default_rng(3000)
+        psi = np.sqrt(3e3) * (rng.standard_normal(6)
+                              + 1j * rng.standard_normal(6))
+        space = AmplitudeEventSpace(tuple(psi), tuple(np.conj(psi)))
+        assert not check_axioms(space).passed       # Q4: far from 1
+        report = check_axioms(space, skip={"Q4"})
+        assert report.passed, report.violations
+        np.testing.assert_allclose(report.probabilities, np.abs(psi) ** 2,
+                                   rtol=1e-14)
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_q3_agrees_with_the_subset_oracle(self, data):
+        n = data.draw(st.integers(1, 8))
+        weights = st.floats(-3.0, 3.0, allow_nan=False)
+        amp_e = data.draw(st.lists(weights, min_size=n, max_size=n))
+        amp_ebar = data.draw(st.lists(weights, min_size=n, max_size=n))
+        bare = AmplitudeEventSpace(tuple(amp_e), tuple(amp_ebar))
+        keys = st.frozensets(st.integers(-1, n + 1), max_size=n + 1)
+        shifts = st.one_of(
+            st.just(0.0),
+            st.floats(1e-9, 1.0).flatmap(
+                lambda x: st.sampled_from([x, -x, 1j * x])))
+        overrides = {}
+        for key in data.draw(st.lists(keys, max_size=4)):
+            exact = sum((bare.event_amplitude(j) for j in key
+                         if 0 <= j < n), 0j)
+            overrides[key] = exact + data.draw(shifts)
+        space = AmplitudeEventSpace(tuple(amp_e), tuple(amp_ebar),
+                                    subset_overrides=overrides)
+        report = check_axioms(space)
+
+        non_event = any(not 0 <= j < n for key in overrides for j in key)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(range(n), k) for k in range(n + 1))
+        gap = max(abs(space.subset_amplitude(s) - sum(
+            (space.event_amplitude(j) for j in frozenset(s)), 0j))
+                  for s in subsets)
+        assert any(v.startswith("Q3") for v in report.violations) == (
+            non_event or gap > _AXIOM_TOL)
+
+    def test_non_finite_amplitude_fails_q2(self):
+        space = AmplitudeEventSpace((float("nan"), 1.0), (1.0, 1.0))
+        report = check_axioms(space)
+        assert "Q2: event 0 has non-finite amplitude" in report.violations
+
+    def test_imaginary_density_flagged(self):
+        space = AmplitudeEventSpace((1.0,), (1j,))
+        report = check_axioms(space, skip={"Q4"})
+        assert report.violations == ["positivity: event 0 density 1j is "
+                                     "not real"]

@@ -93,7 +93,7 @@ class TestInnerProduct:
             gap = abs(quadrature_inner_product(f, f) - inner_product(f, f))
             assert gap < 1e-8
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(n_f=st.integers(0, 12), n_g=st.integers(0, 12),
            hbar=st.floats(0.25, 4.0), seed=st.integers(0, 2 ** 32 - 1))
     def test_quadrature_matches_pairing_on_cross_pairs(self, n_f, n_g, hbar,
@@ -214,7 +214,7 @@ class TestLadders:
         np.testing.assert_allclose(
             commutator_defect(6, 2.0, include_edge=True), 14.0, atol=1e-12)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(n_max=st.integers(2, 60),
            hbar=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
     def test_commutator_defect_over_random_truncations_and_scales(

@@ -418,7 +418,7 @@ def same_sector(groups, d):
 class TestSectorProperties:
     """Decoherence and sector algebra over generated partitions."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(partition=sector_partitions(), seed=st.integers(0, 2 ** 32 - 1))
     def test_decohere_is_an_exact_pinching(self, partition, seed):
         groups, sectors = partition
@@ -431,7 +431,7 @@ class TestSectorProperties:
         assert np.all(once.matrix[cross] == 0.0)
         assert np.array_equal(once.matrix[~cross], rho.matrix[~cross])
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(partition=sector_partitions(), seed=st.integers(0, 2 ** 32 - 1))
     def test_block_diagonal_operators_are_physical(self, partition, seed):
         groups, sectors = partition
@@ -447,7 +447,7 @@ class TestSectorProperties:
             op[i, j] = 0.25 - 0.5j
             assert sector_defect(op, sectors) == abs(0.25 - 0.5j)
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @settings(max_examples=120)
     @given(partition=sector_partitions(), seed=st.integers(0, 2 ** 32 - 1),
            lowest=st.sampled_from([None, 0.0, -0.5e-12, -0.99e-12,
                                    -1.01e-12, -1.5e-12, -1e-3]),

@@ -284,7 +284,7 @@ class TestGibbsMeasure:
         np.testing.assert_allclose(region_probability(half, osc), 0.5,
                                    atol=1e-8)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(case=st.one_of(oscillator_and_rectangle(),
                           oscillator_and_disk(radius=10.0, centre=5.0)))
     def test_region_probability_matches_dblquad(self, case):
@@ -298,7 +298,7 @@ class TestGibbsMeasure:
         assert abs(region_probability(Disk(200.0, 200.0, 0.0), osc)
                    - OFFSET_DISK_MASS) <= 1e-7
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(case=oscillator_and_disk(radius=50.0, centre=50.0))
     # An edge crossing the Gibbs bulk steeply in the angle: one unpaneled
     # outer rule had 48 and 64 nodes agree on a value 1.3e-7 off here.

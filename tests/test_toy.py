@@ -229,7 +229,7 @@ _REQUIREMENT = st.tuples(
 class TestSpectralSearch:
     """Multi-step requirements generated by an actual matrix."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(a=_PARAM, b=_PARAM,
            requirements=st.lists(_REQUIREMENT, min_size=1, max_size=4))
     @example(a=1.0, b=0.0, requirements=[(0.3, 2), (1.0, 7)])  # λ = 1
