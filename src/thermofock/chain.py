@@ -82,11 +82,6 @@ class ChainSpec:
                 f"gamma must be positive and finite, got {self.gamma}")
 
     @property
-    def brillouin(self) -> float:
-        """Half-width Δ = π/a of the Brillouin zone."""
-        return math.pi / self.spacing
-
-    @property
     def spring(self) -> float:
         """Effective spring constant γ/a² multiplying (q_{n+1}−q_n)²/2."""
         return self.gamma / self.spacing ** 2
@@ -188,10 +183,8 @@ def mode_transform(state: ChainState, spec: ChainSpec) -> ModeData:
     require(state.q.size == spec.n_sites,
             "state length does not match the chain")
     root_n = math.sqrt(spec.n_sites)
-    k = spec.k_grid()
-    return ModeData(k=k, omega=spec.dispersion(k),
-                    u=np.fft.fft(state.q) / root_n,
-                    p=np.fft.fft(state.p) / root_n)
+    return replace(normal_modes(spec), u=np.fft.fft(state.q) / root_n,
+                   p=np.fft.fft(state.p) / root_n)
 
 
 def inverse_transform(modes: ModeData, spec: ChainSpec) -> ChainState:
@@ -446,11 +439,9 @@ def fock_inner(phi1: MultiModeFockVector,
     orthonormal, so the inner product is the coefficient pairing.
     """
     require(phi1._same_structure(phi2), "mode structure / scale mismatch")
-    small, large = phi1.coeffs, phi2.coeffs
-    if len(large) < len(small):
-        return complex(np.conj(fock_inner(phi2, phi1)))
-    return complex(sum(c * np.conj(large[occ])
-                       for occ, c in small.items() if occ in large))
+    other = phi2.coeffs
+    return complex(sum(c * np.conj(other[occ])
+                       for occ, c in phi1.coeffs.items() if occ in other))
 
 
 def mm_raised(phi: MultiModeFockVector, mode: int) -> MultiModeFockVector:
@@ -520,8 +511,7 @@ def continuum_limit_error(m: float, k_window: float, a_list):
         require(0 < a < math.pi / k_window,
                 f"a={a} must lie in (0, pi/k_window): the window {k_window} "
                 "must sit inside the Brillouin zone")
-        chain_omega = np.sqrt(m ** 2 + (4.0 / a ** 2)
-                              * np.sin(0.5 * k * a) ** 2)
+        chain_omega = ChainSpec(2, spacing=a, mass=abs(m)).dispersion(k)
         results.append((float(a), float(np.max(np.abs(chain_omega - target)))))
     return results
 

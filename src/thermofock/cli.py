@@ -527,12 +527,10 @@ def _run_toy(cfg: RunConfig):
                          row.markov[0], row.markov[1], row.gap))
     comments = []
     if text == "hadamard" and cfg.params["steps"] >= 2:
-        h = toy_mod.ToyUnitary.hadamard().entries
-        one = np.abs(h @ np.array([1.0, 0.0])) ** 2
-        other = np.abs(h @ np.array([0.0, 1.0])) ** 2
+        one_step = np.abs(unitary.entries) ** 2
         verdict = toy_mod.markov_feasibility([
-            toy_mod.Constraint((1.0, 0.0), tuple(one), 1),
-            toy_mod.Constraint((0.0, 1.0), tuple(other), 1),
+            toy_mod.Constraint((1.0, 0.0), tuple(one_step[:, 0]), 1),
+            toy_mod.Constraint((0.0, 1.0), tuple(one_step[:, 1]), 1),
             toy_mod.Constraint((1.0, 0.0), (1.0, 0.0), 2),
             toy_mod.Constraint((0.0, 1.0), (0.0, 1.0), 2),
         ])

@@ -19,6 +19,7 @@ n-generator engine is provided.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,19 +61,13 @@ class _Graded2:
         return (self.c0, self.c1, self.c2, self.c12)
 
     def __add__(self, other):
-        if isinstance(other, _Graded2):
-            if type(other) is not type(self):
-                return NotImplemented
-            return type(self)(self.c0 + other.c0, self.c1 + other.c1,
-                              self.c2 + other.c2, self.c12 + other.c12)
-        # scalar lives in grade 0
-        return type(self)(self.c0 + other, self.c1, self.c2, self.c12)
-
-    __radd__ = __add__
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(self.c0 + other.c0, self.c1 + other.c1,
+                          self.c2 + other.c2, self.c12 + other.c12)
 
     def __sub__(self, other):
-        return self + (-1) * (other if isinstance(other, _Graded2)
-                              else type(self)(other))
+        return self + (-1) * other
 
     def __mul__(self, other):
         """Graded (wedge) product; scalars multiply coefficient-wise."""
@@ -98,17 +93,7 @@ class _Graded2:
         return self * other
 
     def is_zero(self):
-        return all(_abs_coeff(c) == 0 for c in self.coefficients())
-
-    def __repr__(self):
-        return (f"{type(self).__name__}(c0={self.c0!r}, c1={self.c1!r}, "
-                f"c2={self.c2!r}, c12={self.c12!r})")
-
-
-def _abs_coeff(c):
-    if isinstance(c, _Graded2):
-        return max(_abs_coeff(x) for x in c.coefficients())
-    return abs(c)
+        return all(abs(c) == 0 for c in self.coefficients())
 
 
 class ExteriorElement(_Graded2):
@@ -232,7 +217,7 @@ def fermion_density(q: complex) -> float:
     # unit: theta*theta_bar on e_q^e_p; its th1*th2 coefficient is -2i
     unit_top = (GrassmannElement.theta() * GrassmannElement.theta_bar()).c12
     value = top.c12 / unit_top
-    residual = max(abs(top.c0), _abs_coeff(top.c1), _abs_coeff(top.c2))
+    residual = max(abs(top.c0), abs(top.c1), abs(top.c2))
     require(residual <= 1e-12
             and abs(value.imag) <= 1e-12 * max(1.0, abs(value.real)),
             "fermionic pairing left a non-scalar remainder")
@@ -289,7 +274,7 @@ class AmplitudeEventSpace:
     subset's amplitude is the sum over its elements unless an explicit
     override is supplied.  Overrides exist so that additivity violations
     are constructible and detectable; only an override can break
-    additivity.
+    additivity.  Override keys are collections of event indices.
     """
 
     amp_e: tuple
@@ -300,6 +285,15 @@ class AmplitudeEventSpace:
         object.__setattr__(self, "amp_e", tuple(complex(a) for a in self.amp_e))
         object.__setattr__(self, "amp_ebar",
                            tuple(complex(a) for a in self.amp_ebar))
+        try:
+            keys = [frozenset(map(operator.index, key))
+                    for key in self.subset_overrides]
+        except TypeError:
+            raise ValueError("override keys must hold event indices") from None
+        require(len(set(keys)) == len(keys),
+                "two override keys name one subset")
+        object.__setattr__(self, "subset_overrides",
+                           dict(zip(keys, self.subset_overrides.values())))
 
     @property
     def n_events(self) -> int:
@@ -359,11 +353,13 @@ def check_axioms(space: AmplitudeEventSpace, mode: str = "nonrelativistic",
     commutator-style bivector coefficient, which vanishes identically
     for commuting scalar amplitudes and is reported as such.
 
-    ``skip`` names axiom labels (e.g. {"Q3"}) excluded from checking —
-    used by the axiom-independence smoke test.
+    ``skip`` names axiom labels among Q1..Q4 (e.g. {"Q3"}) excluded from
+    checking — used by the axiom-independence smoke test.
     """
     require(mode in _MODES, f"unknown mode {mode!r}; expected one of {_MODES}")
     skip = set(skip)
+    unknown = skip - {"Q1", "Q2", "Q3", "Q4"}
+    require(not unknown, f"skip names labels that are no axiom: {unknown}")
     violations = []
 
     if "Q1" not in skip:

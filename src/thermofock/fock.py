@@ -80,16 +80,10 @@ class FockVector:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.norm_squared() - 1.0) <= 1e-12
-
     @classmethod
-    def basis_state(cls, n: int, n_max: int | None = None,
+    def basis_state(cls, n: int, n_max: int,
                     hbar: float = 1.0) -> "FockVector":
-        """The basis vector Z_n, truncated at n_max (default n)."""
-        if n_max is None:
-            n_max = n
+        """The basis vector Z_n, truncated at n_max."""
         require(n <= n_max, f"basis index {n} exceeds truncation {n_max}")
         c = np.zeros(n_max + 1, dtype=complex)
         c[n] = 1.0

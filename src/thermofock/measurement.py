@@ -165,14 +165,6 @@ class BipartiteState:
         require(abs(float(np.sum(np.abs(a) ** 2)) - 1.0) <= 1e-12,
                 "state is not normalized within 1e-12")
 
-    @property
-    def d_object(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @property
-    def d_apparatus(self) -> int:
-        return self.amplitudes.shape[1]
-
     def schmidt_values(self) -> np.ndarray:
         """Singular values of the amplitude table, descending."""
         return np.linalg.svd(self.amplitudes, compute_uv=False)

@@ -15,6 +15,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermofock.chain import (
     ChainSpec,
@@ -471,6 +473,36 @@ class TestMultiModeLadders:
             mm_raised(state, 0)
         with pytest.raises(ValueError):
             hamiltonian_operator_apply(state, spec)
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_fock_inner_is_hermitian_and_matches_the_dense_pairing(self,
+                                                                   data):
+        modes = data.draw(st.integers(1, 3))
+        cutoff = data.draw(st.integers(1, 3))
+        sizes = data.draw(st.lists(st.integers(0, 6), min_size=2,
+                                   max_size=2, unique=True))
+        occupations = st.tuples(*[st.integers(0, cutoff)] * modes)
+        coefficients = st.builds(lambda r, phase: r * np.exp(1j * phase),
+                                 st.floats(0.1, 2.0),
+                                 st.floats(-math.pi, math.pi))
+        a, b = (MultiModeFockVector(modes, cutoff, data.draw(
+            st.dictionaries(occupations, coefficients, min_size=size,
+                            max_size=size)))
+            for size in sizes)
+        assert len(a.coeffs) != len(b.coeffs)
+
+        def dense(v):
+            out = np.zeros((cutoff + 1,) * modes, dtype=complex)
+            for occ, c in v.coeffs.items():
+                out[occ] = c
+            return out
+
+        oracle = np.vdot(dense(b), dense(a))   # Σ c_a conj(c_b)
+        tol = 1e-14 * math.sqrt(a.norm_squared() * b.norm_squared())
+        assert abs(fock_inner(a, b) - oracle) <= tol
+        assert abs(fock_inner(b, a) - np.conj(oracle)) <= tol
+        assert abs(fock_inner(a, b) - np.conj(fock_inner(b, a))) <= tol
 
     def test_vacuum_and_validation(self):
         vac = MultiModeFockVector.vacuum(3, 2)

@@ -69,6 +69,13 @@ class TestOutputShape:
                      if p.suffix == ".tmp"]
         assert leftovers == []
 
+    def test_out_naming_a_directory_exits_2_without_leftovers(self,
+                                                              tmp_path):
+        target = tmp_path / "table"
+        target.mkdir()
+        assert main(["toy", "--out", str(target)]) == 2
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_stdout_when_no_out_given(self, capsys):
         code = main(["states", "--experiment", "circle"])
         assert code == 0
@@ -161,8 +168,10 @@ class TestExitCodes:
 
     def test_malformed_config_line(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
-        config.write_text("beta\n", encoding="utf-8")
-        assert main(["sphere", "--config", str(config)]) == 2
+        for line in ("beta\n", "tmax =\n"):
+            config.write_text(line, encoding="utf-8")
+            assert main(["sphere", "--config", str(config)]) == 2
+            assert "expected 'key = value'" in capsys.readouterr().err
 
     def test_unreadable_config_value(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -431,6 +440,30 @@ class TestTableContents:
         np.testing.assert_allclose(values["delta_phi_rms"],
                                    2.0 * math.pi / math.sqrt(12.0),
                                    atol=1e-12)
+
+    def test_states_uncertainty_products(self, tmp_path):
+        text = run_to_file(tmp_path, ["states", "--experiment",
+                                      "uncertainty"])
+        _, header, rows = parse_csv(text)
+        assert header == ["n", "width_x", "width_k", "product"]
+        assert len(rows) == 7
+        for row in rows:
+            assert abs(float(row[3]) - (float(row[0]) + 0.5)) <= 1e-9
+
+    def test_states_exotic_number_statistics(self, tmp_path):
+        text = run_to_file(tmp_path, ["states", "--experiment", "exotic"])
+        _, _, rows = parse_csv(text)
+        values = {row[0]: float(row[1]) for row in rows}
+        assert values["number_mean"] == 1.0
+        assert values["number_variance"] == 0.0
+        assert values["overlap_with_two_particle"] == 0.0
+
+    def test_chain_nonrel_heavy_mass_overlap(self, tmp_path):
+        text = run_to_file(tmp_path, ["chain", "--experiment", "nonrel",
+                                      "--mass", "100"])
+        _, _, rows = parse_csv(text)
+        values = {row[0]: float(row[1]) for row in rows}
+        assert 1.0 - values["overlap"] <= 1e-3
 
     def test_states_singlet_masses(self, tmp_path):
         text = run_to_file(tmp_path, ["states", "--experiment", "singlet"])

@@ -336,6 +336,31 @@ class TestAxioms:
         assert any(v.startswith("Q3") for v in report.violations) == (
             non_event or gap > _AXIOM_TOL)
 
+    def test_tuple_keyed_override_is_read_and_checked(self):
+        root = np.sqrt(0.5)
+        space = AmplitudeEventSpace((root, root), (root, root),
+                                    subset_overrides={(0, 1): 0.9})
+        assert space.subset_amplitude({0, 1}) == 0.9
+        report = check_axioms(space, skip={"Q4"})
+        assert [v for v in report.violations if v.startswith("Q3")] == [
+            "Q3: additivity fails on override [0, 1] (gap 1.000e-01)"]
+
+    @pytest.mark.parametrize("overrides", [
+        {(0, 1): 0.5, frozenset({1, 0}): 0.5},   # one subset named twice
+        {0: 0.5},                                 # not a collection
+        {(0.5,): 0.5},                            # not an index
+        {"01": 0.5},                              # characters, not indices
+    ])
+    def test_bad_override_keys_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            AmplitudeEventSpace((1.0, 1.0), (0.5, 0.5),
+                                subset_overrides=overrides)
+
+    def test_skip_label_outside_the_axioms_rejected(self):
+        space = AmplitudeEventSpace((float("nan"), 1.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="Q9"):
+            check_axioms(space, skip={"Q9"})
+
     def test_non_finite_amplitude_fails_q2(self):
         space = AmplitudeEventSpace((float("nan"), 1.0), (1.0, 1.0))
         report = check_axioms(space)

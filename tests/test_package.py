@@ -1,15 +1,18 @@
 """Each module's ``__all__`` is the one declaration of its public API.
 
 The package ``__init__`` re-exports nothing, so this is the check that
-every public name is listed and that every listed name exists.
+every public name is listed and that every listed name exists.  A second
+check keeps private helpers from outliving their last caller.
 """
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+SRC = Path(__file__).resolve().parent.parent / "src" / "thermofock"
 MODULES = ("errors", "exterior", "charfn", "fock", "sphere", "chain",
            "states", "measurement", "toy", "cli")
 
@@ -39,3 +42,46 @@ def test_all_lists_exactly_the_public_definitions(name):
     assert set(exported) == defined_public_names(module)
     for entry in exported:
         assert hasattr(module, entry), f"thermofock.{name}.{entry}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _references(tree) -> Counter:
+    """Names a syntax tree reads: loaded names, attributes, imports."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_definition_has_a_reference():
+    """Each private function, class or constant (``_x``, not a dunder)
+    defined in the package is named somewhere in it besides its own
+    definition; a helper that only calls itself counts as unreferenced."""
+    defined, referenced = [], Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        referenced += _references(tree)
+        scopes = [tree] + [node for node in ast.walk(tree)
+                           if isinstance(node, ast.ClassDef)]
+        for node in (n for scope in scopes for n in scope.body):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined += [(path.name, t.id, 0) for t in targets
+                            if isinstance(t, ast.Name) and _is_private(t.id)]
+        defined += [(path.name, node.name, _references(node)[node.name])
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and _is_private(node.name)]
+    assert defined, "no private definitions found"
+    unreferenced = [f"{module}: {name}" for module, name, own in defined
+                    if referenced[name] <= own]
+    assert unreferenced == []
