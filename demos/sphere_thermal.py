@@ -58,7 +58,7 @@ print("3. Normalization and mean energy")
 print("=" * 70)
 mass = gibbs_normalization_check(osc)
 print(f"  quadrature mass: {mass:.12f}  (analytic 1)")
-mc, stderr = mean_energy(osc, method="monte_carlo", n=200000, seed=3)
+mc, stderr = mean_energy(osc, n=200000, seed=3)
 print(f"  Monte Carlo mean energy: {mc:.6f} +- {stderr:.6f}  "
       f"(target {1.0 / BETA})")
 median = gibbs_median_radius(osc)

@@ -27,13 +27,12 @@ frequency evolution approaches the free-particle phase e^{−ik²t/2m}.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .charfn import GridWaveFunction
-from .errors import guard, require
+from .errors import _indices, guard, require
 from .fock import hermite_function
 
 __all__ = [
@@ -80,6 +79,9 @@ class ChainSpec:
                 f"mass must be nonnegative and finite, got {self.mass}")
         require(0 < self.gamma < math.inf,
                 f"gamma must be positive and finite, got {self.gamma}")
+        require(0 < self.spacing * self.spacing < math.inf and 0 < self.spring
+                and self.mass * self.mass + 4.0 * self.spring < math.inf,
+                "a^2, gamma/a^2 or m^2 + 4 gamma/a^2 overflows or vanishes")
 
     @property
     def spring(self) -> float:
@@ -310,8 +312,8 @@ class Trajectory:
         return total_energies(np.asarray(self.q), np.asarray(self.p), spec)
 
 
-def evolve(state: ChainState, spec: ChainSpec, dt: float | None = None,
-           steps: int = 1000) -> Trajectory:
+def evolve(state: ChainState, spec: ChainSpec, dt: float | None = None, *,
+           steps: int) -> Trajectory:
     """Exact leapfrog map in normal coordinates.
 
     Kick–drift–kick with step h = dt acts on each rfft mode as the 2×2
@@ -327,7 +329,7 @@ def evolve(state: ChainState, spec: ChainSpec, dt: float | None = None,
     2/ω_max (|c| ≥ 1) are rejected.  Exactly time reversible, bounded
     energy oscillation with no secular drift.
     """
-    steps = operator.index(steps)
+    (steps,) = _indices((steps,), "steps must be an integer")
     require(steps >= 0, f"steps must be nonnegative, got {steps}")
     require(state.q.size == spec.n_sites,
             "state length does not match the chain")
@@ -393,8 +395,8 @@ class MultiModeFockVector:
                 "need modes >= 1 and cutoff >= 0")
         require(0 < self.hbar < math.inf,
                 f"hbar must be positive and finite, got {self.hbar}")
-        coeffs = {tuple(map(int, occ)): complex(c)
-                  for occ, c in self.coeffs.items()}
+        coeffs = {_indices(occ, "occupations must be tuples of integers"):
+                  complex(c) for occ, c in self.coeffs.items()}
         bad = [occ for occ in coeffs if not (
             len(occ) == self.modes and 0 <= min(occ)
             and max(occ) <= self.cutoff)]
@@ -416,12 +418,12 @@ class MultiModeFockVector:
                 and abs(self.hbar - other.hbar) <= 1e-15 * max(self.hbar,
                                                                other.hbar))
 
-    def add_scaled(self, other: "MultiModeFockVector",
-                   factor: complex = 1.0) -> "MultiModeFockVector":
+    def add_scaled(self,
+                   other: "MultiModeFockVector") -> "MultiModeFockVector":
         require(self._same_structure(other), "mode structure / scale mismatch")
         out = dict(self.coeffs)
         for occ, c in other.coeffs.items():
-            out[occ] = out.get(occ, 0j) + factor * c
+            out[occ] = out.get(occ, 0j) + c
         cutoff = max(self.cutoff, other.cutoff)
         return MultiModeFockVector(self.modes, cutoff, out, self.hbar)
 
@@ -535,7 +537,7 @@ def nonrelativistic_overlap(packet: GridWaveFunction, m: float,
     NumericalGuardError reports the tail mass (the heavy-mass regime is
     where the two evolutions agree).
     """
-    require(0 < m < math.inf, f"mass must be positive and finite, got {m}")
+    require(0 < m and m * m < math.inf, f"need 0 < m with finite m^2, got {m}")
     require(abs(t) < math.inf, f"time must be finite, got {t}")
     psi = packet.values
     k = 2.0 * math.pi * np.fft.fftfreq(packet.n, d=packet.dx)

@@ -14,8 +14,10 @@ characteristic functions of absolutely continuous distributions, and is
 exercised here as an executable identity.  The direct route is a dense
 quadrature sum; the autocorrelation runs its xi-integration over one
 full Nyquist period (2*pi/dx) with M = 4N points, where g on the
-lattice shifted by any real t is one zero-padded FFT.  For samples
-that vanish at the grid ends the two routes agree to machine precision.
+lattice shifted by any real t is one zero-padded FFT.  That lag sum is
+exactly dx * sum_i w_i^2 |psi_i|^2 exp(i t x_i) (discrete Parseval) where
+the direct route weighs with w_i, so the route gap measures only the
+end-point weights (w against w^2) and FFT rounding.
 
 All transforms use the convention g(xi) = (2*pi)^(-1/2) * S psi(x)
 exp(i*xi*x) dx; quadrature is trapezoidal on uniform grids.
@@ -36,7 +38,6 @@ __all__ = [
     "characteristic_function",
     "autocorrelation_charfn",
     "default_t_grid",
-    "fourier_amplitude",
     "verify_theorem",
 ]
 
@@ -188,16 +189,6 @@ def characteristic_function(p: DensityGrid, t_grid) -> CharacteristicSamples:
     return CharacteristicSamples(t, _dense_fourier(p.x, w, t))
 
 
-def fourier_amplitude(psi: GridWaveFunction, xi) -> np.ndarray:
-    """g(xi) = (2*pi)^(-1/2) * integral of psi(x) exp(i*xi*x) dx.
-
-    Direct trapezoidal quadrature, evaluated at arbitrary xi points.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    w = _trapezoid_weights(psi.n) * psi.values * psi.dx
-    return _dense_fourier(psi.x, w, xi) / np.sqrt(2.0 * np.pi)
-
-
 def _xi_lattice(psi: GridWaveFunction) -> tuple[int, float]:
     """Point count M = 4N and spacing of the xi lattice that covers one
     Nyquist period 2*pi/dx."""
@@ -217,16 +208,20 @@ def autocorrelation_charfn(psi: GridWaveFunction,
     with trapezoid weights w.  This holds for every real t, and the x0
     phases leave only exp(i t x0) in the integrand.
 
-    Discrete Parseval is exact on a full period, so the captured
-    spectral mass falls short of ||psi||^2 only through the halved
-    end-point weights; a relative shortfall above 1e-8 (samples that do
-    not vanish at the grid ends) raises NumericalGuardError.
+    Discrete Parseval is exact on a full period: for normalized psi and
+    every real t the lag sum is dx * sum_i w_i^2 |psi_i|^2 exp(i t x_i),
+    so its gap to the direct route is the two end-point terms (w - w^2
+    = 1/4 there) plus FFT rounding.  At t = 0 it is the captured spectral
+    mass; a relative shortfall above 1e-8 (samples that do not vanish at
+    the grid ends) raises NumericalGuardError.
     """
     if not psi.is_normalized:
         psi = psi.normalized()
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     require(np.all(np.isfinite(t)), "t values must be finite")
     m, dxi = _xi_lattice(psi)
+    require(m * psi.dx * m * psi.dx < np.inf,
+            f"the lattice weight (4 N dx)^2 overflows at dx = {psi.dx}")
     i = np.arange(psi.n)
     a = _trapezoid_weights(psi.n) * psi.values * np.where(i % 2, -1.0, 1.0)
     h0 = np.fft.ifft(a, m)

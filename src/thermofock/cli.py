@@ -243,9 +243,8 @@ def _run_sphere(cfg: RunConfig):
     osc = sphere_mod.ThermalOscillator(beta=beta)
     ks = sphere_mod.pushforward_ks_statistic(beta, n, cfg.seed)
     quad = sphere_mod.gibbs_normalization_check(osc)
-    mc, stderr = sphere_mod.mean_energy(osc, method="monte_carlo", n=n,
-                                        seed=cfg.seed)
-    analytic, _ = sphere_mod.mean_energy(osc, method="analytic")
+    mc, stderr = sphere_mod.mean_energy(osc, n, cfg.seed)
+    analytic = 1.0 / osc.beta
     gap_sigmas = abs(mc - analytic) / stderr if stderr > 0 else 0.0
     rows = [
         ("sphere_area", geometry.area),
@@ -284,11 +283,10 @@ def _chain_dispersion(cfg: RunConfig, spec):
     guard("negative coupling eigenvalue", -lam[0], _EIGVAL_FLOOR * lam[-1],
           "the coupling matrix is not positive semidefinite")
     oracle = np.sqrt(np.maximum(lam, 0.0))
-    dispersion_sorted = modes.omega[order]
     rows = []
     for idx, pos in enumerate(order):
         rows.append((float(modes.k[pos]), float(modes.omega[pos]),
-                     abs(float(dispersion_sorted[idx] - oracle[idx]))))
+                     abs(float(modes.omega[pos] - oracle[idx]))))
     worst = max(r[2] for r in rows)
     comments = [f"max dispersion defect vs dense eigenvalue oracle: "
                 f"{worst:.17g}"]
@@ -307,9 +305,12 @@ def _chain_equipartition(cfg: RunConfig, spec):
     modes = replace(chain_mod.normal_modes(spec),
                     u=np.fft.fft(q, axis=1) / root_n,
                     p=np.fft.fft(p, axis=1) / root_n)
-    energies = chain_mod.mode_energies(modes)
-    means = np.mean(energies, axis=0)
-    stderrs = np.std(energies, axis=0, ddof=1) / math.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore"):   # guarded below
+        energies = chain_mod.mode_energies(modes)
+        means = np.mean(energies, axis=0)
+        stderrs = np.std(energies, axis=0, ddof=1) / math.sqrt(n)
+    guard("non-finite means or stderrs", np.count_nonzero(~np.isfinite(
+        [means, stderrs])), 0, "the mode energies overflow; raise beta")
     rows = []
     for j in range(spec.n_sites):
         rows.append((float(modes.k[j]), float(modes.omega[j]),
@@ -323,12 +324,11 @@ def _chain_equipartition(cfg: RunConfig, spec):
 def _chain_continuum(cfg: RunConfig, spec):
     a_list = [cfg.params["spacing"] * 0.5 ** i for i in range(5)]
     pairs = chain_mod.continuum_limit_error(cfg.params["mass"], 1.0, a_list)
-    rows = []
-    prev = None
-    for a, err in pairs:
-        ratio = prev / err if prev is not None else math.nan
-        rows.append((a, err, ratio))
-        prev = err
+    errs = [err for _, err in pairs]
+    guard("halving steps with zero error", errs[1:].count(0.0), 0,
+          "the error is below rounding; raise the spacing or lower the mass")
+    ratios = [math.nan] + [prev / err for prev, err in zip(errs, errs[1:])]
+    rows = [(a, err, ratio) for (a, err), ratio in zip(pairs, ratios)]
     return ("lattice dispersion error against the continuum law under "
             "spacing halving", ("a", "max_error", "halving_ratio"), rows, [])
 
@@ -500,8 +500,7 @@ def _run_measure(cfg: RunConfig):
     within = table.within_3_sigma()
     rows = []
     for k in range(rho.d):
-        rows.append((float(k), float(np.abs(amps[k]) ** 2 if k < amps.size
-                                     else 0.0),
+        rows.append((float(k), float(np.abs(amps[k]) ** 2),
                      float(table.frequencies[k]), float(stderrs[k]),
                      1.0 if bool(within[k]) else 0.0))
     comments = [f"purity_before={before:.17g}",

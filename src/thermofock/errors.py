@@ -11,8 +11,11 @@ finite:
   accuracy cannot be vouched for with NumericalGuardError, unless
   ``value <= bound``.
 
-Bounds are module constants at the call sites, never arguments.
+Bounds are module constants at the call sites, never arguments, and
+``_indices`` coerces index lists, refusing a non-integer with ValueError.
 """
+
+import operator
 
 __all__ = ["NumericalGuardError", "guard", "require"]
 
@@ -38,3 +41,12 @@ def require(condition, message: str) -> None:
     """Raise ValueError(message) unless ``condition`` holds."""
     if not condition:
         raise ValueError(message)
+
+
+def _indices(values, message: str) -> tuple:
+    """``values`` as a tuple of ``operator.index`` integers; a non-integer
+    raises ValueError(message) instead of being truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(message) from None

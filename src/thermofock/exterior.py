@@ -19,12 +19,11 @@ n-generator engine is provided.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import require
+from .errors import _indices, require
 
 __all__ = [
     "ExteriorElement",
@@ -285,11 +284,8 @@ class AmplitudeEventSpace:
         object.__setattr__(self, "amp_e", tuple(complex(a) for a in self.amp_e))
         object.__setattr__(self, "amp_ebar",
                            tuple(complex(a) for a in self.amp_ebar))
-        try:
-            keys = [frozenset(map(operator.index, key))
-                    for key in self.subset_overrides]
-        except TypeError:
-            raise ValueError("override keys must hold event indices") from None
+        keys = [frozenset(_indices(k, "override keys must hold event indices"))
+                for k in self.subset_overrides]
         require(len(set(keys)) == len(keys),
                 "two override keys name one subset")
         object.__setattr__(self, "subset_overrides",

@@ -84,7 +84,7 @@ class FockVector:
     def basis_state(cls, n: int, n_max: int,
                     hbar: float = 1.0) -> "FockVector":
         """The basis vector Z_n, truncated at n_max."""
-        require(n <= n_max, f"basis index {n} exceeds truncation {n_max}")
+        require(0 <= n <= n_max, f"basis index {n} outside 0..{n_max}")
         c = np.zeros(n_max + 1, dtype=complex)
         c[n] = 1.0
         return cls(c, hbar)
@@ -297,19 +297,19 @@ def hermite_function(n: int, q) -> np.ndarray:
     recurrence Ψ_n = q sqrt(2/n) Ψ_{n-1} - sqrt((n-1)/n) Ψ_{n-2},
     Ψ_0 = π^{-1/4} e^{-q²/2}; accurate for n <= 200.
     """
-    require(n >= 0, "order must be nonnegative")
     q = np.asarray(q, dtype=float)
     return _hermite_table(n, q.ravel(), 1.0)[n].reshape(q.shape)
 
 
 def _hermite_table(n_max: int, q, hbar: float) -> np.ndarray:
     """Rows Ψ_0..Ψ_{n_max} of width-sqrt(ħ) Hermite functions on q."""
-    require(n_max <= _HERMITE_N_MAX,
-            f"order {n_max} above recurrence accuracy bound {_HERMITE_N_MAX}")
+    require(0 <= n_max <= _HERMITE_N_MAX, f"order {n_max} outside 0.."
+            f"{_HERMITE_N_MAX}, whose top is the recurrence accuracy bound")
     q = np.asarray(q, dtype=float)
     s = q / np.sqrt(hbar)
     table = np.empty((n_max + 1, q.size), dtype=float)
-    table[0] = np.pi ** -0.25 * np.exp(-0.5 * s * s)
+    with np.errstate(over="ignore"):   # s² = inf only where e^{-s²/2} is 0
+        table[0] = np.pi ** -0.25 * np.exp(-0.5 * s * s)
     if n_max >= 1:
         table[1] = np.sqrt(2.0) * s * table[0]
     for m in range(2, n_max + 1):

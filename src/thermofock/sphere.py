@@ -232,19 +232,11 @@ def gibbs_normalization_check(osc: ThermalOscillator) -> float:
     return val
 
 
-def mean_energy(osc: ThermalOscillator, method: str = "analytic",
-                n: int = 10000, seed: int = 0):
-    """Mean Gibbs energy with its error bar, as a (value, stderr) pair.
-
-    "analytic": 1/β exactly (equals ħω whenever βω = 1/ħ), stderr 0.
-    "monte_carlo": n >= 1000 Gaussian phase-space samples; the estimate
-    uses order-insensitive (sorted) summation so it is independent of
-    any sample-stream split.
-    """
-    if method == "analytic":
-        return 1.0 / osc.beta, 0.0
-    require(method == "monte_carlo", f"unknown method {method!r}")
-    require(n >= 1000, "monte_carlo needs n >= 1000")
+def mean_energy(osc: ThermalOscillator, n: int, seed: int):
+    """(mean, stderr) of the Gibbs energy from n >= 1000 Gaussian
+    phase-space samples (the exact mean is 1/β); sorted summation keeps
+    the estimate independent of any sample-stream split."""
+    require(n >= 1000, f"mean_energy needs n >= 1000 samples, got {n}")
     rng = np.random.default_rng(seed)
     q = rng.normal(0.0, 1.0 / (osc.omega * math.sqrt(osc.beta * osc.mass)),
                    size=n)
@@ -373,6 +365,14 @@ class PlanckConstants:
     k: float = 1.0
 
 
+def _expm1(x: float) -> float:
+    """e^x − 1, and inf where e^x lies beyond the double range."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
 def planck_density(nu: float, temperature: float,
                    constants: PlanckConstants = PlanckConstants()) -> float:
     """Spectral energy density u(ν, T) = (8πhν³/c³) / (e^{hν/kT} − 1)."""
@@ -380,7 +380,7 @@ def planck_density(nu: float, temperature: float,
             "nu and temperature must be positive and finite")
     x = constants.h * nu / (constants.k * temperature)
     prefactor = 8.0 * math.pi * constants.h * nu ** 3 / constants.c ** 3
-    return prefactor / math.expm1(x)
+    return prefactor / _expm1(x)
 
 
 def limit_ratios(nu: float, temperature: float,
@@ -388,12 +388,12 @@ def limit_ratios(nu: float, temperature: float,
     """(u/Wien, u/Rayleigh–Jeans) at x = hν/kT.
 
     u/Wien = 1/(1 − e^{−x}) → 1 as x → ∞;
-    u/RJ = x/(e^x − 1) → 1 as x → 0.
+    u/RJ = x/(e^x − 1) → 1 as x → 0, and is 0 once e^x overflows.
     """
     require(0 < nu < math.inf and 0 < temperature < math.inf,
             "nu and temperature must be positive and finite")
     x = constants.h * nu / (constants.k * temperature)
-    return 1.0 / (-math.expm1(-x)), x / math.expm1(x)
+    return 1.0 / (-math.expm1(-x)), x / _expm1(x)
 
 
 def classical_limit_table(hbar_values, omega: float):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .charfn import DensityGrid, GridWaveFunction
 from .chain import MultiModeFockVector, mm_raised
-from .errors import guard, require
+from .errors import _indices, guard, require
 
 __all__ = [
     "ModeProfile",
@@ -60,7 +60,7 @@ class ModeProfile:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", values)
-        support = frozenset(int(j) for j in self.support)
+        support = frozenset(_indices(self.support, "support must be integers"))
         object.__setattr__(self, "support", support)
         require(values.ndim == 1 and values.size > 0,
                 "profile values must form a nonempty 1-d array")

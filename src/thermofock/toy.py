@@ -325,7 +325,7 @@ class InterferenceRow:
     gap: float
 
 
-def interference_demo(steps: int = 2,
+def interference_demo(steps: int,
                       unitary: ToyUnitary | None = None) -> list:
     """Track (1, 0) under the unitary theory against the one Markov
     chain that reproduces its single-step law.

@@ -128,8 +128,7 @@ class TestAcceptance:
         osc = ThermalOscillator(beta=2.0)
         mass = gibbs_normalization_check(osc)
         norm_defect = abs(mass - 1.0)
-        estimate, stderr = mean_energy(osc, method="monte_carlo",
-                                       n=10**6, seed=11)
+        estimate, stderr = mean_energy(osc, n=10**6, seed=11)
         gap_sigmas = abs(estimate - 1.0 / osc.beta) / stderr
         ok = norm_defect < 1e-8 and gap_sigmas < 3.0
         elapsed = time.perf_counter() - start

@@ -420,7 +420,7 @@ class TestMultiModeLadders:
         state = MultiModeFockVector(4, 4, coeffs, hbar=1.0)
         lower_then_raise = mm_raised(mm_lowered(state, 1), 2)
         raise_then_lower = mm_lowered(mm_raised(state, 2), 1)
-        gap = lower_then_raise.add_scaled(raise_then_lower, -1.0)
+        gap = lower_then_raise.add_scaled(raise_then_lower.scaled(-1.0))
         assert math.sqrt(gap.norm_squared()) < 1e-12
 
     def test_same_mode_commutator_is_hbar(self):
@@ -434,8 +434,8 @@ class TestMultiModeLadders:
             for mode in range(3):
                 down_up = mm_lowered(mm_raised(state, mode), mode)
                 up_down = mm_raised(mm_lowered(state, mode), mode)
-                defect = down_up.add_scaled(up_down, -1.0).add_scaled(
-                    state.scaled(hbar), -1.0)
+                defect = down_up.add_scaled(up_down.scaled(-1.0)).add_scaled(
+                    state.scaled(-hbar))
                 assert math.sqrt(defect.norm_squared()) < 1e-12
 
     def test_occupation_basis_is_orthonormal(self):

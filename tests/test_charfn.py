@@ -20,7 +20,6 @@ from thermofock.charfn import (
     characteristic_function,
     default_t_grid,
     density_from_amplitude,
-    fourier_amplitude,
     verify_theorem,
 )
 from thermofock.errors import NumericalGuardError
@@ -54,6 +53,19 @@ def random_smooth_packet(rng, n=1024, span=30.0):
         return poly * np.exp(-u * u / (2.0 * width ** 2) + 1j * boost * x)
 
     return GridWaveFunction.sampled(values, -span / 2.0, span / n, n)
+
+
+def fourier_amplitude(psi, xi):
+    """Dense oracle for the FFT route: g(xi) = (2*pi)^(-1/2) times the
+    trapezoid sum of psi(x) exp(i*xi*x) dx, one row of phases per xi
+    point, 256 rows at a time."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    w = np.full(psi.n, psi.dx)
+    w[[0, -1]] *= 0.5
+    a = w * psi.values
+    g = [np.exp(1j * np.outer(xi[i:i + 256], psi.x)) @ a
+         for i in range(0, xi.size, 256)]
+    return np.concatenate(g) / np.sqrt(2.0 * np.pi)
 
 
 class TestDensityFromAmplitude:
@@ -270,6 +282,15 @@ class TestAutocorrelationProperty:
         auto = autocorrelation_charfn(psi, t)
         np.testing.assert_allclose(auto.values, dense_autocorrelation(psi, t),
                                    rtol=0.0, atol=1e-11)
+        # Discrete Parseval on the full period: the lag sum is the
+        # density transform with squared trapezoid weights, for any t.
+        # The phases t*x reach about 3e3 here, so they round near 1e-12.
+        w = np.ones(n)
+        w[[0, -1]] = 0.5
+        closed = psi.dx * np.exp(1j * np.outer(t, psi.x)) @ (
+            w * w * np.abs(psi.values) ** 2)
+        np.testing.assert_allclose(auto.values, closed, rtol=0.0,
+                                   atol=4e-12)
 
 
 class TestContainers:

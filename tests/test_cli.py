@@ -225,6 +225,27 @@ class TestExitCodes:
                      "--mass", "0"]) == 3
         assert "negative coupling eigenvalue" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--tmax", "800"],
+        ["chain", "--mass", "1e300"],
+        ["chain", "--spacing", "1e300"],
+        ["chain", "--spacing", "1e-300"],
+        ["chain", "--experiment", "continuum", "--mass", "1e10"],
+        ["charfn", "--span", "1e300"],
+        ["chain", "--experiment", "equipartition", "--beta", "1e-300"],
+        ["chain", "--experiment", "nonrel", "--mass", "1e300"],
+    ], ids=" ".join)
+    def test_extreme_float_flag_prints_finite_cells_or_refuses(
+            self, argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if code == 0:
+            _, _, rows = parse_csv(out)
+            assert not {"nan", "inf", "-inf"} & {c for r in rows for c in r}
+        else:
+            assert code in (2, 3) and out == ""
+            assert err.startswith(("error: ", "numerical guard: "))
+
     def test_missing_config_file(self, capsys):
         assert main(["toy", "--config", "/nonexistent/path.cfg"]) == 2
 

@@ -50,6 +50,13 @@ NON_FINITE_CALLS = {
         lambda: measurement.BipartiteState([[NAN]]),
     "measurement.entangle([nan])":
         lambda: measurement.entangle([NAN]),
+    "measurement.SectorStructure(nan charge)":
+        lambda: measurement.SectorStructure({0: (0,), 1: (1,)},
+                                            {0: NAN, 1: 1.0}),
+    "measurement.sector_defect(nan cross entry)":
+        lambda: measurement.sector_defect(np.array([[1.0, NAN], [0.0, 1.0]]),
+                                          measurement.SectorStructure
+                                          .singletons(2)),
     "measurement.rotation_2pi(nan spin)":
         lambda: measurement.rotation_2pi([1.0, 0.0], [0.5, NAN]),
     "exterior.bilinear_density(nan, 1)":
@@ -57,7 +64,8 @@ NON_FINITE_CALLS = {
     "sphere.ThermalOscillator(beta=inf)":
         lambda: sphere.ThermalOscillator(beta=INF),
     "sphere.mean_energy(beta=inf)":
-        lambda: sphere.mean_energy(sphere.ThermalOscillator(beta=INF)),
+        lambda: sphere.mean_energy(sphere.ThermalOscillator(beta=INF), 1000,
+                                   0),
     "sphere.Disk(1, q0=nan)":
         lambda: sphere.Disk(1.0, NAN, 0.0),
     "sphere.SphereGeometry(inf)":
@@ -136,6 +144,44 @@ BAD_COUNT_CALLS = {
 @pytest.mark.parametrize("call, message", list(BAD_COUNT_CALLS.values()),
                          ids=list(BAD_COUNT_CALLS))
 def test_counts_below_one_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+# An index is an integer in its range: a float is refused, not
+# truncated, and a negative index is refused, not wrapped.
+BAD_INDEX_CALLS = {
+    "chain.MultiModeFockVector({(0.7, 1.9): 1})":
+        (lambda: chain.MultiModeFockVector(2, 3, {(0.7, 1.9): 1.0,
+                                                  (0, 1): 2.0}),
+         "occupations must be tuples of integers"),
+    "measurement.SectorStructure({0: (0.5,)})":
+        (lambda: measurement.SectorStructure({0: (0.5,), 1: (1,)},
+                                             {0: 0.0, 1: 1.0}),
+         "sector indices must be integers"),
+    "states.ModeProfile(support=[0.9])":
+        (lambda: states.ModeProfile([1.0, 0.0, 0.0], [0.9]),
+         "support must be integers"),
+    "measurement.entangle(d_object=2.5)":
+        (lambda: measurement.entangle([0.6, 0.8], d_object=2.5),
+         "subsystem dimensions must be integers"),
+    "chain.evolve(steps=2.5)":
+        (lambda: chain.evolve(chain.ChainState.zero(8), chain.ChainSpec(8),
+                              steps=2.5),
+         "steps must be an integer"),
+    "fock.FockVector.basis_state(-1, 3)":
+        (lambda: fock.FockVector.basis_state(-1, 3),
+         "outside 0..3"),
+    "fock.from_position(n_max=-1)":
+        (lambda: fock.from_position(charfn.GridWaveFunction(
+            -10.0, 0.1, _gaussian_samples()), -1),
+         "order -1 outside 0..200"),
+}
+
+
+@pytest.mark.parametrize("call, message", list(BAD_INDEX_CALLS.values()),
+                         ids=list(BAD_INDEX_CALLS))
+def test_bad_indices_raise(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 

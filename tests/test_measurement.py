@@ -306,6 +306,22 @@ class TestSectors:
             # charge gap its norm equals the defect
             np.testing.assert_allclose(comm, defect, atol=1e-15)
 
+    @pytest.mark.parametrize("d", [3, 8, 50])
+    def test_commutator_matches_the_dense_products(self, d):
+        # The per-index form s_i F_ij - F_ij s_j against S F - F S from
+        # two dense products: equal bit for bit on finite input.
+        rng = np.random.default_rng(d)
+        groups = np.split(rng.permutation(d), [1, d // 2])
+        sectors = SectorStructure(
+            {k: tuple(g) for k, g in enumerate(groups)},
+            {k: float(q) for k, q in enumerate(rng.standard_normal(3))})
+        s = sectors.charge_operator()
+        for _ in range(10):
+            op = rng.standard_normal((d, d)) \
+                + 1j * rng.standard_normal((d, d))
+            assert charge_commutator_norm(op, sectors) \
+                == float(np.max(np.abs(s @ op - op @ s)))
+
     def test_operator_shape_guard(self):
         with pytest.raises(ValueError):
             sector_defect(np.eye(3), self.make_sectors())
