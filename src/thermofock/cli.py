@@ -24,13 +24,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import chain as chain_mod
-from . import charfn as charfn_mod
-from . import fock as fock_mod
-from . import measurement as measure_mod
-from . import sphere as sphere_mod
-from . import states as states_mod
-from . import toy as toy_mod
 from .errors import NumericalGuardError, guard, require
 
 __all__ = ["ConfigError", "RunConfig", "main", "run", "config_precedence"]
@@ -189,6 +182,7 @@ def config_precedence(subcommand: str, flag_values: dict,
 
 # ---------------------------------------------------------------------------
 # Subcommand runners: each returns (description, columns, rows, comments)
+# and imports the modules it calls, so a table loads only those.
 # ---------------------------------------------------------------------------
 
 _KERNEL_POINTS = (0.0 + 0.0j, 0.7 - 0.3j, 1.2 + 0.8j, -1.5j, 2.0 + 0.0j)
@@ -198,6 +192,7 @@ _EIGVAL_FLOOR = 1e-12
 
 
 def _run_fock(cfg: RunConfig):
+    from . import fock as fock_mod
     nmax = cfg.params["nmax"]
     require(nmax >= 0, f"nmax must be nonnegative, got {nmax}")
     hbar = cfg.params["hbar"]
@@ -236,6 +231,7 @@ def _run_fock(cfg: RunConfig):
 
 
 def _run_sphere(cfg: RunConfig):
+    from . import sphere as sphere_mod
     beta = cfg.params["beta"]
     radius = cfg.params["radius"]
     n = cfg.params["samples"]
@@ -261,6 +257,7 @@ def _run_sphere(cfg: RunConfig):
 
 
 def _run_spectrum(cfg: RunConfig):
+    from . import sphere as sphere_mod
     tmin, tmax = cfg.params["tmin"], cfg.params["tmax"]
     points = cfg.params["points"]
     require(0 < tmin < tmax < math.inf, "need 0 < tmin < tmax < inf")
@@ -277,6 +274,7 @@ def _run_spectrum(cfg: RunConfig):
 
 
 def _chain_dispersion(cfg: RunConfig, spec):
+    from . import chain as chain_mod
     modes = chain_mod.normal_modes(spec)
     order = np.argsort(modes.omega)
     lam = np.linalg.eigvalsh(spec.coupling_matrix())
@@ -296,6 +294,7 @@ def _chain_dispersion(cfg: RunConfig, spec):
 
 
 def _chain_equipartition(cfg: RunConfig, spec):
+    from . import chain as chain_mod
     beta = cfg.params["beta"]
     n = cfg.params["samples"]
     require(n >= 2, "equipartition needs at least 2 samples for its "
@@ -322,6 +321,7 @@ def _chain_equipartition(cfg: RunConfig, spec):
 
 
 def _chain_continuum(cfg: RunConfig, spec):
+    from . import chain as chain_mod
     a_list = [cfg.params["spacing"] * 0.5 ** i for i in range(5)]
     pairs = chain_mod.continuum_limit_error(cfg.params["mass"], 1.0, a_list)
     errs = [err for _, err in pairs]
@@ -334,6 +334,7 @@ def _chain_continuum(cfg: RunConfig, spec):
 
 
 def _chain_nonrel(cfg: RunConfig, spec):
+    from . import chain as chain_mod
     t = cfg.params["dt"] * cfg.params["steps"]
     packet = chain_mod.standard_packet()
     overlap = chain_mod.nonrelativistic_overlap(packet, cfg.params["mass"], t)
@@ -351,6 +352,7 @@ def _experiment(cfg: RunConfig, runners: dict):
 
 
 def _run_chain(cfg: RunConfig):
+    from . import chain as chain_mod
     spec = chain_mod.ChainSpec(cfg.params["sites"], cfg.params["spacing"],
                                cfg.params["mass"], cfg.params["gamma"])
     return _experiment(cfg, {
@@ -362,14 +364,22 @@ def _run_chain(cfg: RunConfig):
 
 
 def _run_charfn(cfg: RunConfig):
+    from . import charfn as charfn_mod
+    from . import fock as fock_mod
     which = cfg.params["packet"]
     span, points = cfg.params["span"], cfg.params["points"]
     require(points >= 2, f"need at least 2 grid points, got {points}")
     x0, dx = -span / 2.0, span / points
     orders = {"gaussian": 0, "hermite1": 1}
     require(which in orders, "packet must be gaussian or hermite1")
-    psi = charfn_mod.GridWaveFunction.sampled(
-        lambda x: fock_mod.hermite_function(orders[which], x), x0, dx, points)
+    # The packet has unit norm, so its samples must sum to it before
+    # normalisation; a grid too coarse or too short for it does not.
+    raw = charfn_mod.GridWaveFunction(x0, dx, fock_mod.hermite_function(
+        orders[which], x0 + dx * np.arange(points)))
+    require(raw.is_normalized, "span and points do not resolve the "
+            "unit-width packet: its sampled norm misses 1 by "
+            f"{abs(raw.norm_squared() - 1.0):.3g}")
+    psi = raw.normalized()
     t_grid = charfn_mod.default_t_grid(psi)
     direct = charfn_mod.characteristic_function(
         charfn_mod.density_from_amplitude(psi), t_grid)
@@ -387,6 +397,9 @@ def _run_charfn(cfg: RunConfig):
 
 
 def _states_uncertainty(cfg: RunConfig):
+    from . import charfn as charfn_mod
+    from . import fock as fock_mod
+    from . import states as states_mod
     nmax = cfg.params["nmax"]
     require(nmax >= 0, f"nmax must be nonnegative, got {nmax}")
     rows = []
@@ -401,6 +414,8 @@ def _states_uncertainty(cfg: RunConfig):
 
 
 def _states_exotic(cfg: RunConfig):
+    from . import chain as chain_mod
+    from . import states as states_mod
     f1 = states_mod.ModeProfile.from_values(
         [0.6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     f2 = states_mod.ModeProfile.from_values(
@@ -430,6 +445,8 @@ def _bump(center: float, halfwidth: float):
 
 
 def _states_singlet(cfg: RunConfig):
+    from . import charfn as charfn_mod
+    from . import states as states_mod
     n = 4001
     x0, dx = -10.0, 20.0 / n
     f1 = charfn_mod.GridWaveFunction.sampled(_bump(-4.0, 2.0), x0, dx, n)
@@ -449,6 +466,7 @@ def _states_singlet(cfg: RunConfig):
 
 
 def _states_circle(cfg: RunConfig):
+    from . import states as states_mod
     widths = states_mod.circle_uncertainty(1)
     rows = [
         ("delta_p", widths.delta_p),
@@ -468,7 +486,8 @@ def _run_states(cfg: RunConfig):
     })(cfg)
 
 
-def _parse_sectors(text: str, d: int) -> measure_mod.SectorStructure:
+def _parse_sectors(text: str, d: int):
+    from . import measurement as measure_mod
     if not text:
         return measure_mod.SectorStructure.singletons(d)
     sectors, charges = {}, {}
@@ -481,6 +500,7 @@ def _parse_sectors(text: str, d: int) -> measure_mod.SectorStructure:
 
 
 def _run_measure(cfg: RunConfig):
+    from . import measurement as measure_mod
     amps = np.array([float(tok) for tok in cfg.params["amps"].split(",")
                      if tok.strip()], dtype=complex)
     require(amps.size > 0, "need at least one branch amplitude")
@@ -512,6 +532,7 @@ def _run_measure(cfg: RunConfig):
 
 
 def _run_toy(cfg: RunConfig):
+    from . import toy as toy_mod
     text = cfg.params["matrix"]
     if text == "hadamard":
         unitary = toy_mod.ToyUnitary.hadamard()

@@ -348,7 +348,8 @@ def bargmann_kernel(z: complex, q, n_max: int = 64,
     basis[0] = 1.0
     for m in range(1, n_max + 1):
         basis[m] = basis[m - 1] * z / np.sqrt(m * hbar)
-    return basis @ table
+    # einsum, not BLAS: zgemv rounds by its thread count
+    return np.einsum("m,mj->j", basis, table)
 
 
 def to_position(f: FockVector, grid) -> GridWaveFunction:

@@ -375,12 +375,22 @@ def _expm1(x: float) -> float:
 
 def planck_density(nu: float, temperature: float,
                    constants: PlanckConstants = PlanckConstants()) -> float:
-    """Spectral energy density u(ν, T) = (8πhν³/c³) / (e^{hν/kT} − 1)."""
+    """Spectral energy density u(ν, T) = (8πhν³/c³) / (e^{hν/kT} − 1).
+
+    It is 0, its limit, once e^x overflows; a density beyond the double
+    range at a finite x raises ValueError.
+    """
     require(0 < nu < math.inf and 0 < temperature < math.inf,
             "nu and temperature must be positive and finite")
     x = constants.h * nu / (constants.k * temperature)
-    prefactor = 8.0 * math.pi * constants.h * nu ** 3 / constants.c ** 3
-    return prefactor / _expm1(x)
+    denominator = _expm1(x)
+    if denominator == math.inf:
+        return 0.0
+    ratio = nu / constants.c   # float products saturate where ** raises
+    density = 8.0 * math.pi * constants.h * ratio * ratio * ratio / denominator
+    require(density < math.inf, f"the density at nu={nu:.3g}, "
+            f"T={temperature:.3g} lies beyond the double range")
+    return density
 
 
 def limit_ratios(nu: float, temperature: float,

@@ -46,6 +46,13 @@ def parse_csv(text):
     return comments, header, rows
 
 
+def child_env(**extra):
+    """The environment of a child interpreter that sees only this
+    checkout's package, with ``extra`` variables set."""
+    src = str(Path(thermofock.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=src, **extra)
+
+
 def config_echo(text):
     for line in text.splitlines():
         if line.startswith("# config: "):
@@ -105,6 +112,17 @@ class TestDeterminism:
         first = run_to_file(tmp_path, argv, "a.json")
         second = run_to_file(tmp_path, argv, "b.json")
         assert first == second
+
+    def test_fock_table_does_not_depend_on_the_blas_thread_count(self):
+        tables = set()
+        for threads in ("1", "2", "4"):
+            done = subprocess.run(
+                [sys.executable, "-m", "thermofock.cli", "fock",
+                 "--seed", "12345"],
+                env=child_env(OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, timeout=120, check=True)
+            tables.add(done.stdout)
+        assert len(tables) == 1
 
     def test_different_seeds_differ(self, tmp_path):
         base = ["measure", "--samples", "5000"]
@@ -204,6 +222,11 @@ class TestExitCodes:
              "sectors must partition 0..d-1 exactly once"),
             (["toy", "--matrix", "1,2,3"],
              "matrix must be 'hadamard' or four comma-separated numbers"),
+            # one sample carries the packet; t = 6 is past Nyquist
+            (["charfn", "--span", "1e30"], "do not resolve the unit-width"),
+            (["charfn", "--span", "400"], "do not resolve the unit-width"),
+            (["charfn", "--packet", "hermite1", "--span", "400"],
+             "do not resolve the unit-width"),
         ]:
             assert main(argv) == 2
             out, err = capsys.readouterr()
@@ -513,18 +536,39 @@ def _modules_after(script):
     """Sorted sys.modules names after running ``script`` in a fresh
     interpreter that sees only this checkout's package."""
     script += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
-    src = str(Path(thermofock.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(),
                           capture_output=True, text=True, timeout=120,
                           check=True)
     return json.loads(done.stdout)
 
 
+# Each table and the thermofock modules besides cli and errors that it
+# loads: chain imports charfn and fock, and states imports chain.
+CHAIN_MODULES = {"charfn", "fock", "chain"}
+STATES_MODULES = CHAIN_MODULES | {"states"}
+FOOTPRINTS = [
+    ("toy", {"toy"}),
+    ("measure --samples 1000", {"measurement"}),
+    ("sphere --samples 2000", {"sphere"}),
+    ("spectrum", {"sphere"}),
+    ("fock --nmax 4", {"charfn", "fock"}),
+    ("charfn", {"charfn", "fock"}),
+    ("chain --experiment dispersion --sites 8", CHAIN_MODULES),
+    ("chain --experiment equipartition --sites 8 --samples 100",
+     CHAIN_MODULES),
+    ("chain --experiment continuum", CHAIN_MODULES),
+    ("chain --experiment nonrel --mass 100", CHAIN_MODULES),
+    ("states --experiment uncertainty --nmax 1", STATES_MODULES),
+    ("states --experiment exotic", STATES_MODULES),
+    ("states --experiment singlet", STATES_MODULES),
+    ("states --experiment circle", STATES_MODULES),
+]
+
+
 class TestImportFootprint:
     """No table loads scipy: it is a test-only oracle.  Importing the
-    package loads nothing else; importing a module loads only what it
-    uses."""
+    package loads nothing else; importing a module, or running a table,
+    loads only what it uses."""
 
     def test_package_import_loads_no_submodule_and_no_numpy(self):
         loaded = _modules_after("import thermofock")
@@ -536,6 +580,19 @@ class TestImportFootprint:
         assert "thermofock.toy" in loaded
         for name in ("chain", "fock", "sphere"):
             assert f"thermofock.{name}" not in loaded
+
+    @pytest.mark.parametrize("argv, modules", FOOTPRINTS,
+                             ids=[argv for argv, _ in FOOTPRINTS])
+    def test_table_loads_only_the_modules_it_runs(self, argv, modules):
+        loaded = _modules_after(
+            "import contextlib, io\n"
+            "from thermofock.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv.split()!r})\n"
+            "if code:\n"
+            "    raise SystemExit(code)\n")
+        assert {m.split(".", 1)[1] for m in loaded
+                if m.startswith("thermofock.")} == {"cli", "errors"} | modules
 
     def test_no_scipy_after_import_or_default_tables(self):
         script = (
@@ -551,9 +608,7 @@ class TestImportFootprint:
             "             main(['sphere', '--samples', '2000'])]\n"
             "seen.append(scipy_modules())\n"
             "print(json.dumps({'codes': codes, 'seen': seen}))\n")
-        src = str(Path(thermofock.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", script], env=env,
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(),
                               capture_output=True, text=True, timeout=120,
                               check=True)
         report = json.loads(done.stdout)

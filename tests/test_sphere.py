@@ -362,6 +362,14 @@ class TestBlackbody:
         for nu in np.geomspace(1e-3, 1e3, 20):
             assert planck_density(nu, 2.0, consts) > 0.0
 
+    def test_density_is_zero_where_the_exponential_overflows(self):
+        assert planck_density(1e103, 1.0) == 0.0
+        assert planck_density(1e3, 1.0) == 0.0
+
+    def test_infinite_density_is_refused(self):
+        with pytest.raises(ValueError, match="beyond the double range"):
+            planck_density(1e103, 1e103)
+
     def test_classical_limit_table(self):
         rows = classical_limit_table([1.0, 0.5, 0.25], omega=2.0)
         assert len(rows) == 3
