@@ -13,10 +13,12 @@ The equality of the two routes characterizes which functions are
 characteristic functions of absolutely continuous distributions, and is
 exercised here as an executable identity.  The direct route is a dense
 quadrature sum; the autocorrelation runs its xi-integration over one
-full Nyquist period (2*pi/dx) with M = 4N points, where g on the
-lattice shifted by any real t is one zero-padded FFT.  That lag sum is
-exactly dx * sum_i w_i^2 |psi_i|^2 exp(i t x_i) (discrete Parseval) where
-the direct route weighs with w_i, so the route gap measures only the
+full Nyquist period (2*pi/dx) with M = 4N points.  A shift of g by whole
+lattice steps is an index shift, so the route takes one zero-padded FFT
+per distinct off-lattice remainder of the t values: one for a grid on
+the lattice.  That lag sum is exactly
+dx * sum_i w_i^2 |psi_i|^2 exp(i t x_i) (discrete Parseval) where the
+direct route weighs with w_i, so the route gap measures only the
 end-point weights (w against w^2) and FFT rounding.
 
 All transforms use the convention g(xi) = (2*pi)^(-1/2) * S psi(x)
@@ -206,7 +208,10 @@ def autocorrelation_charfn(psi: GridWaveFunction,
     g(xi_j + t) = exp(i (xi_j + t) x0) h_t[j], where h_t is one
     zero-padded inverse FFT of a_i exp(i t dx i), a_i = w_i psi_i (-1)^i
     with trapezoid weights w.  This holds for every real t, and the x0
-    phases leave only exp(i t x0) in the integrand.
+    phases leave only exp(i t x0) in the integrand.  With t = s dxi + r,
+    s = round(t / dxi), the factor exp(i s dxi dx i) = exp(2 pi i s i / M)
+    shifts the index: h_t[j] = h_r[(j + s) mod M].  So there is one FFT per
+    distinct remainder r, and each lag sum is two slice dot products.
 
     Discrete Parseval is exact on a full period: for normalized psi and
     every real t the lag sum is dx * sum_i w_i^2 |psi_i|^2 exp(i t x_i),
@@ -231,10 +236,18 @@ def autocorrelation_charfn(psi: GridWaveFunction,
           _TAIL_TOL,
           "the samples do not vanish at the grid ends; widen the grid")
     h0bar_w = np.conj(h0) * weight
+    steps = np.round(t / dxi)
+    rest = t - steps * dxi
+    shift = np.mod(steps, m).astype(np.intp)
     values = np.empty(t.size, dtype=complex)
-    for k, tk in enumerate(t):
-        h = np.fft.ifft(a * np.exp(1j * tk * psi.dx * i), m)
-        values[k] = np.exp(1j * tk * psi.x0) * (h @ h0bar_w)
+    r = np.nan
+    for k in np.argsort(rest):   # equal remainders share one transform
+        if rest[k] != r:
+            r = rest[k]
+            h = np.fft.ifft(a * np.exp(1j * r * psi.dx * i), m)
+        s = shift[k]
+        values[k] = np.exp(1j * t[k] * psi.x0) * (
+            h[s:] @ h0bar_w[:m - s] + h[:s] @ h0bar_w[m - s:])
     return CharacteristicSamples(t, values)
 
 

@@ -502,12 +502,13 @@ def _parse_sectors(text: str, d: int):
 def _run_measure(cfg: RunConfig):
     from . import measurement as measure_mod
     amps = np.array([float(tok) for tok in cfg.params["amps"].split(",")
-                     if tok.strip()], dtype=complex)
+                     if tok.strip()])
     require(amps.size > 0, "need at least one branch amplitude")
-    norm = np.linalg.norm(amps)
-    require(0 < norm < math.inf,
+    # Scaled by the largest modulus first, the norm cannot overflow.
+    scale = float(np.max(np.abs(amps)))
+    require(0 < scale < math.inf,
             "branch amplitudes must be finite and not all zero")
-    amps = amps / norm
+    amps = amps / (scale * np.linalg.norm(amps / scale))
     state = measure_mod.entangle(amps)
     rho = measure_mod.reduced_density(state, "apparatus")
     sectors = _parse_sectors(cfg.params["sectors"], rho.d)

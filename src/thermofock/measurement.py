@@ -48,6 +48,16 @@ _HERM_TOL = 1e-12
 _EIG_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _SCHMIDT_TOL = 1e-12   # singular values above it count toward the rank
+_BLOCK_ELEMENTS = 2 ** 16   # entries per row block of the Hermiticity check
+
+
+def _hermitian_defect(m: np.ndarray) -> float:
+    """max |m − m^H|, one block of rows at a time so that no temporary
+    holds more than about 2^16 entries; NaN propagates."""
+    d = m.shape[0]
+    b = max(1, _BLOCK_ELEMENTS // d)
+    return float(np.max([np.max(np.abs(m[i:i + b] - m[:, i:i + b].conj().T))
+                         for i in range(0, d, b)]))
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,7 @@ class DensityMatrix:
     def _check(self, m: np.ndarray, spectrum: bool) -> None:
         require(m.ndim == 2 and m.shape[0] == m.shape[1] and m.shape[0] > 0,
                 "density matrix must be square and nonempty")
-        require(float(np.max(np.abs(m - m.conj().T))) <= _HERM_TOL,
+        require(_hermitian_defect(m) <= _HERM_TOL,
                 "matrix is not Hermitian within 1e-12")
         if spectrum:
             require(float(np.min(np.linalg.eigvalsh(m))) >= -_EIG_TOL,

@@ -25,6 +25,7 @@ quantum vanishes round out the module.  Orientation convention: arg z =
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ _CLIP = 12.0   # Gibbs widths kept on each axis by the quadrature
 _PANELS = 8    # equal panels of the outer Gauss–Legendre rule
 # Gibbs mass outside the clipped square, as a fraction of the full plane
 _CLIP_TAIL = 2.0 * math.erfc(_CLIP / math.sqrt(2.0))
+# Above this radius the sphere area 4πR² overflows.
+_MAX_RADIUS = math.sqrt(sys.float_info.max / (4.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,8 @@ class SphereGeometry:
     def __post_init__(self):
         require(0 < self.radius < math.inf,
                 f"radius must be positive and finite, got {self.radius}")
+        require(self.radius <= _MAX_RADIUS, f"the area 4 pi R^2 of radius "
+                f"{self.radius:.3g} lies beyond the double range")
 
     @property
     def area(self) -> float:
@@ -241,8 +246,17 @@ def mean_energy(osc: ThermalOscillator, n: int, seed: int):
     q = rng.normal(0.0, 1.0 / (osc.omega * math.sqrt(osc.beta * osc.mass)),
                    size=n)
     p = rng.normal(0.0, math.sqrt(osc.mass / osc.beta), size=n)
-    energies = np.sort(osc.energy(q, p))
+    with np.errstate(over="ignore"):   # guarded below
+        energies = np.sort(osc.energy(q, p))
+    # An n-term sum stays in the double range (math.fsum raises past it)
+    # if n times its largest term does.
+    hint = "beta is too small for the energy moments to fit in a double"
+    guard("Monte Carlo energy sum bound", n * float(energies[-1]),
+          sys.float_info.max, hint)
     mean = float(math.fsum(energies) / n)
+    spread = max(float(energies[-1]) - mean, mean - float(energies[0]))
+    guard("Monte Carlo squared deviation sum bound", n * spread * spread,
+          sys.float_info.max, hint)
     var = float(math.fsum((energies - mean) ** 2) / (n - 1))
     return mean, math.sqrt(var / n)
 
@@ -373,21 +387,33 @@ def _expm1(x: float) -> float:
         return math.inf
 
 
-def planck_density(nu: float, temperature: float,
-                   constants: PlanckConstants = PlanckConstants()) -> float:
-    """Spectral energy density u(ν, T) = (8πhν³/c³) / (e^{hν/kT} − 1).
+def _planck_x(nu: float, temperature: float,
+              constants: PlanckConstants) -> tuple[float, float]:
+    """x = hν/kT and u/RJ = x/(e^x − 1).
 
-    It is 0, its limit, once e^x overflows; a density beyond the double
-    range at a finite x raises ValueError.
-    """
+    u/RJ is 1, its limit, where x underflows to 0, and 0 once e^x
+    overflows."""
     require(0 < nu < math.inf and 0 < temperature < math.inf,
             "nu and temperature must be positive and finite")
     x = constants.h * nu / (constants.k * temperature)
-    denominator = _expm1(x)
-    if denominator == math.inf:
+    return x, (x / _expm1(x) if x > 0.0 else 1.0)
+
+
+def planck_density(nu: float, temperature: float,
+                   constants: PlanckConstants = PlanckConstants()) -> float:
+    """Spectral energy density u(ν, T) = (8πhν³/c³) / (e^{hν/kT} − 1),
+    evaluated as the Rayleigh–Jeans density 8πν²kT/c³ times u/RJ.
+
+    It is the Rayleigh–Jeans density where x = hν/kT underflows, and 0
+    once e^x overflows; a density beyond the double range raises
+    ValueError.
+    """
+    _, rj = _planck_x(nu, temperature, constants)
+    if rj == 0.0:
         return 0.0
     ratio = nu / constants.c   # float products saturate where ** raises
-    density = 8.0 * math.pi * constants.h * ratio * ratio * ratio / denominator
+    thermal = constants.k * temperature / constants.c
+    density = 8.0 * math.pi * ratio * thermal * ratio * rj
     require(density < math.inf, f"the density at nu={nu:.3g}, "
             f"T={temperature:.3g} lies beyond the double range")
     return density
@@ -397,13 +423,15 @@ def limit_ratios(nu: float, temperature: float,
                  constants: PlanckConstants = PlanckConstants()):
     """(u/Wien, u/Rayleigh–Jeans) at x = hν/kT.
 
-    u/Wien = 1/(1 − e^{−x}) → 1 as x → ∞;
+    u/Wien = 1/(1 − e^{−x}) → 1 as x → ∞, and about 1/x as x → 0: where
+    it leaves the double range it raises ValueError;
     u/RJ = x/(e^x − 1) → 1 as x → 0, and is 0 once e^x overflows.
     """
-    require(0 < nu < math.inf and 0 < temperature < math.inf,
-            "nu and temperature must be positive and finite")
-    x = constants.h * nu / (constants.k * temperature)
-    return 1.0 / (-math.expm1(-x)), x / _expm1(x)
+    x, rj = _planck_x(nu, temperature, constants)
+    wien = 1.0 / (-math.expm1(-x)) if x > 0.0 else math.inf
+    require(wien < math.inf,
+            f"u/Wien at x = hv/kT = {x:.3g} lies beyond the double range")
+    return wien, rj
 
 
 def classical_limit_table(hbar_values, omega: float):

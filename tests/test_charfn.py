@@ -68,6 +68,19 @@ def fourier_amplitude(psi, xi):
     return np.concatenate(g) / np.sqrt(2.0 * np.pi)
 
 
+def count_ifft(monkeypatch):
+    """Route np.fft.ifft through a recorder; returns the list of the
+    transform lengths it was called with."""
+    lengths = []
+    ifft = np.fft.ifft
+
+    def recorded(a, n=None, *args, **kwargs):
+        lengths.append(n)
+        return ifft(a, n, *args, **kwargs)
+    monkeypatch.setattr(np.fft, "ifft", recorded)
+    return lengths
+
+
 class TestDensityFromAmplitude:
     """Squared-modulus densities and their grid bookkeeping."""
 
@@ -291,6 +304,30 @@ class TestAutocorrelationProperty:
             w * w * np.abs(psi.values) ** 2)
         np.testing.assert_allclose(auto.values, closed, rtol=0.0,
                                    atol=4e-12)
+
+
+class TestLatticeShifts:
+    """A lattice step of t is an index shift, not another FFT."""
+
+    def test_default_grid_costs_one_on_lattice_point(self, monkeypatch):
+        psi = gaussian_packet(n=512)
+        grid = default_t_grid(psi)
+        calls = count_ifft(monkeypatch)
+        autocorrelation_charfn(psi, grid[7:8])
+        one_point = len(calls)
+        autocorrelation_charfn(psi, grid)
+        assert len(calls) == 2 * one_point
+
+    def test_one_fft_per_distinct_remainder(self, monkeypatch):
+        psi = gaussian_packet(n=512)
+        dxi = 2.0 * np.pi / psi.dx / (4 * psi.n)
+        t = dxi * np.array([3.0, 3.25, -40.25, 3.5, 0.0])
+        calls = count_ifft(monkeypatch)
+        auto = autocorrelation_charfn(psi, t)
+        # the mass transform, then remainders 0, dxi/4, -dxi/4 and dxi/2
+        assert calls == [4 * psi.n] * 5
+        np.testing.assert_allclose(auto.values, dense_autocorrelation(psi, t),
+                                   rtol=0.0, atol=1e-11)
 
 
 class TestContainers:

@@ -257,6 +257,10 @@ class TestExitCodes:
         ["charfn", "--span", "1e300"],
         ["chain", "--experiment", "equipartition", "--beta", "1e-300"],
         ["chain", "--experiment", "nonrel", "--mass", "1e300"],
+        ["spectrum", "--tmin", "1e-320", "--tmax", "1", "--points", "3"],
+        ["sphere", "--radius", "3.6e167"],
+        ["sphere", "--radius", "1e154"],
+        ["sphere", "--beta", "2.6e-299"],
     ], ids=" ".join)
     def test_extreme_float_flag_prints_finite_cells_or_refuses(
             self, argv, capsys):
@@ -433,6 +437,18 @@ class TestTableContents:
         np.testing.assert_allclose(before, [0.36 ** 2 + 0.64 ** 2],
                                    atol=1e-12)
         assert after[0] <= before[0] + 1e-12
+
+    @pytest.mark.parametrize("amps, probs", [
+        ("1e200", [1.0]),
+        ("1e308,-1e308", [0.5, 0.5]),
+        ("3e-320,4e-320", [0.36, 0.64]),
+    ])
+    def test_measure_scales_extreme_amplitudes(self, tmp_path, amps, probs):
+        text = run_to_file(tmp_path, ["measure", "--amps", amps,
+                                      "--samples", "1000"])
+        _, _, rows = parse_csv(text)
+        np.testing.assert_allclose([float(row[1]) for row in rows], probs,
+                                   rtol=1e-15)
 
     def test_chain_continuum_ratios(self, tmp_path):
         text = run_to_file(tmp_path, ["chain", "--experiment", "continuum",

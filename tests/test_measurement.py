@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from thermofock.errors import NumericalGuardError
 from thermofock.measurement import (
+    _hermitian_defect,
     BipartiteState,
     DensityMatrix,
     SectorStructure,
@@ -62,6 +63,25 @@ class TestDensityMatrix:
     def test_nan_matrix_rejected(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.full((2, 2), np.nan))
+
+    @settings(max_examples=25)
+    @given(d=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1),
+           hermitian=st.booleans())
+    @example(d=1, seed=0, hermitian=False)
+    @example(d=300, seed=1, hermitian=True)   # blocks of 218 and 82 rows
+    @example(d=300, seed=2, hermitian=False)
+    def test_blocked_hermitian_defect_is_the_dense_one(self, d, seed,
+                                                       hermitian):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if hermitian:
+            m = m + m.conj().T
+        assert _hermitian_defect(m) == float(np.max(np.abs(m - m.conj().T)))
+
+    def test_hermitian_defect_propagates_nan(self):
+        m = np.eye(300, dtype=complex) / 300
+        m[299, 7] = np.nan
+        assert np.isnan(_hermitian_defect(m))
 
     def test_pure_projector(self):
         rho = DensityMatrix.pure([3.0, 4.0j])

@@ -132,6 +132,12 @@ def erf_simpson_disk_probability(disk, osc, panels=40000):
 class TestGeometry:
     """Stereographic projection and area bookkeeping."""
 
+    def test_radius_whose_area_overflows_is_refused(self):
+        assert SphereGeometry(3.7e153).area < math.inf
+        for radius in (1e154, 3.6e167):
+            with pytest.raises(ValueError, match="beyond the double range"):
+                SphereGeometry(radius)
+
     def test_sphere_area(self):
         np.testing.assert_allclose(SphereGeometry(2.0).area,
                                    16.0 * math.pi, atol=1e-12)
@@ -369,6 +375,35 @@ class TestBlackbody:
     def test_infinite_density_is_refused(self):
         with pytest.raises(ValueError, match="beyond the double range"):
             planck_density(1e103, 1e103)
+
+    def test_underflowing_x_gives_the_rayleigh_jeans_density(self):
+        # x = h nu / kT = 1e-600 underflows to 0; u = 8 pi nu^2 kT / c^3.
+        np.testing.assert_allclose(planck_density(1e-300, 1e300),
+                                   8.0 * math.pi * 1e-300, rtol=1e-15)
+        consts = PlanckConstants(h=2.0, c=3.0, k=1.5)
+        np.testing.assert_allclose(planck_density(1e-160, 1e160, consts),
+                                   8.0 * math.pi * 1.5e-160 / 27.0,
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("nu, temperature", [
+        (1e-300, 1e300),   # x underflows to 0
+        (1e-320, 1.0),     # subnormal x: u/Wien ~ 1/x overflows
+        (1e-309, 1.0),
+    ])
+    def test_wien_ratio_beyond_the_double_range_is_refused(self, nu,
+                                                            temperature):
+        with pytest.raises(ValueError, match="u/Wien"):
+            limit_ratios(nu, temperature)
+
+    def test_smallest_x_with_a_finite_wien_ratio(self):
+        wien, rayleigh = limit_ratios(1e-300, 1.0)
+        np.testing.assert_allclose(wien, 1e300, rtol=1e-15)
+        assert rayleigh == 1.0
+
+    def test_tiny_beta_mean_energy_trips_the_guard(self):
+        osc = ThermalOscillator(beta=2.6e-299)
+        with pytest.raises(NumericalGuardError, match="Monte Carlo"):
+            mean_energy(osc, 20000, 7)
 
     def test_classical_limit_table(self):
         rows = classical_limit_table([1.0, 0.5, 0.25], omega=2.0)
