@@ -11,7 +11,9 @@ heavy mass).  This script runs each piece:
 - the spacing-halving convergence of the lattice dispersion to its
   continuum form;
 - the heavy-mass packet overlap between the second-order and the
-  diffusive first-order evolutions.
+  diffusive first-order evolutions;
+- the rescaled amplitudes a_k = sqrt(omega_k/omega_ref) a(k), which
+  write the energy with one reference frequency for every mode.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from thermofock.chain import (
     mode_transform,
     nonrelativistic_overlap,
     normal_modes,
+    rescaled_modes,
     standard_packet,
 )
 
@@ -97,3 +100,12 @@ packet = standard_packet()
 for m in (100.0, 300.0, 1000.0):
     overlap = nonrelativistic_overlap(packet, m, 1.0)
     print(f"  mass {m:6.0f}:  overlap at t = 1: {overlap:.12f}")
+
+print()
+print("=" * 70)
+print("7. One frequency for every mode")
+print("=" * 70)
+rescaled = rescaled_modes(mode_transform(state, spec), spec)
+print(f"  omega_ref * sum |a_k|^2: "
+      f"{spec.omega_ref * np.sum(np.abs(rescaled.a_rescaled) ** 2):.12f}")
+print(f"  H of the section 2 state: {site_energy:.12f}")

@@ -13,7 +13,10 @@ dictionary trustworthy:
 - a coherent-like vector's lowering expectation circles the origin in
   lockstep with the classical trajectory;
 - the intertwining kernel reproduces the exponential pairing when
-  integrated over the line.
+  integrated over the line;
+- the non-canonical rescaling a -> a/sqrt(lambda) turns the commutator
+  into hbar/lambda and leaves the spectrum of the rescaled Hamiltonian
+  unchanged: the scale constant is a convention of the representation.
 """
 
 import numpy as np
@@ -24,9 +27,12 @@ from thermofock.fock import (
     classical_trajectory,
     commutator_defect,
     evolved,
+    hamiltonian_apply,
     inner_product,
     lowered,
     quadrature_inner_product,
+    raised,
+    rescale_lambda,
 )
 
 print("=" * 70)
@@ -80,3 +86,17 @@ for z, w in [(0.5 + 0.5j, 1.0 - 0.2j), (1.5, -1.0j)]:
     print(f"  z = {z}, z' = {w}:  integral {overlap:+.10f}")
     print(f"  {'':24s}exact    {target:+.10f}   "
           f"(defect {abs(overlap - target):.2e})")
+
+print()
+print("=" * 70)
+print("5. Rescaling the ladder moves the commutator, not the spectrum")
+print("=" * 70)
+print("  unit frequency; levels are the eigenvalues of Z_0..Z_3")
+for lam in (1.0, 2.0, 4.0):
+    z2 = rescale_lambda(FockVector.basis_state(2, 8), lam)
+    bracket = lowered(raised(z2)).coeffs[2] - raised(lowered(z2)).coeffs[2]
+    levels = [hamiltonian_apply(rescale_lambda(FockVector.basis_state(n, 8),
+                                               lam), 1.0, lam).coeffs[n]
+              for n in range(4)]
+    print(f"  lambda {lam}:  [a, a+] = {bracket.real:.4f} (hbar/lambda),  "
+          f"levels " + ", ".join(f"{e.real:.4f}" for e in levels))

@@ -12,8 +12,12 @@ freedom.  This script shows the pipeline end to end:
   lands on the classical value;
 - summing independent modes gives a spectral density with the right
   high- and low-frequency limits;
-- shrinking the area quantum freezes the thermal motion.
+- shrinking the area quantum freezes the thermal motion;
+- the paper's own map, with its 3R² factor, misses the exact map at
+  the equator, and the miss is a number, not a hidden assumption.
 """
+
+import math
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from thermofock.sphere import (
     pushforward_ks_statistic,
     region_probability,
     thermal_map_exact,
+    thermal_map_paper,
 )
 
 BETA = 1.0
@@ -85,3 +90,18 @@ for hbar, temp, radius in classical_limit_table([1.0, 0.1, 0.01], 1.0):
     print(f"  {hbar:18.3g} {temp:14.3g} {radius:12.4f}")
 print("  Thermal spread vanishes with the quantum: the classical limit")
 print("  is a frozen point, not a recovered classical ensemble.")
+
+print()
+print("=" * 70)
+print("6. The paper's map against the exact map at the equator")
+print("=" * 70)
+equator = SpherePoint(math.pi / 2)
+print(f"  the cap down to the equator holds "
+      f"{cap_area_fraction(math.pi / 2):.10f} of the sphere")
+for name, z in (("exact", thermal_map_exact(equator, BETA)),
+                ("paper", thermal_map_paper(equator, 1.0, BETA))):
+    print(f"  {name} map:  |z|^2 = {abs(z) ** 2:.10f},  "
+          f"disk mass 1 - exp(-beta |z|^2) = "
+          f"{-math.expm1(-BETA * abs(z) ** 2):.10f}")
+print(f"  ln 2 = {math.log(2.0):.10f}, 1.5 ln 2 = {1.5 * math.log(2.0):.10f}:")
+print("  the paper's 3R^2 factor moves the equator off the half-mass disk.")

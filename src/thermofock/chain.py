@@ -45,7 +45,6 @@ __all__ = [
     "total_energies",
     "normal_modes",
     "mode_transform",
-    "inverse_transform",
     "mode_energies",
     "rescaled_modes",
     "evolve",
@@ -187,23 +186,6 @@ def mode_transform(state: ChainState, spec: ChainSpec) -> ModeData:
     root_n = math.sqrt(spec.n_sites)
     return replace(normal_modes(spec), u=np.fft.fft(state.q) / root_n,
                    p=np.fft.fft(state.p) / root_n)
-
-
-def inverse_transform(modes: ModeData, spec: ChainSpec) -> ChainState:
-    """Reconstruct (q, p) from normal coordinates; imaginary residue of
-    the reconstructed real fields must be at roundoff level."""
-    require(modes.u is not None and modes.p is not None,
-            "mode data carries no state content")
-    root_n = math.sqrt(spec.n_sites)
-    q = np.fft.ifft(modes.u) * root_n
-    p = np.fft.ifft(modes.p) * root_n
-    resid = max(float(np.max(np.abs(q.imag), initial=0.0)),
-                float(np.max(np.abs(p.imag), initial=0.0)))
-    scale = max(1.0, float(np.max(np.abs(q.real), initial=0.0)),
-                float(np.max(np.abs(p.real), initial=0.0)))
-    require(resid <= 1e-10 * scale,
-            "mode data does not describe a real configuration")
-    return ChainState(q.real, p.real)
 
 
 def mode_energies(modes: ModeData) -> np.ndarray:

@@ -186,6 +186,7 @@ def config_precedence(subcommand: str, flag_values: dict,
 # ---------------------------------------------------------------------------
 
 _KERNEL_POINTS = (0.0 + 0.0j, 0.7 - 0.3j, 1.2 + 0.8j, -1.5j, 2.0 + 0.0j)
+_KERNEL_GRID = 2401   # q points of the kernel rows, on [-12, 12]
 # Rounding floor of the dense coupling spectrum, relative to its largest
 # eigenvalue: a massless chain's zero mode comes out near -1e-16.
 _EIGVAL_FLOOR = 1e-12
@@ -195,6 +196,9 @@ def _run_fock(cfg: RunConfig):
     from . import fock as fock_mod
     nmax = cfg.params["nmax"]
     require(nmax >= 0, f"nmax must be nonnegative, got {nmax}")
+    limit = fock_mod._QUAD_N_MAX
+    require(nmax <= limit, f"nmax must be at most {limit}, the quadrature "
+            f"oracle's limit, got {nmax}")
     hbar = cfg.params["hbar"]
     omega = cfg.params["omega"]
     rows = []
@@ -210,11 +214,12 @@ def _run_fock(cfg: RunConfig):
     for n in range(nmax):
         zn = fock_mod.FockVector.basis_state(n, nmax, hbar)
         hzn = fock_mod.hamiltonian_apply(zn, omega)
-        defect = float(np.linalg.norm(
-            hzn.coeffs - omega * hbar * (n + 0.5) * zn.coeffs))
+        # one nonzero slot: its modulus is the norm, with no square
+        defect = float(np.max(np.abs(
+            hzn.coeffs - omega * hbar * (n + 0.5) * zn.coeffs)))
         rows.append(("hamiltonian", float(n), omega, defect))
     if abs(hbar - 1.0) <= 1e-15:
-        q = np.linspace(-12.0, 12.0, 2401)
+        q = np.linspace(-12.0, 12.0, _KERNEL_GRID)
         kernels = [fock_mod.bargmann_kernel(z, q) for z in _KERNEL_POINTS]
         for i, z in enumerate(_KERNEL_POINTS):
             for j, zp in enumerate(_KERNEL_POINTS):
@@ -633,7 +638,9 @@ def _footprint(cfg: RunConfig) -> int:
     """Estimated peak bytes one table allocates, from its size flags."""
     p = cfg.params
     if cfg.subcommand == "fock":
-        return 2 * 17 * (p["nmax"] + 1)   # a basis pair and its NaN masks
+        # nmax is at most 12: the kernel's 65-row Hermite table and the
+        # scaled copy that _hermite_table returns
+        return 2 * 8 * 65 * _KERNEL_GRID
     if cfg.subcommand == "spectrum":
         return 512 * p["points"]   # one row of Python floats and its text
     if cfg.subcommand == "toy":

@@ -31,7 +31,6 @@ __all__ = [
     "AmplitudeEventSpace",
     "AxiomReport",
     "bilinear_density",
-    "sum_density",
     "complex_pair_density",
     "fermion_density",
     "boson_density",
@@ -158,23 +157,6 @@ def bilinear_density(w1: float, w2: float) -> float:
     require(abs(value.imag) <= 1e-12 * max(1.0, abs(value.real)),
             f"bivector coefficient not real: {value!r}")
     return float(value.real)
-
-
-def sum_density(terms) -> float:
-    """Probability of a sum of factorized two-component configurations.
-
-    ``terms`` is a sequence of (w1k, w2k) pairs.  Each term is carried by
-    its own tagged copy of the generator pair (tags are orthonormal,
-    tag_k * tag_l = delta_kl), so cross terms between different k vanish
-    identically and the total coefficient is the diagonal sum
-    sum_k w1k*w2k.  The empty list is the vacuous sum, 0.
-    """
-    total = 0.0
-    for w1k, w2k in terms:
-        # tag orthonormality kills every k != l cross pairing, leaving
-        # one unit-bivector coefficient per term
-        total += bilinear_density(w1k, w2k)
-    return total
 
 
 def complex_pair_density(z_q: complex, z_p: complex) -> float:

@@ -17,10 +17,12 @@ hidden.
 Gibbs masses of phase-plane regions (rectangles and disks, the full
 plane included) come from iterated Gauss–Legendre rules, whose 48- and
 64-node values give a self-estimated error that a guard bounds.
-Blackbody spectral density and its two classical limits, mean-energy
-checks, and the freezing of the temperature/radius scales as the area
-quantum vanishes round out the module.  Orientation convention: arg z =
-φ, chosen so the induced bracket on the image plane is {q, p} = 1.
+The ratios of the blackbody spectral density u(ν, T) =
+(8πhν³/c³)/(e^{hν/kT} − 1) to its Wien and Rayleigh–Jeans limits,
+mean-energy checks, and the freezing of the temperature/radius scales
+as the area quantum vanishes round out the module.  Orientation
+convention: arg z = φ, chosen so the induced bracket on the image plane
+is {q, p} = 1.
 """
 from __future__ import annotations
 
@@ -40,7 +42,6 @@ __all__ = [
     "Rectangle",
     "Disk",
     "FULL_PLANE",
-    "stereographic",
     "thermal_map_paper",
     "thermal_map_exact",
     "cap_area_fraction",
@@ -51,7 +52,6 @@ __all__ = [
     "mean_energy",
     "gibbs_median_radius",
     "region_probability",
-    "planck_density",
     "limit_ratios",
     "classical_limit_table",
 ]
@@ -60,8 +60,9 @@ _CLIP = 12.0   # Gibbs widths kept on each axis by the quadrature
 _PANELS = 8    # equal panels of the outer Gauss–Legendre rule
 # Gibbs mass outside the clipped square, as a fraction of the full plane
 _CLIP_TAIL = 2.0 * math.erfc(_CLIP / math.sqrt(2.0))
-# Above this radius the sphere area 4πR² overflows.
-_MAX_RADIUS = math.sqrt(sys.float_info.max / (4.0 * math.pi))
+# Between these radii R² and the sphere area 4πR² are normal doubles.
+_RADII = (math.sqrt(sys.float_info.min),
+          math.sqrt(sys.float_info.max / (4.0 * math.pi)))
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,8 @@ class SphereGeometry:
     def __post_init__(self):
         require(0 < self.radius < math.inf,
                 f"radius must be positive and finite, got {self.radius}")
-        require(self.radius <= _MAX_RADIUS, f"the area 4 pi R^2 of radius "
-                f"{self.radius:.3g} lies beyond the double range")
+        require(_RADII[0] <= self.radius <= _RADII[1], f"the area 4 pi R^2 "
+                f"of radius {self.radius:.3g} lies beyond the double range")
 
     @property
     def area(self) -> float:
@@ -115,8 +116,8 @@ class ThermalOscillator:
                 "beta, omega, mass must all be positive and finite")
         if self.hbar is None:
             object.__setattr__(self, "hbar", 1.0 / (self.beta * self.omega))
-        require(0 < self.hbar < math.inf,
-                f"hbar must be positive and finite, got {self.hbar}")
+        require(0 < self.hbar and self.h < math.inf, "hbar must be positive "
+                f"with a finite cell 2 pi hbar, got {self.hbar}")
 
     @property
     def is_consistent(self) -> bool:
@@ -136,17 +137,6 @@ class ThermalOscillator:
 # ---------------------------------------------------------------------------
 # Maps from the sphere to the plane
 # ---------------------------------------------------------------------------
-
-def stereographic(point: SpherePoint, radius: float = 1.0) -> complex:
-    """Stereographic image Z with |Z| = 2R·cot(θ/2), arg Z = φ.
-
-    The projection pole θ = 0 maps to infinity and raises ValueError.
-    """
-    require(point.theta > 0.0,
-            "theta = 0 is the projection pole (image at infinity)")
-    magnitude = 2.0 * radius / math.tan(point.theta / 2.0)
-    return magnitude * complex(math.cos(point.phi), math.sin(point.phi))
-
 
 def thermal_map_paper(point: SpherePoint, radius: float,
                       beta: float) -> complex:
@@ -196,7 +186,8 @@ def pushforward_radii(theta: np.ndarray, beta: float) -> np.ndarray:
     s2 = np.sin(theta / 2.0) ** 2
     require(np.all(s2 < 1.0),
             "theta = pi is the singular pole of the exact map")
-    return np.sqrt(-np.log1p(-s2) / beta)
+    # Rooted apart, so a tiny beta cannot overflow the quotient.
+    return np.sqrt(-np.log1p(-s2)) / math.sqrt(beta)
 
 
 def pushforward_ks_statistic(beta: float, n: int, seed: int) -> float:
@@ -397,26 +388,6 @@ def _planck_x(nu: float, temperature: float,
             "nu and temperature must be positive and finite")
     x = constants.h * nu / (constants.k * temperature)
     return x, (x / _expm1(x) if x > 0.0 else 1.0)
-
-
-def planck_density(nu: float, temperature: float,
-                   constants: PlanckConstants = PlanckConstants()) -> float:
-    """Spectral energy density u(ν, T) = (8πhν³/c³) / (e^{hν/kT} − 1),
-    evaluated as the Rayleigh–Jeans density 8πν²kT/c³ times u/RJ.
-
-    It is the Rayleigh–Jeans density where x = hν/kT underflows, and 0
-    once e^x overflows; a density beyond the double range raises
-    ValueError.
-    """
-    _, rj = _planck_x(nu, temperature, constants)
-    if rj == 0.0:
-        return 0.0
-    ratio = nu / constants.c   # float products saturate where ** raises
-    thermal = constants.k * temperature / constants.c
-    density = 8.0 * math.pi * ratio * thermal * ratio * rj
-    require(density < math.inf, f"the density at nu={nu:.3g}, "
-            f"T={temperature:.3g} lies beyond the double range")
-    return density
 
 
 def limit_ratios(nu: float, temperature: float,

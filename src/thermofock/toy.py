@@ -1,10 +1,11 @@
 """Two-site, discrete-time triple: deterministic, Markov, unitary.
 
 The same two-point configuration space supports three dynamics:
-a deterministic site map, a column-stochastic transition matrix acting
-on probability pairs, and a unitary 2×2 matrix acting on amplitude
-pairs with outcome probabilities |ψ_i|².  No scale constant appears
-anywhere in these rules.
+a deterministic site map (a 0/1 stochastic matrix, ``identity`` or
+``swap``), a column-stochastic transition matrix acting on probability
+pairs, and a unitary 2×2 matrix acting on amplitude pairs with outcome
+probabilities |ψ_i|².  No scale constant appears anywhere in these
+rules.
 
 The unitary theory is not a disguised Markov chain: with the
 equal-weight orthogonal involution S = (1/√2)[[1, 1], [1, −1]], both
@@ -35,9 +36,7 @@ __all__ = [
     "Constraint",
     "FeasibilityResult",
     "InterferenceRow",
-    "classical_step",
     "markov_step",
-    "quantum_step",
     "markov_feasibility",
     "interference_demo",
     "total_variation",
@@ -94,6 +93,10 @@ class ToyUnitary:
         s = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", s)
         require(s.shape == (2, 2), "need a 2x2 matrix")
+        # A unitary's entries have modulus at most 1; larger ones (and
+        # NaN) are refused before S†S can overflow.
+        require(np.all(np.abs(s) <= 1.0 + 1e-12),
+                "matrix is not unitary (an entry has modulus above 1)")
         defect = float(np.max(np.abs(s.conj().T @ s - np.eye(2))))
         require(defect <= 1e-12,
                 f"matrix is not unitary (defect {defect:.3e})")
@@ -103,14 +106,6 @@ class ToyUnitary:
         """Equal-weight orthogonal involution (1/√2)[[1, 1], [1, −1]]."""
         r = 1.0 / math.sqrt(2.0)
         return cls(np.array([[r, r], [r, -r]]))
-
-
-def classical_step(site: int, rule) -> int:
-    """Deterministic update: apply a site map to one of the two sites."""
-    require(site in (0, 1), "site must be 0 or 1")
-    nxt = rule(site)
-    require(nxt in (0, 1), f"rule left the two-site space: {nxt!r}")
-    return int(nxt)
 
 
 def _check_probability_pair(p) -> np.ndarray:
@@ -126,16 +121,6 @@ def markov_step(p, w: StochasticMatrix) -> np.ndarray:
     """One stochastic step p ↦ w p; stays on the probability simplex."""
     p = _check_probability_pair(p)
     return w.entries @ p
-
-
-def quantum_step(psi, s: ToyUnitary) -> np.ndarray:
-    """One unitary step ψ ↦ S ψ; stays on the unit sphere, outcome
-    probabilities are |ψ_i|²."""
-    psi = np.asarray(psi, dtype=complex)
-    require(psi.shape == (2,), "need an amplitude pair")
-    require(abs(float(np.sum(np.abs(psi) ** 2)) - 1.0) <= 1e-12,
-            "amplitude pair must be normalized")
-    return s.entries @ psi
 
 
 def total_variation(p, q) -> float:

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,9 @@ class TestExitCodes:
              "sectors must partition 0..d-1 exactly once"),
             (["toy", "--matrix", "1,2,3"],
              "matrix must be 'hadamard' or four comma-separated numbers"),
+            # refused before S^H S can overflow
+            (["toy", "--matrix", "1e300,1e300,1e300,1e300"],
+             "matrix is not unitary"),
             # one sample carries the packet; t = 6 is past Nyquist
             (["charfn", "--span", "1e30"], "do not resolve the unit-width"),
             (["charfn", "--span", "400"], "do not resolve the unit-width"),
@@ -261,6 +265,9 @@ class TestExitCodes:
         ["sphere", "--radius", "3.6e167"],
         ["sphere", "--radius", "1e154"],
         ["sphere", "--beta", "2.6e-299"],
+        ["sphere", "--beta", "1e-308"],
+        ["sphere", "--radius", "1e-170"],
+        ["fock", "--hbar", "2e251", "--omega", "2e-48"],
     ], ids=" ".join)
     def test_extreme_float_flag_prints_finite_cells_or_refuses(
             self, argv, capsys):
@@ -298,8 +305,6 @@ class TestExitCodes:
              "--samples", str(samples)], capsys)
 
     @pytest.mark.parametrize("argv, allocators", [
-        (["fock", "--nmax", "1000000000"],
-         [(fock_mod.FockVector, "basis_state")]),
         (["spectrum", "--points", "1000000000"], [(np, "geomspace")]),
         (["toy", "--steps", "1000000000"], [(toy_mod, "interference_demo")]),
         (["charfn", "--points", "1000000000"],
@@ -311,7 +316,7 @@ class TestExitCodes:
          [(measure_mod, "entangle"), (measure_mod, "sample_outcomes")]),
         (["measure", "--amps", ",".join(["0.1"] * 5000)],
          [(measure_mod, "entangle"), (measure_mod, "sample_outcomes")]),
-    ], ids=["fock-nmax", "spectrum-points", "toy-steps", "charfn-points",
+    ], ids=["spectrum-points", "toy-steps", "charfn-points",
             "sphere-samples", "measure-samples", "measure-amps"])
     def test_oversized_request_exits_before_allocating(
             self, argv, allocators, monkeypatch, capsys):
@@ -321,6 +326,17 @@ class TestExitCodes:
         for owner, name in allocators:
             monkeypatch.setattr(owner, name, refuse)
         assert_refused_by_the_budget(argv, capsys)
+
+    @pytest.mark.parametrize("nmax", [13, 3_000_000, 1_000_000_000])
+    def test_fock_nmax_above_12_exits_before_allocating(
+            self, nmax, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fock table built a basis state")
+
+        monkeypatch.setattr(fock_mod.FockVector, "basis_state", refuse)
+        assert main(["fock", "--nmax", str(nmax)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at most 12" in err
 
 
 def assert_refused_by_the_budget(argv, capsys):
@@ -335,6 +351,60 @@ def assert_refused_by_the_budget(argv, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "budget" in err
+
+
+# Allocations of a table that do not grow with its size flags: parsing,
+# the rendered text, the fixed grids of its oracles.
+FIXED_ALLOWANCE = 1 << 20
+
+
+def _amps(d):
+    return ",".join(["0.1"] * d)
+
+
+# Each size-flagged table at a small and a larger size.
+SIZED_TABLES = {
+    "fock 6": "fock --nmax 6",
+    "fock 12": "fock --nmax 12",
+    "sphere 20000": "sphere --samples 20000",
+    "sphere 100000": "sphere --samples 100000",
+    "spectrum 1000": "spectrum --points 1000",
+    "spectrum 5000": "spectrum --points 5000",
+    "toy 1000": "toy --steps 1000",
+    "toy 5000": "toy --steps 5000",
+    "dispersion 64": "chain --experiment dispersion --sites 64",
+    "dispersion 512": "chain --experiment dispersion --sites 512",
+    "equipartition 64x2000":
+        "chain --experiment equipartition --sites 64 --samples 2000",
+    "equipartition 256x2000":
+        "chain --experiment equipartition --sites 256 --samples 2000",
+    "charfn 1024": "charfn --points 1024",
+    "charfn 8192": "charfn --points 8192",
+    "measure d=100": f"measure --amps {_amps(100)}",
+    "measure d=400": f"measure --amps {_amps(400)}",
+}
+
+
+class TestMemoryBudget:
+    """The 1 GiB refusal rests on ``_footprint``: what a table allocates
+    must stay within it."""
+
+    @pytest.mark.parametrize("argv", SIZED_TABLES.values(),
+                             ids=SIZED_TABLES.keys())
+    def test_peak_allocation_stays_within_the_footprint(self, argv, capsys):
+        argv = argv.split()
+        args = vars(cli_mod._build_parser().parse_args(argv))
+        args.pop("config")
+        cfg = cli_mod.config_precedence(args.pop("subcommand"), args, {})
+        assert main(argv) == 0   # a warm run: caches and imports are made
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak <= cli_mod._footprint(cfg) + FIXED_ALLOWANCE
 
 
 class TestJsonMirror:

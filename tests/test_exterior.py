@@ -24,7 +24,6 @@ from thermofock.exterior import (
     check_axioms,
     complex_pair_density,
     fermion_density,
-    sum_density,
 )
 
 
@@ -96,16 +95,6 @@ class TestBilinearDensity:
             bilinear_density(-0.1, 1.0)
         with pytest.raises(ValueError):
             bilinear_density(1.0, -2.0)
-
-    def test_sum_density_matches_direct_summation(self):
-        rng = np.random.default_rng(102)
-        for _ in range(50):
-            terms = [tuple(rng.uniform(0.0, 3.0, size=2)) for _ in range(5)]
-            direct = sum(w1 * w2 for w1, w2 in terms)
-            assert abs(sum_density(terms) - direct) < 1e-12
-
-    def test_sum_density_empty_is_zero(self):
-        assert sum_density([]) == 0.0
 
 
 class TestComplexPairDensity:

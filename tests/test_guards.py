@@ -44,8 +44,8 @@ NON_FINITE_CALLS = {
         lambda: toy.Constraint((NAN, NAN), (0.5, 0.5)),
     "toy.markov_step([nan, nan])":
         lambda: toy.markov_step([NAN, NAN], toy.StochasticMatrix.identity()),
-    "toy.quantum_step([nan, nan])":
-        lambda: toy.quantum_step([NAN, NAN], toy.ToyUnitary.hadamard()),
+    "toy.ToyUnitary(inf)":
+        lambda: toy.ToyUnitary(np.full((2, 2), INF)),
     "measurement.BipartiteState([[nan]])":
         lambda: measurement.BipartiteState([[NAN]]),
     "measurement.entangle([nan])":
@@ -70,8 +70,8 @@ NON_FINITE_CALLS = {
         lambda: sphere.Disk(1.0, NAN, 0.0),
     "sphere.SphereGeometry(inf)":
         lambda: sphere.SphereGeometry(INF),
-    "sphere.planck_density(inf, 1)":
-        lambda: sphere.planck_density(INF, 1.0),
+    "sphere.limit_ratios(inf, 1)":
+        lambda: sphere.limit_ratios(INF, 1.0),
     "states.ModeProfile([nan, 1])":
         lambda: states.ModeProfile([NAN, 1.0], {0, 1}),
     "fock.FockVector([nan])":

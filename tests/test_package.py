@@ -1,8 +1,10 @@
 """Each module's ``__all__`` is the one declaration of its public API.
 
 The package ``__init__`` re-exports nothing, so this is the check that
-every public name is listed and that every listed name exists.  A second
-check keeps private helpers from outliving their last caller.
+every public name is listed and that every listed name exists.  Two more
+checks keep names from outliving their last caller: a private helper
+must be named elsewhere in the package, and a public name must be run
+by the package, a demo or the benchmark, not by the tests alone.
 """
 
 import ast
@@ -12,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "thermofock"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "thermofock"
+# Where a public name finds its callers; tests/ is not among them.
+CALLERS = (SRC, ROOT / "demos", ROOT / "perfbench")
 MODULES = ("errors", "exterior", "charfn", "fock", "sphere", "chain",
            "states", "measurement", "toy", "cli")
 
@@ -85,3 +90,21 @@ def test_every_private_definition_has_a_reference():
     unreferenced = [f"{module}: {name}" for module, name, own in defined
                     if referenced[name] <= own]
     assert unreferenced == []
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Each ``__all__`` name is named in ``src/thermofock/``, ``demos/``
+    or ``perfbench/`` besides its own definition, so the public API is
+    exactly what something runs."""
+    referenced = Counter()
+    for path in sorted(p for d in CALLERS for p in d.glob("*.py")):
+        referenced += _references(ast.parse(path.read_text(encoding="utf-8")))
+    uncalled = []
+    for name in MODULES:
+        module = importlib.import_module(f"thermofock.{name}")
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        own = {node.name: _references(node)[node.name] for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        uncalled += [f"{name}.{entry}" for entry in module.__all__
+                     if referenced[entry] <= own.get(entry, 0)]
+    assert uncalled == []

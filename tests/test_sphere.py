@@ -1,12 +1,12 @@
 """Tests for the sphere-to-phase-plane dictionary and thermal measures.
 
-Closed forms used as oracles: the stereographic radius 2R/tan(theta/2),
-the cap-area fraction sin^2(theta/2), the exponential-law disk mass
-1 - e^{-beta |z|^2} (so the median radius is sqrt(2 ln 2 / beta) in
-canonical coordinates), the Gibbs mean energy 1/beta, and the two
-endmember ratios of the blackbody density evaluated with mpmath-free
-stdlib arithmetic and frozen below.  ``scipy.stats.kstest`` is the
-oracle for the sorted-ECDF Kolmogorov–Smirnov statistic, and
+Closed forms used as oracles: the cap-area fraction sin^2(theta/2),
+the exponential-law disk mass 1 - e^{-beta |z|^2} (so the median radius
+is sqrt(2 ln 2 / beta) in canonical coordinates), the Gibbs mean energy
+1/beta, the Planck density over its Wien and Rayleigh-Jeans limits, and
+the two endmember ratios of the blackbody density evaluated with
+mpmath-free stdlib arithmetic and frozen below.  ``scipy.stats.kstest``
+is the oracle for the sorted-ECDF Kolmogorov–Smirnov statistic, and
 ``scipy.integrate.dblquad`` (adaptive, with exact region boundaries)
 and an erf/Simpson disk integral are the oracles for the Gauss–Legendre
 region probabilities.
@@ -35,11 +35,9 @@ from thermofock.sphere import (
     gibbs_normalization_check,
     limit_ratios,
     mean_energy,
-    planck_density,
     pushforward_ks_statistic,
     pushforward_radii,
     region_probability,
-    stereographic,
     thermal_map_exact,
     thermal_map_paper,
     uniform_sphere_samples,
@@ -130,7 +128,7 @@ def erf_simpson_disk_probability(disk, osc, panels=40000):
 
 
 class TestGeometry:
-    """Stereographic projection and area bookkeeping."""
+    """The two thermal maps and area bookkeeping."""
 
     def test_radius_whose_area_overflows_is_refused(self):
         assert SphereGeometry(3.7e153).area < math.inf
@@ -143,21 +141,6 @@ class TestGeometry:
                                    16.0 * math.pi, atol=1e-12)
         np.testing.assert_allclose(SphereGeometry(2.0).area,
                                    50.26548245743669, atol=1e-12)
-
-    def test_stereographic_radius(self):
-        for theta in (0.3, 1.0, math.pi / 2, 2.5):
-            z = stereographic(SpherePoint(theta, 0.7), radius=1.5)
-            np.testing.assert_allclose(abs(z), 3.0 / math.tan(theta / 2.0),
-                                       atol=1e-12)
-
-    def test_stereographic_carries_the_azimuth(self):
-        z = stereographic(SpherePoint(math.pi / 2, 0.7))
-        np.testing.assert_allclose(math.atan2(z.imag, z.real), 0.7,
-                                   atol=1e-12)
-
-    def test_north_pole_is_rejected(self):
-        with pytest.raises(ValueError):
-            stereographic(SpherePoint(0.0, 0.0))
 
     def test_cap_area_fraction(self):
         np.testing.assert_allclose(cap_area_fraction(math.pi), 1.0,
@@ -355,35 +338,27 @@ class TestBlackbody:
         assert np.all(rayleigh < 1.0)
 
     def test_density_formula(self):
+        # u = 8 pi h nu^3 / c^3 / (e^x - 1) against its two limits, the
+        # Wien law 8 pi h nu^3 e^{-x} / c^3 and the Rayleigh-Jeans law
+        # 8 pi nu^2 kT / c^3
         consts = PlanckConstants(h=2.0, c=3.0, k=1.5)
         nu, temp = 1.2, 0.9
         x = consts.h * nu / (consts.k * temp)
-        expected = (8.0 * math.pi * consts.h * nu ** 3 / consts.c ** 3
-                    / math.expm1(x))
-        np.testing.assert_allclose(planck_density(nu, temp, consts),
-                                   expected, rtol=1e-14)
+        cubic = 8.0 * math.pi * consts.h * nu ** 3 / consts.c ** 3
+        u = cubic / math.expm1(x)
+        wien = cubic * math.exp(-x)
+        rj = 8.0 * math.pi * nu ** 2 * consts.k * temp / consts.c ** 3
+        np.testing.assert_allclose(limit_ratios(nu, temp, consts),
+                                   (u / wien, u / rj), rtol=1e-14)
 
     def test_density_positivity(self):
-        consts = PlanckConstants()
         for nu in np.geomspace(1e-3, 1e3, 20):
-            assert planck_density(nu, 2.0, consts) > 0.0
+            assert min(limit_ratios(nu, 2.0)) > 0.0
 
     def test_density_is_zero_where_the_exponential_overflows(self):
-        assert planck_density(1e103, 1.0) == 0.0
-        assert planck_density(1e3, 1.0) == 0.0
-
-    def test_infinite_density_is_refused(self):
-        with pytest.raises(ValueError, match="beyond the double range"):
-            planck_density(1e103, 1e103)
-
-    def test_underflowing_x_gives_the_rayleigh_jeans_density(self):
-        # x = h nu / kT = 1e-600 underflows to 0; u = 8 pi nu^2 kT / c^3.
-        np.testing.assert_allclose(planck_density(1e-300, 1e300),
-                                   8.0 * math.pi * 1e-300, rtol=1e-15)
-        consts = PlanckConstants(h=2.0, c=3.0, k=1.5)
-        np.testing.assert_allclose(planck_density(1e-160, 1e160, consts),
-                                   8.0 * math.pi * 1.5e-160 / 27.0,
-                                   rtol=1e-15)
+        # u/RJ = x/(e^x - 1) is 0 once e^x leaves the double range.
+        assert limit_ratios(1e103, 1.0) == (1.0, 0.0)
+        assert limit_ratios(1e3, 1.0) == (1.0, 0.0)
 
     @pytest.mark.parametrize("nu, temperature", [
         (1e-300, 1e300),   # x underflows to 0

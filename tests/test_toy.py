@@ -22,29 +22,26 @@ from thermofock.toy import (
     Constraint,
     StochasticMatrix,
     ToyUnitary,
-    classical_step,
     interference_demo,
     markov_feasibility,
     markov_step,
-    quantum_step,
     total_variation,
 )
 
 
 class TestStepMaps:
-    """The three dynamics on the two-site space."""
+    """The stochastic and unitary dynamics on the two-site space; the
+    unitary step is ``ToyUnitary.entries @ psi``, the product the
+    interference table runs."""
 
     def test_classical_identity_and_swap(self):
-        assert classical_step(0, lambda s: s) == 0
-        assert classical_step(1, lambda s: s) == 1
-        assert classical_step(0, lambda s: 1 - s) == 1
-        assert classical_step(1, lambda s: 1 - s) == 0
-
-    def test_classical_rule_must_stay_on_the_sites(self):
-        with pytest.raises(ValueError):
-            classical_step(0, lambda s: 2)
-        with pytest.raises(ValueError):
-            classical_step(2, lambda s: s)
+        # a deterministic site map is a 0/1 stochastic matrix
+        for site in (0, 1):
+            p = np.eye(2)[site]
+            np.testing.assert_array_equal(
+                markov_step(p, StochasticMatrix.identity()), p)
+            np.testing.assert_array_equal(
+                markov_step(p, StochasticMatrix.swap()), p[::-1])
 
     def test_markov_identity_fixes_every_distribution(self):
         rng = np.random.default_rng(20240630)
@@ -69,12 +66,12 @@ class TestStepMaps:
         for _ in range(50):
             psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             psi /= np.linalg.norm(psi)
-            out = quantum_step(psi, s)
+            out = s.entries @ psi
             np.testing.assert_allclose(np.sum(np.abs(out) ** 2), 1.0,
                                        atol=1e-12)
 
     def test_equal_weight_step_from_a_basis_state(self):
-        out = quantum_step([1.0, 0.0], ToyUnitary.hadamard())
+        out = ToyUnitary.hadamard().entries @ np.array([1.0, 0.0])
         np.testing.assert_allclose(np.abs(out) ** 2, [0.5, 0.5],
                                    atol=1e-15)
 
@@ -91,10 +88,11 @@ class TestStepMaps:
             StochasticMatrix(np.array([[1.2, 0.0], [-0.2, 1.0]]))
         with pytest.raises(ValueError):
             ToyUnitary(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        # an entry of modulus above 1 is refused before S^H S overflows
+        with pytest.raises(ValueError, match="modulus above 1"):
+            ToyUnitary(np.full((2, 2), 1e300))
         with pytest.raises(ValueError):
             markov_step([0.7, 0.7], StochasticMatrix.identity())
-        with pytest.raises(ValueError):
-            quantum_step([1.0, 1.0], ToyUnitary.hadamard())
         with pytest.raises(ValueError):
             Constraint((1.0, 0.0), (1.0, 0.0), steps=0)
 
