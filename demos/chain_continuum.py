@@ -97,9 +97,11 @@ print("=" * 70)
 print("6. Heavy packets forget relativity")
 print("=" * 70)
 packet = standard_packet()
-for m in (100.0, 300.0, 1000.0):
+for m in (25.0, 50.0, 100.0):
     overlap = nonrelativistic_overlap(packet, m, 1.0)
-    print(f"  mass {m:6.0f}:  overlap at t = 1: {overlap:.12f}")
+    print(f"  mass {m:6.0f}:  1 - overlap at t = 1: {1.0 - overlap:.3e}")
+print("  1 - overlap falls as m^-6, the square of the k^4 t / 8m^3 phase;")
+print("  (at m = 200 it reaches the double rounding of the overlap)")
 
 print()
 print("=" * 70)

@@ -85,9 +85,10 @@ print()
 print("=" * 70)
 print("5. Shrinking the area quantum freezes the motion")
 print("=" * 70)
-print(f"  {'area quantum/2pi':>18s} {'temperature':>14s} {'rms radius':>12s}")
+print(f"  {'area quantum/2pi':>18s} {'temperature':>14s} "
+      f"{'sphere radius R = sqrt(hbar/2)':>31s}")
 for hbar, temp, radius in classical_limit_table([1.0, 0.1, 0.01], 1.0):
-    print(f"  {hbar:18.3g} {temp:14.3g} {radius:12.4f}")
+    print(f"  {hbar:18.3g} {temp:14.3g} {radius:31.4f}")
 print("  Thermal spread vanishes with the quantum: the classical limit")
 print("  is a frozen point, not a recovered classical ensemble.")
 
@@ -95,13 +96,23 @@ print()
 print("=" * 70)
 print("6. The paper's map against the exact map at the equator")
 print("=" * 70)
+# A sphere of area h = 2 pi / beta has 4 pi R^2 = 2 pi at beta = 1.
+R = 1.0 / math.sqrt(2.0)
 equator = SpherePoint(math.pi / 2)
+print("  sphere of area h at beta = 1: R = 1/sqrt(2)")
 print(f"  the cap down to the equator holds "
       f"{cap_area_fraction(math.pi / 2):.10f} of the sphere")
-for name, z in (("exact", thermal_map_exact(equator, BETA)),
-                ("paper", thermal_map_paper(equator, 1.0, BETA))):
-    print(f"  {name} map:  |z|^2 = {abs(z) ** 2:.10f},  "
-          f"disk mass 1 - exp(-beta |z|^2) = "
-          f"{-math.expm1(-BETA * abs(z) ** 2):.10f}")
-print(f"  ln 2 = {math.log(2.0):.10f}, 1.5 ln 2 = {1.5 * math.log(2.0):.10f}:")
+print("  plane of the paper's map: z = (q + ip)/sqrt(2), where a disk")
+print("  |z| < rho holds Gibbs mass 1 - exp(-beta rho^2) and ln 2 / beta")
+print("  is the median |z|^2; the exact map's point q + ip lies at")
+print("  |z|^2 = (q^2 + p^2)/2")
+exact = abs(thermal_map_exact(equator, BETA)) ** 2 / 2.0
+paper = abs(thermal_map_paper(equator, R, BETA)) ** 2
+for name, z2 in (("exact", exact), ("paper", paper)):
+    print(f"  {name} map:  |z|^2 = {z2:.10f},  "
+          f"disk mass 1 - exp(-beta |z|^2) = {-math.expm1(-BETA * z2):.10f}")
+print(f"  miss in that plane: |z|^2 {paper - exact:+.10f}, disk mass "
+      f"{math.expm1(-BETA * exact) - math.expm1(-BETA * paper):+.10f}")
+print(f"  ln 2 = {math.log(2.0):.10f}, "
+      f"0.75 ln 2 = {0.75 * math.log(2.0):.10f}:")
 print("  the paper's 3R^2 factor moves the equator off the half-mass disk.")

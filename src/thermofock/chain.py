@@ -338,7 +338,7 @@ def gibbs_sample(spec: ChainSpec, beta: float, n: int, seed: int):
     O(n N log N) cost; the tests check it against the dense ``eigh``
     of M.  Momenta are i.i.d. N(0, 1/β), drawn after ξ; each mode
     energy averages 1/β.  A zero-frequency mode (m = 0 with the uniform
-    mode) is rejected.
+    mode) is rejected, and so is a β ω_k² beyond the double range.
     """
     require(0 < beta < math.inf,
             f"beta must be positive and finite, got {beta}")
@@ -347,6 +347,10 @@ def gibbs_sample(spec: ChainSpec, beta: float, n: int, seed: int):
     guard("modes with omega^2 <= 1e-12 max omega^2",
           np.count_nonzero(~(omega2 > 1e-12 * np.max(omega2))), 0,
           "the massless uniform mode has no normalizable thermal distribution")
+    lo, hi = float(np.min(omega2)), float(np.max(omega2))
+    require(0.0 < beta * lo and beta * hi < math.inf,
+            f"beta * omega^2 leaves the double range: beta = {beta:.3g}, "
+            f"omega^2 in [{lo:.3g}, {hi:.3g}]")
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((n, spec.n_sites))
     q = np.fft.irfft(np.fft.rfft(xi, axis=1) / np.sqrt(beta * omega2),

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,59 +56,6 @@ _COMMON = {
     "format": (str, "csv", "output format: csv or json"),
 }
 
-_PARAMS = {
-    "fock": {
-        "nmax": (int, 12, "orthonormality truncation, at most 12"),
-        "hbar": (float, 1.0, "ladder scale constant"),
-        "omega": (float, 1.0, "oscillator frequency for the eigenvalue check"),
-    },
-    "sphere": {
-        "beta": (float, 1.0, "inverse temperature"),
-        "radius": (float, 1.0, "sphere radius"),
-        "samples": (int, 100000, "sample count for the pushforward and "
-                                 "Monte Carlo checks"),
-    },
-    "spectrum": {
-        "tmin": (float, 0.01, "smallest hv/kT"),
-        "tmax": (float, 10.0, "largest hv/kT"),
-        "points": (int, 25, "number of log-spaced points"),
-    },
-    "chain": {
-        "experiment": (str, "dispersion",
-                       "dispersion, equipartition, continuum or nonrel"),
-        "sites": (int, 64, "number of sites"),
-        "mass": (float, 1.0, "site mass term"),
-        "gamma": (float, 1.0, "coupling strength"),
-        "spacing": (float, 1.0, "lattice spacing; continuum runs halve it "
-                                "repeatedly"),
-        "beta": (float, 1.0, "inverse temperature for equipartition"),
-        "dt": (float, 0.01, "time step; the nonrel run evolves for dt*steps"),
-        "steps": (int, 100, "step count; the nonrel run evolves for dt*steps"),
-        "samples": (int, 20000, "thermal sample count for equipartition"),
-    },
-    "charfn": {
-        "packet": (str, "gaussian", "test amplitude: gaussian or hermite1"),
-        "span": (float, 40.0, "grid span"),
-        "points": (int, 512, "grid points"),
-    },
-    "states": {
-        "experiment": (str, "uncertainty", "uncertainty, exotic, singlet or "
-                                           "circle"),
-        "nmax": (int, 6, "highest Hermite order for the uncertainty table"),
-    },
-    "measure": {
-        "amps": (str, "0.6,0.8", "comma list of branch amplitudes"),
-        "samples": (int, 100000, "number of sampled outcomes"),
-        "sectors": (str, "", "sector partition like '0,1;2'; empty means "
-                             "one sector per outcome"),
-    },
-    "toy": {
-        "steps": (int, 2, "number of steps in the interference table"),
-        "matrix": (str, "hadamard", "'hadamard' or four comma-separated "
-                                    "reals a,b,c,d"),
-    },
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -134,12 +82,8 @@ def _parse_config_file(path: str) -> dict:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not key or not value:
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not (sep and key and value):
                 raise ConfigError(
                     f"{path}:{lineno}: expected 'key = value', got {line!r}")
             entries[key] = value
@@ -152,7 +96,7 @@ def config_precedence(subcommand: str, flag_values: dict,
 
     Raises ConfigError for an unknown key, an unreadable value or a
     format other than csv and json."""
-    table = {**_PARAMS[subcommand], **_COMMON}
+    table = _TABLES[subcommand].params
     for key in file_values:
         if key not in table:
             raise ConfigError(f"unknown configuration key {key!r} for "
@@ -185,6 +129,38 @@ def config_precedence(subcommand: str, flag_values: dict,
 # and imports the modules it calls, so a table loads only those.
 # ---------------------------------------------------------------------------
 
+# A table's runner, its footprint (estimated peak bytes, from the resolved
+# parameters) and, for a subcommand, its flags.
+_Table = namedtuple("_Table", "runner footprint params", defaults=(None,))
+_TABLES = {}   # subcommand -> _Table, in declaration (and --help) order
+_CHAIN = {}    # chain experiment -> _Table; the first is the default
+_STATES = {}   # states experiment -> _Table; the first is the default
+
+
+def _table(registry: dict, name: str, params=None, *, footprint):
+    """Declare the decorated runner as ``registry[name]`` with its
+    footprint; a subcommand also declares its flags (common ones appended)."""
+    def declare(runner):
+        registry[name] = _Table(runner, footprint, None if params is None
+                                else {**params, **_COMMON})
+        return runner
+    return declare
+
+
+def _experiment_flag(experiments: dict):
+    """The ``experiment`` flag: a declared experiment, the first by default."""
+    *head, last = experiments
+    return (str, next(iter(experiments)), f"{', '.join(head)} or {last}")
+
+
+def _experiment(params: dict, experiments: dict) -> _Table:
+    """The record of the experiment the ``experiment`` parameter names."""
+    experiment = params["experiment"]
+    require(experiment in experiments,
+            "experiment must be one of " + ", ".join(sorted(experiments)))
+    return experiments[experiment]
+
+
 _KERNEL_POINTS = (0.0 + 0.0j, 0.7 - 0.3j, 1.2 + 0.8j, -1.5j, 2.0 + 0.0j)
 _KERNEL_GRID = 2401   # q points of the kernel rows, on [-12, 12]
 # Rounding floor of the dense coupling spectrum, relative to its largest
@@ -192,6 +168,13 @@ _KERNEL_GRID = 2401   # q points of the kernel rows, on [-12, 12]
 _EIGVAL_FLOOR = 1e-12
 
 
+# nmax is at most 12: the kernel's 65-row Hermite table and the scaled copy
+# that _hermite_table returns
+@_table(_TABLES, "fock", {
+    "nmax": (int, 12, "orthonormality truncation, at most 12"),
+    "hbar": (float, 1.0, "ladder scale constant"),
+    "omega": (float, 1.0, "oscillator frequency for the eigenvalue check"),
+}, footprint=lambda p: 2 * 8 * 65 * _KERNEL_GRID)
 def _run_fock(cfg: RunConfig):
     from . import fock as fock_mod
     nmax = cfg.params["nmax"]
@@ -235,6 +218,13 @@ def _run_fock(cfg: RunConfig):
             ("check", "a", "b", "defect"), rows, comments)
 
 
+# angles, radii, CDF, energies
+@_table(_TABLES, "sphere", {
+    "beta": (float, 1.0, "inverse temperature"),
+    "radius": (float, 1.0, "sphere radius"),
+    "samples": (int, 100000, "sample count for the pushforward and "
+                             "Monte Carlo checks"),
+}, footprint=lambda p: 12 * 8 * p["samples"])
 def _run_sphere(cfg: RunConfig):
     from . import sphere as sphere_mod
     beta = cfg.params["beta"]
@@ -261,6 +251,12 @@ def _run_sphere(cfg: RunConfig):
             ("quantity", "value"), rows, [])
 
 
+# one row of Python floats and its text
+@_table(_TABLES, "spectrum", {
+    "tmin": (float, 0.01, "smallest hv/kT"),
+    "tmax": (float, 10.0, "largest hv/kT"),
+    "points": (int, 25, "number of log-spaced points"),
+}, footprint=lambda p: 512 * p["points"])
 def _run_spectrum(cfg: RunConfig):
     from . import sphere as sphere_mod
     tmin, tmax = cfg.params["tmin"], cfg.params["tmax"]
@@ -278,6 +274,8 @@ def _run_spectrum(cfg: RunConfig):
             ("x", "u_over_wien", "u_over_rayleigh_jeans"), rows, [])
 
 
+# the coupling matrix and its eigvalsh copy
+@_table(_CHAIN, "dispersion", footprint=lambda p: 2 * 8 * p["sites"] ** 2)
 def _chain_dispersion(cfg: RunConfig, spec):
     from . import chain as chain_mod
     modes = chain_mod.normal_modes(spec)
@@ -298,6 +296,9 @@ def _chain_dispersion(cfg: RunConfig, spec):
             comments)
 
 
+# noise, q, p, their spectra and the mode energies
+@_table(_CHAIN, "equipartition",
+        footprint=lambda p: 12 * 8 * p["samples"] * p["sites"])
 def _chain_equipartition(cfg: RunConfig, spec):
     from . import chain as chain_mod
     beta = cfg.params["beta"]
@@ -325,6 +326,8 @@ def _chain_equipartition(cfg: RunConfig, spec):
             rows, [])
 
 
+# the continuum and chain laws on the fixed 257-point k window
+@_table(_CHAIN, "continuum", footprint=lambda p: 8 * 8 * 257)
 def _chain_continuum(cfg: RunConfig, spec):
     from . import chain as chain_mod
     a_list = [cfg.params["spacing"] * 0.5 ** i for i in range(5)]
@@ -338,6 +341,8 @@ def _chain_continuum(cfg: RunConfig, spec):
             "spacing halving", ("a", "max_error", "halving_ratio"), rows, [])
 
 
+# the fixed 2048-point packet, its spectrum, weights and phases
+@_table(_CHAIN, "nonrel", footprint=lambda p: 12 * 16 * 2048)
 def _chain_nonrel(cfg: RunConfig, spec):
     from . import chain as chain_mod
     t = cfg.params["dt"] * cfg.params["steps"]
@@ -348,26 +353,32 @@ def _chain_nonrel(cfg: RunConfig, spec):
             "free-particle law", ("quantity", "value"), rows, [])
 
 
-def _experiment(cfg: RunConfig, runners: dict):
-    """The runner named by the ``experiment`` parameter."""
-    experiment = cfg.params["experiment"]
-    require(experiment in runners,
-            "experiment must be one of " + ", ".join(sorted(runners)))
-    return runners[experiment]
-
-
+@_table(_TABLES, "chain", {
+    "experiment": _experiment_flag(_CHAIN),
+    "sites": (int, 64, "number of sites"),
+    "mass": (float, 1.0, "site mass term"),
+    "gamma": (float, 1.0, "coupling strength"),
+    "spacing": (float, 1.0, "lattice spacing; continuum runs halve it "
+                            "repeatedly"),
+    "beta": (float, 1.0, "inverse temperature for equipartition"),
+    "dt": (float, 0.01, "time step; the nonrel run evolves for dt*steps"),
+    "steps": (int, 100, "step count; the nonrel run evolves for dt*steps"),
+    "samples": (int, 20000, "thermal sample count for equipartition"),
+}, footprint=lambda p: _experiment(p, _CHAIN).footprint(p))
 def _run_chain(cfg: RunConfig):
     from . import chain as chain_mod
     spec = chain_mod.ChainSpec(cfg.params["sites"], cfg.params["spacing"],
                                cfg.params["mass"], cfg.params["gamma"])
-    return _experiment(cfg, {
-        "dispersion": _chain_dispersion,
-        "equipartition": _chain_equipartition,
-        "continuum": _chain_continuum,
-        "nonrel": _chain_nonrel,
-    })(cfg, spec)
+    return _experiment(cfg.params, _CHAIN).runner(cfg, spec)
 
 
+# the direct route's 61 × N phase block and its exponential, plus the
+# autocorrelation's 4N-point FFT buffers
+@_table(_TABLES, "charfn", {
+    "packet": (str, "gaussian", "test amplitude: gaussian or hermite1"),
+    "span": (float, 40.0, "grid span"),
+    "points": (int, 512, "grid points"),
+}, footprint=lambda p: 16 * (2 * 61 + 16) * p["points"])
 def _run_charfn(cfg: RunConfig):
     from . import charfn as charfn_mod
     from . import fock as fock_mod
@@ -401,6 +412,9 @@ def _run_charfn(cfg: RunConfig):
              "gap"), rows, [f"max route difference: {worst:.17g}"])
 
 
+# the 1024-point Hermite table to order nmax (at most 200) and its copy
+@_table(_STATES, "uncertainty",
+        footprint=lambda p: 2 * 8 * 1024 * (min(p["nmax"], 200) + 1))
 def _states_uncertainty(cfg: RunConfig):
     from . import charfn as charfn_mod
     from . import fock as fock_mod
@@ -418,6 +432,8 @@ def _states_uncertainty(cfg: RunConfig):
             ("n", "width_x", "width_k", "product"), rows, [])
 
 
+# sparse vectors over eight modes with at most two quanta: no array
+@_table(_STATES, "exotic", footprint=lambda p: 0)
 def _states_exotic(cfg: RunConfig):
     from . import chain as chain_mod
     from . import states as states_mod
@@ -449,6 +465,8 @@ def _bump(center: float, halfwidth: float):
     return values
 
 
+# orbitals, marginal and temporaries: a dozen 4001-point complex arrays
+@_table(_STATES, "singlet", footprint=lambda p: 12 * 16 * 4001)
 def _states_singlet(cfg: RunConfig):
     from . import charfn as charfn_mod
     from . import states as states_mod
@@ -470,6 +488,8 @@ def _states_singlet(cfg: RunConfig):
             ("quantity", "value"), rows, [])
 
 
+# closed forms: no array
+@_table(_STATES, "circle", footprint=lambda p: 0)
 def _states_circle(cfg: RunConfig):
     from . import states as states_mod
     widths = states_mod.circle_uncertainty(1)
@@ -482,13 +502,12 @@ def _states_circle(cfg: RunConfig):
             ("quantity", "value"), rows, [])
 
 
+@_table(_TABLES, "states", {
+    "experiment": _experiment_flag(_STATES),
+    "nmax": (int, 6, "highest Hermite order for the uncertainty table"),
+}, footprint=lambda p: _experiment(p, _STATES).footprint(p))
 def _run_states(cfg: RunConfig):
-    return _experiment(cfg, {
-        "uncertainty": _states_uncertainty,
-        "exotic": _states_exotic,
-        "singlet": _states_singlet,
-        "circle": _states_circle,
-    })(cfg)
+    return _experiment(cfg.params, _STATES).runner(cfg)
 
 
 def _parse_sectors(text: str, d: int):
@@ -504,6 +523,14 @@ def _parse_sectors(text: str, d: int):
     return measure_mod.SectorStructure(sectors, charges)
 
 
+# d amplitudes make d×d complex matrices; three arrays of samples
+@_table(_TABLES, "measure", {
+    "amps": (str, "0.6,0.8", "comma list of branch amplitudes"),
+    "samples": (int, 100000, "number of sampled outcomes"),
+    "sectors": (str, "", "sector partition like '0,1;2'; empty means "
+                         "one sector per outcome"),
+}, footprint=lambda p: 8 * 16 * (p["amps"].count(",") + 1) ** 2
+   + 3 * 8 * p["samples"])
 def _run_measure(cfg: RunConfig):
     from . import measurement as measure_mod
     amps = np.array([float(tok) for tok in cfg.params["amps"].split(",")
@@ -537,6 +564,12 @@ def _run_measure(cfg: RunConfig):
              "within_3_sigma"), rows, comments)
 
 
+# one interference row and its text
+@_table(_TABLES, "toy", {
+    "steps": (int, 2, "number of steps in the interference table"),
+    "matrix": (str, "hadamard", "'hadamard' or four comma-separated "
+                                "reals a,b,c,d"),
+}, footprint=lambda p: 1024 * p["steps"])
 def _run_toy(cfg: RunConfig):
     from . import toy as toy_mod
     text = cfg.params["matrix"]
@@ -567,18 +600,6 @@ def _run_toy(cfg: RunConfig):
              "gap"), rows_out, comments)
 
 
-_RUNNERS = {
-    "fock": _run_fock,
-    "sphere": _run_sphere,
-    "spectrum": _run_spectrum,
-    "chain": _run_chain,
-    "charfn": _run_charfn,
-    "states": _run_states,
-    "measure": _run_measure,
-    "toy": _run_toy,
-}
-
-
 # ---------------------------------------------------------------------------
 # Output formatting
 # ---------------------------------------------------------------------------
@@ -596,7 +617,7 @@ def _json_value(value):
     return value
 
 
-def _render(description, cfg: RunConfig, columns, rows, comments) -> str:
+def _render(cfg: RunConfig, description, columns, rows, comments) -> str:
     if cfg.format == "csv":
         lines = [f"# check: {description}", f"# config: {cfg.echo()}"]
         lines += [f"# {comment}" for comment in comments]
@@ -636,30 +657,7 @@ _BUDGET_BYTES = 1 << 30
 
 def _footprint(cfg: RunConfig) -> int:
     """Estimated peak bytes one table allocates, from its size flags."""
-    p = cfg.params
-    if cfg.subcommand == "fock":
-        # nmax is at most 12: the kernel's 65-row Hermite table and the
-        # scaled copy that _hermite_table returns
-        return 2 * 8 * 65 * _KERNEL_GRID
-    if cfg.subcommand == "spectrum":
-        return 512 * p["points"]   # one row of Python floats and its text
-    if cfg.subcommand == "toy":
-        return 1024 * p["steps"]   # one interference row and its text
-    if cfg.subcommand == "chain":
-        sizes = {"dispersion": 2 * 8 * p["sites"] ** 2,  # M, eigvalsh copy
-                 # noise, q, p, their spectra and the mode energies
-                 "equipartition": 12 * 8 * p["samples"] * p["sites"]}
-        return sizes.get(p["experiment"], 0)
-    if cfg.subcommand == "charfn":
-        # the direct route's 61 × N phase block and its exponential, plus
-        # the autocorrelation's 4N-point FFT buffers
-        return 16 * (2 * 61 + 16) * p["points"]
-    if cfg.subcommand == "sphere":
-        return 12 * 8 * p["samples"]   # angles, radii, CDF, energies
-    if cfg.subcommand == "measure":
-        d = p["amps"].count(",") + 1   # d amplitudes make d×d matrices
-        return 8 * 16 * d * d + 3 * 8 * p["samples"]
-    return 0
+    return _TABLES[cfg.subcommand].footprint(cfg.params)
 
 
 def run(cfg: RunConfig) -> int:
@@ -669,8 +667,7 @@ def run(cfg: RunConfig) -> int:
             f"{cfg.subcommand} would need about {need / 2 ** 20:.0f} MB of "
             f"arrays, above the {_BUDGET_BYTES // 2 ** 20} MB budget; lower "
             "its size flags")
-    description, columns, rows, comments = _RUNNERS[cfg.subcommand](cfg)
-    text = _render(description, cfg, columns, rows, comments)
+    text = _render(cfg, *_TABLES[cfg.subcommand].runner(cfg))
     if cfg.out is None:
         sys.stdout.write(text)
     else:
@@ -685,9 +682,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "ladder calculus, oscillator chains, amplitude "
                     "probability.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, table in _PARAMS.items():
+    for name, table in _TABLES.items():
         p = sub.add_parser(name, help=f"run the {name} experiment table")
-        for key, (kind, default, help_text) in {**table, **_COMMON}.items():
+        for key, (kind, default, help_text) in table.params.items():
             if default not in (None, ""):
                 help_text += f" (default: {default})"
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,

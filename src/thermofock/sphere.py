@@ -7,12 +7,14 @@ oscillator; matching the total phase-space volume 2π/(βω) to h ties the
 temperature scale to the area quantum through βω = 1/ħ, h = 2πħ.
 
 Two maps are provided: ``thermal_map_paper`` (|z|² = (ln2/β)·3R²·
-sin²(θ/2), kept verbatim for fidelity) and ``thermal_map_exact``
-(|z|² = −ln(1−sin²(θ/2))/β), which pushes the uniform sphere measure
-forward to the Gibbs radial law 1−e^{−βr²} exactly — polar-cap area
-fraction and image-disk Gibbs mass agree identically.  The two maps
-differ; both are exposed so the discrepancy is measurable rather than
-hidden.
+sin²(θ/2), kept verbatim for fidelity) and ``thermal_map_exact``, which
+returns the point q + ip of the phase plane that ``region_probability``
+weighs with e^{−βH}, H = (q² + p²)/2 (the ``ThermalOscillator`` with
+m = ω = 1), at r² = q² + p² = −2 ln(1−sin²(θ/2))/β.  It pushes the
+uniform sphere measure forward to that plane's Gibbs radial law
+1−e^{−βr²/2} exactly: polar-cap area fraction and image-disk Gibbs mass
+agree identically.  The two maps differ; both are exposed so the
+discrepancy is measurable rather than hidden.
 
 Gibbs masses of phase-plane regions (rectangles and disks, the full
 plane included) come from iterated Gauss–Legendre rules, whose 48- and
@@ -153,12 +155,14 @@ def thermal_map_paper(point: SpherePoint, radius: float,
 
 
 def thermal_map_exact(point: SpherePoint, beta: float) -> complex:
-    """|z|² = −ln(1 − sin²(θ/2))/β, arg z = φ.
+    """The phase point q + ip of the plane of ``ThermalOscillator(beta)``:
+    r² = |q + ip|² = −2 ln(1 − sin²(θ/2))/β and arg = φ.
 
     Exactly measure-preserving: the polar cap of area fraction
-    sin²(θ/2) maps onto the disk of Gibbs mass 1−e^{−β|z|²}, and the two
-    fractions agree identically.  The far pole θ = π is logarithmically
-    singular and raises ValueError.  |z| is :func:`pushforward_radii`.
+    sin²(θ/2) maps onto the disk whose Gibbs mass under
+    ``region_probability`` is 1−e^{−βr²/2}, and the two fractions agree
+    identically.  The far pole θ = π is logarithmically singular and
+    raises ValueError.  r is :func:`pushforward_radii`.
     """
     radius = float(pushforward_radii(np.array([point.theta]), beta)[0])
     return radius * complex(math.cos(point.phi), math.sin(point.phi))
@@ -180,19 +184,20 @@ def uniform_sphere_samples(n: int, seed: int):
 
 
 def pushforward_radii(theta: np.ndarray, beta: float) -> np.ndarray:
-    """|z| for uniform-sphere angles θ under the exact thermal map."""
+    """r = |q + ip| for uniform-sphere angles θ under the exact thermal
+    map, in the phase plane of ``ThermalOscillator(beta)``."""
     require(0 < beta < math.inf,
             f"beta must be positive and finite, got {beta}")
     s2 = np.sin(theta / 2.0) ** 2
     require(np.all(s2 < 1.0),
             "theta = pi is the singular pole of the exact map")
     # Rooted apart, so a tiny beta cannot overflow the quotient.
-    return np.sqrt(-np.log1p(-s2)) / math.sqrt(beta)
+    return np.sqrt(-2.0 * np.log1p(-s2)) / math.sqrt(beta)
 
 
 def pushforward_ks_statistic(beta: float, n: int, seed: int) -> float:
     """Kolmogorov–Smirnov distance between mapped uniform-sphere radii
-    and the Gibbs radial law 1 − e^{−βr²}.
+    r = |q + ip| and the Gibbs radial law 1 − e^{−βr²/2} of their plane.
 
     D = max(D⁺, D⁻) over the sorted empirical CDF, arranged as in
     ``scipy.stats.kstest`` (the test oracle) so the two agree bit for bit.
@@ -202,7 +207,7 @@ def pushforward_ks_statistic(beta: float, n: int, seed: int) -> float:
     require(n >= 1, f"the KS statistic needs at least 1 sample, got {n}")
     theta, _ = uniform_sphere_samples(n, seed)
     radii = np.sort(pushforward_radii(theta, beta))
-    cdf = -np.expm1(-beta * radii * radii)
+    cdf = -np.expm1(-beta * radii * radii / 2.0)
     d_plus = np.max(np.arange(1.0, radii.size + 1) / radii.size - cdf)
     d_minus = np.max(cdf - np.arange(0.0, radii.size) / radii.size)
     return float(max(d_plus, d_minus))

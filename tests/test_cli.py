@@ -204,6 +204,22 @@ class TestExitCodes:
     def test_unknown_experiment_name(self, capsys):
         assert main(["chain", "--experiment", "warp"]) == 2
 
+    @pytest.mark.parametrize("subcommand, experiments", [
+        ("chain", cli_mod._CHAIN), ("states", cli_mod._STATES)])
+    def test_help_and_refusal_name_exactly_the_declared_experiments(
+            self, subcommand, experiments, capsys):
+        keys = list(experiments)
+        with pytest.raises(SystemExit):
+            main([subcommand, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        listed = text.split("--experiment EXPERIMENT ")[1].split(" (default: ")
+        assert listed[0].replace(" or ", ", ").split(", ") == keys
+        assert listed[1].startswith(f"{keys[0]})")
+        assert main([subcommand, "--experiment", "warp"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: experiment must be one of "
+                       + ", ".join(sorted(keys)) + "\n")
+
     def test_bad_parameter_value(self, capsys):
         for argv, message in [
             (["spectrum", "--tmin", "5.0", "--tmax", "1.0"], "tmin < tmax"),
@@ -218,6 +234,11 @@ class TestExitCodes:
              "at least 2 samples"),
             (["chain", "--experiment", "equipartition", "--samples", "0"],
              "at least 2 samples"),
+            # beta * omega^2 overflows in gibbs_sample: the RuntimeWarning
+            # it leaked is an error under the suite's warning filter
+            (["chain", "--experiment", "equipartition", "--mass", "2.4e137",
+              "--spacing", "4.5e-118", "--beta", "2.9e200"],
+             "beta * omega^2 leaves the double range"),
             (["measure", "--sectors", "0;;1"], "empty sector group"),
             (["measure", "--sectors", "0,5"],
              "sectors must partition 0..d-1 exactly once"),

@@ -1,8 +1,10 @@
 """Tests for the sphere-to-phase-plane dictionary and thermal measures.
 
 Closed forms used as oracles: the cap-area fraction sin^2(theta/2),
-the exponential-law disk mass 1 - e^{-beta |z|^2} (so the median radius
-is sqrt(2 ln 2 / beta) in canonical coordinates), the Gibbs mean energy
+the exponential-law disk mass 1 - e^{-beta r^2 / 2} of the phase plane
+r = |q + ip| (so the median radius is sqrt(2 ln 2 / beta)), the
+quadrature mass ``region_probability`` of the exact map's image disk,
+the Gibbs mean energy
 1/beta, the Planck density over its Wien and Rayleigh-Jeans limits, and
 the two endmember ratios of the blackbody density evaluated with
 mpmath-free stdlib arithmetic and frozen below.  ``scipy.stats.kstest``
@@ -149,13 +151,15 @@ class TestGeometry:
                                    atol=1e-15)
 
     def test_equator_values_of_the_two_thermal_maps(self):
-        # Exact map: |z|^2 = ln 2 / beta at the equator.  The quoted
-        # variant with the 3 R^2 sin^2 factor is kept verbatim for
-        # comparison and differs there.
+        # Exact map: |q + ip|^2 = 2 ln 2 / beta at the equator, the
+        # median radius of the Gibbs plane.  The quoted variant with the
+        # 3 R^2 sin^2 factor is kept verbatim for comparison and differs
+        # there.
         point = SpherePoint(math.pi / 2, 0.0)
         for beta in (0.5, 1.0, 2.0):
             z = thermal_map_exact(point, beta)
-            np.testing.assert_allclose(abs(z) ** 2, math.log(2.0) / beta,
+            np.testing.assert_allclose(abs(z) ** 2,
+                                       2.0 * math.log(2.0) / beta,
                                        atol=1e-12)
         z_quoted = thermal_map_paper(point, radius=1.0, beta=1.0)
         np.testing.assert_allclose(abs(z_quoted) ** 2,
@@ -171,12 +175,32 @@ class TestPushforward:
 
     def test_cap_mass_equals_disk_mass(self):
         # The cap below colatitude theta and its image disk carry the
-        # same mass: sin^2(theta/2) = 1 - e^{-beta |z(theta)|^2}.
+        # same mass: sin^2(theta/2) = 1 - e^{-beta r(theta)^2 / 2}.
         beta = 0.8
         for theta in np.linspace(0.05, 3.0, 40):
             z = thermal_map_exact(SpherePoint(theta, 0.0), beta)
-            disk_mass = -math.expm1(-beta * abs(z) ** 2)
+            disk_mass = -math.expm1(-beta * abs(z) ** 2 / 2.0)
             assert abs(disk_mass - cap_area_fraction(theta)) < 1e-10
+
+    @settings(max_examples=60)
+    @given(theta=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+           beta=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+    def test_cap_fraction_is_the_gibbs_mass_of_the_image_disk(
+            self, theta, beta):
+        # The map's plane is the one region_probability weighs: the
+        # image disk's quadrature mass is the cap's area fraction,
+        # within the quadrature's 1e-7 self-estimate bound.
+        cap = cap_area_fraction(theta)
+        try:
+            radius = abs(thermal_map_exact(SpherePoint(theta), beta))
+        except ValueError:
+            # sin^2(theta/2) rounds to 1 within about 2e-8 of the pole
+            assert cap == 1.0
+            return
+        # below theta ~ 3e-162 the radius underflows to the empty disk
+        mass = (region_probability(Disk(radius), ThermalOscillator(beta))
+                if radius > 0.0 else 0.0)
+        assert abs(mass - cap) <= 1e-7
 
     def test_ks_statistic_of_the_sampled_pushforward(self):
         assert pushforward_ks_statistic(1.0, 100000, seed=7) < 0.01
@@ -187,7 +211,8 @@ class TestPushforward:
     def test_ks_statistic_matches_the_scipy_oracle(self, beta, n, seed):
         theta, _ = uniform_sphere_samples(n, seed)
         radii = pushforward_radii(theta, beta)
-        oracle = stats.kstest(radii, lambda r: -np.expm1(-beta * r * r))
+        oracle = stats.kstest(radii,
+                              lambda r: -np.expm1(-beta * r * r / 2.0))
         assert pushforward_ks_statistic(beta, n, seed) == oracle.statistic
 
     def test_uniform_samples_are_on_the_sphere(self):
