@@ -494,7 +494,7 @@ def continuum_limit_error(m: float, k_window: float, a_list):
             f"k_window must be positive and finite, got {k_window}")
     results = []
     k = np.linspace(-k_window, k_window, _CONTINUUM_K_POINTS)
-    target = np.sqrt(m ** 2 + k ** 2)
+    target = np.sqrt(m * m + k ** 2)   # m ** 2 raises where m * m is inf
     for a in a_list:
         require(0 < a < math.pi / k_window,
                 f"a={a} must lie in (0, pi/k_window): the window {k_window} "

@@ -5,7 +5,7 @@ table — CSV with '#'-prefixed comment lines (17-significant-digit
 floats, '.' decimal point) or an equivalent JSON document.  The first
 comment line names the check performed; the second echoes the fully
 resolved configuration.  Exit status: 0 success, 2 usage or invalid
-value, 3 tripped numerical guard.
+value, 3 tripped numerical guard or a float cell that is not finite.
 
 Configuration precedence: command-line flags override --config file
 entries (``key = value`` lines), which override built-in defaults.
@@ -166,6 +166,8 @@ _KERNEL_GRID = 2401   # q points of the kernel rows, on [-12, 12]
 # Rounding floor of the dense coupling spectrum, relative to its largest
 # eigenvalue: a massless chain's zero mode comes out near -1e-16.
 _EIGVAL_FLOOR = 1e-12
+# ChainSpec's fields: only the dispersion and equipartition tables build it
+_SPEC_FLAGS = ("sites", "spacing", "mass", "gamma")
 
 
 # nmax is at most 12: the kernel's 65-row Hermite table and the scaled copy
@@ -182,8 +184,7 @@ def _run_fock(cfg: RunConfig):
     limit = fock_mod._QUAD_N_MAX
     require(nmax <= limit, f"nmax must be at most {limit}, the quadrature "
             f"oracle's limit, got {nmax}")
-    hbar = cfg.params["hbar"]
-    omega = cfg.params["omega"]
+    hbar, omega = cfg.params["hbar"], cfg.params["omega"]
     rows = []
     for n in range(nmax + 1):
         zn = fock_mod.FockVector.basis_state(n, nmax, hbar)
@@ -195,12 +196,12 @@ def _run_fock(cfg: RunConfig):
     rows.append(("commutator", hbar, float(max(nmax, 2)),
                  fock_mod.commutator_defect(max(nmax, 2), hbar)))
     for n in range(nmax):
-        zn = fock_mod.FockVector.basis_state(n, nmax, hbar)
-        hzn = fock_mod.hamiltonian_apply(zn, omega)
-        # one nonzero slot: its modulus is the norm, with no square
-        defect = float(np.max(np.abs(
-            hzn.coeffs - omega * hbar * (n + 0.5) * zn.coeffs)))
-        rows.append(("hamiltonian", float(n), omega, defect))
+        # at unit scale, on its one nonzero slot, times |ω| ħ at the end
+        zn = fock_mod.FockVector.basis_state(n, nmax)
+        hzn = fock_mod.hamiltonian_apply(zn, 1.0)
+        defect = float(np.max(np.abs(hzn.coeffs - (n + 0.5) * zn.coeffs)))
+        rows.append(("hamiltonian", float(n), omega,
+                     abs(omega) * hbar * defect))
     if abs(hbar - 1.0) <= 1e-15:
         q = np.linspace(-12.0, 12.0, _KERNEL_GRID)
         kernels = [fock_mod.bargmann_kernel(z, q) for z in _KERNEL_POINTS]
@@ -228,15 +229,14 @@ def _run_fock(cfg: RunConfig):
 def _run_sphere(cfg: RunConfig):
     from . import sphere as sphere_mod
     beta = cfg.params["beta"]
-    radius = cfg.params["radius"]
     n = cfg.params["samples"]
-    geometry = sphere_mod.SphereGeometry(radius)
+    geometry = sphere_mod.SphereGeometry(cfg.params["radius"])
     osc = sphere_mod.ThermalOscillator(beta=beta)
     ks = sphere_mod.pushforward_ks_statistic(beta, n, cfg.seed)
     quad = sphere_mod.gibbs_normalization_check(osc)
     mc, stderr = sphere_mod.mean_energy(osc, n, cfg.seed)
     analytic = 1.0 / osc.beta
-    gap_sigmas = abs(mc - analytic) / stderr if stderr > 0 else 0.0
+    gap_sigmas = abs(mc - analytic) / stderr
     rows = [
         ("sphere_area", geometry.area),
         ("ks_statistic", ks),
@@ -263,7 +263,9 @@ def _run_spectrum(cfg: RunConfig):
     points = cfg.params["points"]
     require(0 < tmin < tmax < math.inf, "need 0 < tmin < tmax < inf")
     require(points >= 2, "need at least 2 points")
-    xs = np.geomspace(tmin, tmax, points)
+    # geomspace pins its ends, after 10^log10(tmax) may have overflowed
+    with np.errstate(over="ignore"):
+        xs = np.geomspace(tmin, tmax, points)
     rows = []
     for x in xs:
         # x = hv/kT with h = k = T = 1 reference values.
@@ -276,8 +278,9 @@ def _run_spectrum(cfg: RunConfig):
 
 # the coupling matrix and its eigvalsh copy
 @_table(_CHAIN, "dispersion", footprint=lambda p: 2 * 8 * p["sites"] ** 2)
-def _chain_dispersion(cfg: RunConfig, spec):
+def _chain_dispersion(cfg: RunConfig):
     from . import chain as chain_mod
+    spec = chain_mod.ChainSpec(*map(cfg.params.get, _SPEC_FLAGS))
     modes = chain_mod.normal_modes(spec)
     order = np.argsort(modes.omega)
     lam = np.linalg.eigvalsh(spec.coupling_matrix())
@@ -299,23 +302,22 @@ def _chain_dispersion(cfg: RunConfig, spec):
 # noise, q, p, their spectra and the mode energies
 @_table(_CHAIN, "equipartition",
         footprint=lambda p: 12 * 8 * p["samples"] * p["sites"])
-def _chain_equipartition(cfg: RunConfig, spec):
+def _chain_equipartition(cfg: RunConfig):
     from . import chain as chain_mod
     beta = cfg.params["beta"]
     n = cfg.params["samples"]
     require(n >= 2, "equipartition needs at least 2 samples for its "
             f"standard errors, got {n}")
+    spec = chain_mod.ChainSpec(*map(cfg.params.get, _SPEC_FLAGS))
     q, p = chain_mod.gibbs_sample(spec, beta, n, cfg.seed)
     root_n = math.sqrt(spec.n_sites)
     modes = replace(chain_mod.normal_modes(spec),
                     u=np.fft.fft(q, axis=1) / root_n,
                     p=np.fft.fft(p, axis=1) / root_n)
-    with np.errstate(over="ignore", invalid="ignore"):   # guarded below
+    with np.errstate(over="ignore", invalid="ignore"):   # run refuses inf
         energies = chain_mod.mode_energies(modes)
         means = np.mean(energies, axis=0)
         stderrs = np.std(energies, axis=0, ddof=1) / math.sqrt(n)
-    guard("non-finite means or stderrs", np.count_nonzero(~np.isfinite(
-        [means, stderrs])), 0, "the mode energies overflow; raise beta")
     rows = []
     for j in range(spec.n_sites):
         rows.append((float(modes.k[j]), float(modes.omega[j]),
@@ -328,14 +330,14 @@ def _chain_equipartition(cfg: RunConfig, spec):
 
 # the continuum and chain laws on the fixed 257-point k window
 @_table(_CHAIN, "continuum", footprint=lambda p: 8 * 8 * 257)
-def _chain_continuum(cfg: RunConfig, spec):
+def _chain_continuum(cfg: RunConfig):
     from . import chain as chain_mod
     a_list = [cfg.params["spacing"] * 0.5 ** i for i in range(5)]
     pairs = chain_mod.continuum_limit_error(cfg.params["mass"], 1.0, a_list)
     errs = [err for _, err in pairs]
     guard("halving steps with zero error", errs[1:].count(0.0), 0,
           "the error is below rounding; raise the spacing or lower the mass")
-    ratios = [math.nan] + [prev / err for prev, err in zip(errs, errs[1:])]
+    ratios = [None] + [prev / err for prev, err in zip(errs, errs[1:])]
     rows = [(a, err, ratio) for (a, err), ratio in zip(pairs, ratios)]
     return ("lattice dispersion error against the continuum law under "
             "spacing halving", ("a", "max_error", "halving_ratio"), rows, [])
@@ -343,7 +345,7 @@ def _chain_continuum(cfg: RunConfig, spec):
 
 # the fixed 2048-point packet, its spectrum, weights and phases
 @_table(_CHAIN, "nonrel", footprint=lambda p: 12 * 16 * 2048)
-def _chain_nonrel(cfg: RunConfig, spec):
+def _chain_nonrel(cfg: RunConfig):
     from . import chain as chain_mod
     t = cfg.params["dt"] * cfg.params["steps"]
     packet = chain_mod.standard_packet()
@@ -366,10 +368,7 @@ def _chain_nonrel(cfg: RunConfig, spec):
     "samples": (int, 20000, "thermal sample count for equipartition"),
 }, footprint=lambda p: _experiment(p, _CHAIN).footprint(p))
 def _run_chain(cfg: RunConfig):
-    from . import chain as chain_mod
-    spec = chain_mod.ChainSpec(cfg.params["sites"], cfg.params["spacing"],
-                               cfg.params["mass"], cfg.params["gamma"])
-    return _experiment(cfg.params, _CHAIN).runner(cfg, spec)
+    return _experiment(cfg.params, _CHAIN).runner(cfg)
 
 
 # the direct route's 61 × N phase block and its exponential, plus the
@@ -605,6 +604,8 @@ def _run_toy(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 def _format_cell(value) -> str:
+    if value is None:   # a cell the runner declares undefined
+        return "nan"
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -631,7 +632,7 @@ def _render(cfg: RunConfig, description, columns, rows, comments) -> str:
                    **{k: _json_value(v) for k, v in cfg.params.items()}},
         "comments": list(comments),
         "columns": list(columns),
-        "rows": [[_json_value(v) for v in row] for row in rows],
+        "rows": [list(row) for row in rows],
     }
     return json.dumps(document, sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
@@ -667,7 +668,11 @@ def run(cfg: RunConfig) -> int:
             f"{cfg.subcommand} would need about {need / 2 ** 20:.0f} MB of "
             f"arrays, above the {_BUDGET_BYTES // 2 ** 20} MB budget; lower "
             "its size flags")
-    text = _render(cfg, *_TABLES[cfg.subcommand].runner(cfg))
+    description, columns, rows, comments = _TABLES[cfg.subcommand].runner(cfg)
+    guard("non-finite table cells", sum(
+        isinstance(v, float) and not math.isfinite(v) for row in rows
+        for v in row), 0, "a result lies beyond the double range")
+    text = _render(cfg, description, columns, rows, comments)
     if cfg.out is None:
         sys.stdout.write(text)
     else:

@@ -168,12 +168,12 @@ class GaussianMeasure:
         return float(np.sum(w))
 
 
-@lru_cache(maxsize=8)
-def _quadrature_rows(hbar: float, nodes: tuple):
-    """Weights and basis rows Z_0..Z_{_QUAD_N_MAX} at the oracle's nodes
-    for one scale and node set, read-only."""
-    z, w = GaussianMeasure(hbar).quadrature_nodes(*nodes)
-    rows = _basis_rows(z, _QUAD_N_MAX, hbar)
+@lru_cache(maxsize=2)
+def _quadrature_rows(nodes: tuple):
+    """Weights and unit-scale basis rows Z_0..Z_{_QUAD_N_MAX} at the
+    oracle's nodes for one node set, read-only."""
+    z, w = GaussianMeasure().quadrature_nodes(*nodes)
+    rows = _basis_rows(z, _QUAD_N_MAX, 1.0)
     w.setflags(write=False)
     rows.setflags(write=False)
     return w, rows
@@ -186,14 +186,16 @@ def quadrature_inner_product(f: FockVector, g: FockVector) -> complex:
     Gauss–Laguerre in u = |z|^2/ħ, uniform angular grid, on 40 × 64
     nodes.  The value is recomputed on 48 × 80 nodes; a self-estimated
     error above 1e-8 raises NumericalGuardError.  Truncations above 12
-    are outside the guaranteed-accuracy domain and are rejected.
+    are outside the guaranteed-accuracy domain and are rejected.  ħ does
+    not enter the oracle: z = sqrt(ħ) ζ maps dμ and Z_n(z; ħ) at ħ onto
+    dμ and Z_n(ζ; 1) at unit scale, where the integral runs.
     """
     _check_compatible(f, g)
     require(f.n_max <= _QUAD_N_MAX and g.n_max <= _QUAD_N_MAX,
             f"quadrature oracle limited to truncations <= {_QUAD_N_MAX}")
 
     def integral(nodes):
-        w, rows = _quadrature_rows(f.hbar, nodes)
+        w, rows = _quadrature_rows(nodes)
         return complex(np.sum(w * (f.coeffs @ rows[:f.coeffs.size])
                               * np.conj(g.coeffs @ rows[:g.coeffs.size])))
 
@@ -238,24 +240,25 @@ def commutator_defect(n_max: int, hbar: float = 1.0,
     Interior slots n <= n_max - 1 give exact cancellation up to floating
     rounding.  ``include_edge`` adds the top slot using silently
     truncating raising, which manufactures a defect of magnitude
-    ħ (n_max + 1) — the reason the edge is excluded by default.
+    ħ (n_max + 1) — the reason the edge is excluded by default.  It is
+    ħ times the unit-scale defect, and is computed so.
     """
     require(n_max >= 2, "need n_max >= 2")
+    require(0 < hbar < math.inf,
+            f"hbar must be positive and finite, got {hbar}")
     worst = 0.0
     top = n_max if include_edge else n_max - 1
     for n in range(top + 1):
-        z_n = FockVector.basis_state(n, n_max, hbar)
+        z_n = FockVector.basis_state(n, n_max)
         if n < n_max:
             a_adag = lowered(raised(z_n))
         else:   # raise past the top slot, then drop it
-            a_adag = lowered(FockVector(raised(z_n, grow=True).coeffs[:-1],
-                                        hbar))
+            a_adag = lowered(FockVector(raised(z_n, grow=True).coeffs[:-1]))
         adag_a = raised(lowered(z_n))
-        defect = a_adag.coeffs - adag_a.coeffs - hbar * z_n.coeffs
-        # The defect lies on slot n alone, so its largest modulus is its
-        # norm, with no square to overflow.
+        defect = a_adag.coeffs - adag_a.coeffs - z_n.coeffs
+        # The defect lies on slot n alone: its largest modulus is its norm.
         worst = max(worst, float(np.max(np.abs(defect))))
-    return worst
+    return hbar * worst
 
 
 def hamiltonian_apply(f: FockVector, omega: float,
@@ -266,9 +269,10 @@ def hamiltonian_apply(f: FockVector, omega: float,
     eigenvector with eigenvalue ω ħ (n + 1/2).  For a vector produced by
     :func:`rescale_lambda` pass the same λ: the spectrum then matches
     the unrescaled one exactly (λ ħ_rescaled recovers the original ħ).
+    H is ω λ ħ times a⁺a + 1/2 at unit scale, and is applied so.
     """
-    number_part = raised(lowered(f))
-    c = omega * lam * (number_part.coeffs + 0.5 * f.hbar * f.coeffs)
+    number_part = raised(lowered(FockVector(f.coeffs)))
+    c = omega * lam * f.hbar * (number_part.coeffs + 0.5 * f.coeffs)
     return FockVector(c, f.hbar)
 
 

@@ -62,9 +62,6 @@ _CLIP = 12.0   # Gibbs widths kept on each axis by the quadrature
 _PANELS = 8    # equal panels of the outer Gauss–Legendre rule
 # Gibbs mass outside the clipped square, as a fraction of the full plane
 _CLIP_TAIL = 2.0 * math.erfc(_CLIP / math.sqrt(2.0))
-# Between these radii R² and the sphere area 4πR² are normal doubles.
-_RADII = (math.sqrt(sys.float_info.min),
-          math.sqrt(sys.float_info.max / (4.0 * math.pi)))
 
 
 @dataclass(frozen=True)
@@ -76,12 +73,13 @@ class SphereGeometry:
     def __post_init__(self):
         require(0 < self.radius < math.inf,
                 f"radius must be positive and finite, got {self.radius}")
-        require(_RADII[0] <= self.radius <= _RADII[1], f"the area 4 pi R^2 "
-                f"of radius {self.radius:.3g} lies beyond the double range")
+        require(sys.float_info.min <= self.radius * self.radius
+                and self.area < math.inf, f"the area 4 pi R^2 of radius "
+                f"{self.radius:.3g} lies beyond the double range")
 
     @property
     def area(self) -> float:
-        return 4.0 * math.pi * self.radius ** 2
+        return 4.0 * math.pi * (self.radius * self.radius)
 
 
 @dataclass(frozen=True)
@@ -199,15 +197,17 @@ def pushforward_ks_statistic(beta: float, n: int, seed: int) -> float:
     """Kolmogorov–Smirnov distance between mapped uniform-sphere radii
     r = |q + ip| and the Gibbs radial law 1 − e^{−βr²/2} of their plane.
 
-    D = max(D⁺, D⁻) over the sorted empirical CDF, arranged as in
-    ``scipy.stats.kstest`` (the test oracle) so the two agree bit for bit.
+    D does not depend on β: it is taken on the unit radius r̃ = sqrt(β) r,
+    whose law is 1 − e^{−r̃²/2}.  D = max(D⁺, D⁻) over the sorted
+    empirical CDF, arranged as in ``scipy.stats.kstest`` (the test
+    oracle) so the two agree bit for bit.
     """
     require(0 < beta < math.inf,
             f"beta must be positive and finite, got {beta}")
     require(n >= 1, f"the KS statistic needs at least 1 sample, got {n}")
     theta, _ = uniform_sphere_samples(n, seed)
-    radii = np.sort(pushforward_radii(theta, beta))
-    cdf = -np.expm1(-beta * radii * radii / 2.0)
+    radii = np.sort(pushforward_radii(theta, 1.0))
+    cdf = -np.expm1(-radii * radii / 2.0)
     d_plus = np.max(np.arange(1.0, radii.size + 1) / radii.size - cdf)
     d_minus = np.max(cdf - np.arange(0.0, radii.size) / radii.size)
     return float(max(d_plus, d_minus))
@@ -236,25 +236,16 @@ def gibbs_normalization_check(osc: ThermalOscillator) -> float:
 def mean_energy(osc: ThermalOscillator, n: int, seed: int):
     """(mean, stderr) of the Gibbs energy from n >= 1000 Gaussian
     phase-space samples (the exact mean is 1/β); sorted summation keeps
-    the estimate independent of any sample-stream split."""
+    the estimate independent of any sample-stream split.  It computes in
+    units of 1/β: βE = (q̃² + p̃²)/2 for unit normals q̃, p̃ whatever ω and
+    m are, and the mean and stderr of βE are divided by β once."""
     require(n >= 1000, f"mean_energy needs n >= 1000 samples, got {n}")
     rng = np.random.default_rng(seed)
-    q = rng.normal(0.0, 1.0 / (osc.omega * math.sqrt(osc.beta * osc.mass)),
-                   size=n)
-    p = rng.normal(0.0, math.sqrt(osc.mass / osc.beta), size=n)
-    with np.errstate(over="ignore"):   # guarded below
-        energies = np.sort(osc.energy(q, p))
-    # An n-term sum stays in the double range (math.fsum raises past it)
-    # if n times its largest term does.
-    hint = "beta is too small for the energy moments to fit in a double"
-    guard("Monte Carlo energy sum bound", n * float(energies[-1]),
-          sys.float_info.max, hint)
-    mean = float(math.fsum(energies) / n)
-    spread = max(float(energies[-1]) - mean, mean - float(energies[0]))
-    guard("Monte Carlo squared deviation sum bound", n * spread * spread,
-          sys.float_info.max, hint)
-    var = float(math.fsum((energies - mean) ** 2) / (n - 1))
-    return mean, math.sqrt(var / n)
+    q, p = rng.standard_normal((2, n))
+    energies = np.sort(0.5 * (q * q + p * p))
+    mean = math.fsum(energies) / n
+    var = math.fsum((energies - mean) ** 2) / (n - 1)
+    return mean / osc.beta, math.sqrt(var / n) / osc.beta
 
 
 @dataclass(frozen=True)

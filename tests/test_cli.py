@@ -5,8 +5,11 @@ Every invocation goes through ``main(argv)`` exactly as the installed
 entry point would.
 """
 
+import contextlib
+import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -16,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import thermofock
 from thermofock import chain as chain_mod
@@ -176,6 +181,105 @@ class TestConfigPrecedence:
         assert config_echo(text)["seed"] == "31"
 
 
+# Argv lists once probed one at a time; each runs as its own case and as an
+# explicit example of the whole-range property below.
+EXTREME_FLOAT_ARGV = [
+    ["spectrum", "--tmax", "800"],
+    ["chain", "--mass", "1e300"],
+    ["chain", "--spacing", "1e300"],
+    ["chain", "--spacing", "1e-300"],
+    ["chain", "--experiment", "continuum", "--mass", "1e10"],
+    ["charfn", "--span", "1e300"],
+    ["chain", "--experiment", "equipartition", "--beta", "1e-300"],
+    ["chain", "--experiment", "nonrel", "--mass", "1e300"],
+    ["spectrum", "--tmin", "1e-320", "--tmax", "1", "--points", "3"],
+    ["sphere", "--radius", "3.6e167"],
+    ["sphere", "--radius", "1e154"],
+    ["sphere", "--beta", "2.6e-299"],
+    ["sphere", "--beta", "1e-308"],
+    ["sphere", "--radius", "1e-170"],
+    ["fock", "--hbar", "2e251", "--omega", "2e-48"],
+    # geomspace's 10^log10(tmax) overflowed before it pinned the end
+    ["spectrum", "--tmax", "1.7976931348623157e308", "--points", "2"],
+]
+# The fock family where hbar * u or omega * hbar passes the double range.
+FOCK_OVERFLOW_ARGV = [
+    ["fock", "--nmax", "3", "--hbar=1e308"],
+    ["fock", "--nmax", "3", "--omega=1e308"],
+    ["fock", "--nmax", "3", "--hbar=1e200", "--omega=1e200"],
+    ["fock", "--nmax", "3", "--hbar=5.8e229", "--omega=5.2e219"],
+]
+
+# Log-uniform magnitude over the whole double range, either sign, and its
+# edges: 0, the smallest subnormal and normal, and the largest double.
+ANY_DOUBLE = st.builds(
+    operator.mul, st.sampled_from([1.0, -1.0]),
+    st.one_of(st.sampled_from([0.0, 5e-324, sys.float_info.min,
+                               sys.float_info.max]),
+              st.floats(-324.0, 308.25).map(lambda decade: 10.0 ** decade)))
+# Size and choice flags stay small; the rest keep their defaults.
+SMALL_FLAGS = {
+    "nmax": st.integers(0, 3),
+    "samples": st.sampled_from([2, 1000]),
+    "points": st.integers(2, 64),
+    "sites": st.integers(1, 8),
+    "steps": st.integers(0, 5),
+    "experiment": st.sampled_from(list(cli_mod._CHAIN)),
+    "packet": st.sampled_from(["gaussian", "hermite1"]),
+}
+FLOAT_TABLES = [name for name, table in cli_mod._TABLES.items()
+                if any(kind is float for kind, _, _ in table.params.values())]
+
+
+@st.composite
+def float_flag_argv(draw):
+    """A subcommand with float flags: each float flag is left out or set
+    to any double, each size flag is small, written ``--flag=value`` so a
+    negative value is not read as a flag."""
+    name = draw(st.sampled_from(FLOAT_TABLES))
+    argv = [name]
+    for key, (kind, _, _) in cli_mod._TABLES[name].params.items():
+        strategy = (st.one_of(st.none(), ANY_DOUBLE) if kind is float
+                    else SMALL_FLAGS.get(key, st.none()))
+        value = draw(strategy)
+        if value is not None:
+            argv.append(f"--{key}={value!r}" if kind is float
+                        else f"--{key}={value}")
+    return argv
+
+
+def with_examples(argvs):
+    """Each argv list as an explicit hypothesis example."""
+    def attach(test):
+        for argv in argvs:
+            test = example(argv=argv)(test)
+        return test
+    return attach
+
+
+def assert_finite_cells_or_refusal(argv):
+    """Exit 0 with every float cell finite, or exit 2 or 3 with no table
+    and the refusal on stderr; an escaping exception (a leaked
+    RuntimeWarning among them) fails.  The continuum table's first
+    halving ratio is the one cell declared undefined."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        _, header, rows = parse_csv(out.getvalue())
+        for i, row in enumerate(rows):
+            for column, cell in zip(header, row):
+                try:
+                    value = float(cell)
+                except ValueError:   # a label
+                    continue
+                if (i, column) != (0, "halving_ratio"):
+                    assert math.isfinite(value), (argv, column, cell)
+    else:
+        assert code in (2, 3) and out.getvalue() == ""
+        assert err.getvalue().startswith(("error: ", "numerical guard: "))
+
+
 class TestExitCodes:
     """0 success, 2 configuration problems, 3 numerical guards."""
 
@@ -239,6 +343,9 @@ class TestExitCodes:
             (["chain", "--experiment", "equipartition", "--mass", "2.4e137",
               "--spacing", "4.5e-118", "--beta", "2.9e200"],
              "beta * omega^2 leaves the double range"),
+            # the continuum table builds no ChainSpec; its law refuses m
+            (["chain", "--experiment", "continuum", "--mass", "1e155"],
+             "m^2 + 4 gamma/a^2 overflows"),
             (["measure", "--sectors", "0;;1"], "empty sector group"),
             (["measure", "--sectors", "0,5"],
              "sectors must partition 0..d-1 exactly once"),
@@ -273,33 +380,24 @@ class TestExitCodes:
                      "--mass", "0"]) == 3
         assert "negative coupling eigenvalue" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", EXTREME_FLOAT_ARGV, ids=" ".join)
+    def test_extreme_float_flag_prints_finite_cells_or_refuses(self, argv):
+        assert_finite_cells_or_refusal(argv)
+
+    @with_examples(EXTREME_FLOAT_ARGV + FOCK_OVERFLOW_ARGV)
+    @settings(max_examples=200)
+    @given(argv=float_flag_argv())
+    def test_any_float_flag_prints_finite_cells_or_refuses(self, argv):
+        assert_finite_cells_or_refusal(argv)
+
     @pytest.mark.parametrize("argv", [
-        ["spectrum", "--tmax", "800"],
-        ["chain", "--mass", "1e300"],
-        ["chain", "--spacing", "1e300"],
-        ["chain", "--spacing", "1e-300"],
-        ["chain", "--experiment", "continuum", "--mass", "1e10"],
-        ["charfn", "--span", "1e300"],
-        ["chain", "--experiment", "equipartition", "--beta", "1e-300"],
-        ["chain", "--experiment", "nonrel", "--mass", "1e300"],
-        ["spectrum", "--tmin", "1e-320", "--tmax", "1", "--points", "3"],
-        ["sphere", "--radius", "3.6e167"],
-        ["sphere", "--radius", "1e154"],
-        ["sphere", "--beta", "2.6e-299"],
-        ["sphere", "--beta", "1e-308"],
-        ["sphere", "--radius", "1e-170"],
-        ["fock", "--hbar", "2e251", "--omega", "2e-48"],
+        ["chain", "--experiment", "continuum", "--sites", "1"],
+        ["chain", "--experiment", "nonrel", "--mass", "100", "--gamma", "0"],
     ], ids=" ".join)
-    def test_extreme_float_flag_prints_finite_cells_or_refuses(
-            self, argv, capsys):
-        code = main(argv)
-        out, err = capsys.readouterr()
-        if code == 0:
-            _, _, rows = parse_csv(out)
-            assert not {"nan", "inf", "-inf"} & {c for r in rows for c in r}
-        else:
-            assert code in (2, 3) and out == ""
-            assert err.startswith(("error: ", "numerical guard: "))
+    def test_chain_tables_ignore_the_flags_they_do_not_read(self, argv,
+                                                            capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_config_file(self, capsys):
         assert main(["toy", "--config", "/nonexistent/path.cfg"]) == 2
@@ -625,6 +723,33 @@ class TestTableContents:
         np.testing.assert_allclose(values["first_orbital_region_mass"],
                                    0.5, atol=1e-10)
         assert values["closed_form_gap"] < 1e-10
+
+    def test_fock_orthonormality_rows_do_not_depend_on_hbar(self, tmp_path):
+        # Z_n(sqrt(hbar) z; hbar) = Z_n(z; 1): the oracle runs at unit scale
+        def orthonormality(*flags):
+            text = run_to_file(tmp_path, ["fock", "--nmax", "12", *flags])
+            return [row for row in parse_csv(text)[2]
+                    if row[0] == "orthonormality"]
+
+        unit = orthonormality()
+        assert len(unit) == 169
+        for hbar in ("1e-300", "0.37", "1e300"):
+            assert orthonormality("--hbar", hbar) == unit, hbar
+
+    @pytest.mark.parametrize("beta", ["2.6e-299", "1e300"])
+    def test_sphere_gap_in_sigmas_does_not_depend_on_beta(self, tmp_path,
+                                                          beta):
+        # The moments are taken on beta E, so neither the stderr underflows
+        # nor the energy sums overflow near the ends of the double range.
+        def values(argv):
+            _, _, rows = parse_csv(run_to_file(tmp_path, argv))
+            return {row[0]: float(row[1]) for row in rows}
+
+        unit = values(["sphere"])
+        scaled = values(["sphere", "--beta", beta])
+        assert scaled["mean_energy_stderr"] > 0.0
+        assert scaled["mean_energy_gap_sigmas"] == pytest.approx(
+            unit["mean_energy_gap_sigmas"], rel=1e-12)
 
     def test_sphere_summary_table(self, tmp_path):
         text = run_to_file(tmp_path, ["sphere", "--samples", "20000",

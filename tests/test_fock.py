@@ -48,17 +48,19 @@ def random_vector(rng, n_max, hbar=1.0, interior=False):
 def per_node_quadrature(f, g):
     """The quadrature oracle evaluated node by node: each vector summed
     through its own Z_n recurrence at freshly built 40 x 64 and 48 x 80
-    nodes, the fine value returned once the pair agrees within 1e-8."""
+    nodes, the fine value returned once the pair agrees within 1e-8.
+    Both run at unit scale, where Z_n(sqrt(hbar) z; hbar) = Z_n(z; 1)
+    puts the integral at any hbar."""
     def series(vec, z):
         basis = np.ones(z.shape, dtype=complex)
         total = vec.coeffs[0] * basis
         for n in range(1, vec.coeffs.size):
-            basis = basis * z / np.sqrt(n * vec.hbar)
+            basis = basis * z / np.sqrt(n)
             total = total + vec.coeffs[n] * basis
         return total
 
     def integral(nodes):
-        z, w = GaussianMeasure(f.hbar).quadrature_nodes(*nodes)
+        z, w = GaussianMeasure().quadrature_nodes(*nodes)
         return complex(np.sum(w * series(f, z) * np.conj(series(g, z))))
 
     coarse, fine = integral((40, 64)), integral((48, 80))
@@ -123,7 +125,7 @@ class TestInnerProduct:
                        - per_node_quadrature(f, g)) <= 1e-14
 
     def test_cached_quadrature_rows_are_read_only(self):
-        w, rows = fock_mod._quadrature_rows(1.0, fock_mod._QUAD_NODES)
+        w, rows = fock_mod._quadrature_rows(fock_mod._QUAD_NODES)
         with pytest.raises(ValueError):
             rows[0, 0] = 0.0
         with pytest.raises(ValueError):

@@ -209,11 +209,17 @@ class TestPushforward:
     @pytest.mark.parametrize("n,seed", [(1, 0), (17, 4), (1000, 7),
                                         (20000, 12345)])
     def test_ks_statistic_matches_the_scipy_oracle(self, beta, n, seed):
+        # The statistic is taken on the unit radius sqrt(beta) r, whose law
+        # is 1 - e^{-r^2/2}; it agrees with the oracle there bit for bit,
+        # and with the oracle in the plane of beta to rounding.
         theta, _ = uniform_sphere_samples(n, seed)
-        radii = pushforward_radii(theta, beta)
-        oracle = stats.kstest(radii,
-                              lambda r: -np.expm1(-beta * r * r / 2.0))
-        assert pushforward_ks_statistic(beta, n, seed) == oracle.statistic
+        unit = stats.kstest(pushforward_radii(theta, 1.0),
+                            lambda r: -np.expm1(-r * r / 2.0))
+        plane = stats.kstest(pushforward_radii(theta, beta),
+                             lambda r: -np.expm1(-beta * r * r / 2.0))
+        statistic = pushforward_ks_statistic(beta, n, seed)
+        assert statistic == unit.statistic
+        assert abs(statistic - plane.statistic) <= 1e-15
 
     def test_uniform_samples_are_on_the_sphere(self):
         theta, phi = uniform_sphere_samples(10000, seed=3)
@@ -400,10 +406,19 @@ class TestBlackbody:
         np.testing.assert_allclose(wien, 1e300, rtol=1e-15)
         assert rayleigh == 1.0
 
-    def test_tiny_beta_mean_energy_trips_the_guard(self):
-        osc = ThermalOscillator(beta=2.6e-299)
-        with pytest.raises(NumericalGuardError, match="Monte Carlo"):
-            mean_energy(osc, 20000, 7)
+    @pytest.mark.parametrize("beta", [2.6e-299, 1e300])
+    def test_extreme_beta_mean_energy_is_the_unit_estimate_over_beta(
+            self, beta):
+        # The moments are taken on beta E, so the estimate, its stderr and
+        # their ratio do not depend on beta, however near the double range
+        # 1/beta lies.
+        unit_mean, unit_stderr = mean_energy(ThermalOscillator(1.0), 20000, 7)
+        value, stderr = mean_energy(ThermalOscillator(beta=beta), 20000, 7)
+        assert value == unit_mean / beta and stderr == unit_stderr / beta
+        assert stderr > 0.0
+        assert (abs(value - 1.0 / beta) / stderr
+                == pytest.approx(abs(unit_mean - 1.0) / unit_stderr,
+                                 rel=1e-12))
 
     def test_classical_limit_table(self):
         rows = classical_limit_table([1.0, 0.5, 0.25], omega=2.0)
