@@ -314,7 +314,7 @@ def _chain_equipartition(cfg: RunConfig):
     modes = replace(chain_mod.normal_modes(spec),
                     u=np.fft.fft(q, axis=1) / root_n,
                     p=np.fft.fft(p, axis=1) / root_n)
-    with np.errstate(over="ignore", invalid="ignore"):   # run refuses inf
+    with np.errstate(over="ignore", invalid="ignore"):   # checked by run
         energies = chain_mod.mode_energies(modes)
         means = np.mean(energies, axis=0)
         stderrs = np.std(energies, axis=0, ddof=1) / math.sqrt(n)
