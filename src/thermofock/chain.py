@@ -59,6 +59,14 @@ __all__ = [
 ]
 
 _CONTINUUM_K_POINTS = 257   # wavenumbers sampled over the continuum window
+_BLOCK_ELEMENTS = 2 ** 14   # entries per row block of thermal samples
+
+
+def _row_blocks(n_rows: int, width: int) -> list[slice]:
+    """Consecutive row slices of about _BLOCK_ELEMENTS entries each, at
+    least one row per slice."""
+    b = max(1, _BLOCK_ELEMENTS // width)
+    return [slice(i, i + b) for i in range(0, n_rows, b)]
 
 
 @dataclass(frozen=True)
@@ -337,8 +345,10 @@ def gibbs_sample(spec: ChainSpec, beta: float, n: int, seed: int):
     of ξ by sqrt(β ω_k²), so q ~ N(0, (β M)^{-1}) exactly at
     O(n N log N) cost; the tests check it against the dense ``eigh``
     of M.  Momenta are i.i.d. N(0, 1/β), drawn after ξ; each mode
-    energy averages 1/β.  A zero-frequency mode (m = 0 with the uniform
-    mode) is rejected, and so is a β ω_k² beyond the double range.
+    energy averages 1/β.  The noise is drawn and transformed one block
+    of rows at a time, so no temporary outgrows a block; the rows are
+    those of one (n, N) draw.  A zero-frequency mode (m = 0 with the
+    uniform mode) is rejected, and so is a β ω_k² beyond the double range.
     """
     require(0 < beta < math.inf,
             f"beta must be positive and finite, got {beta}")
@@ -352,10 +362,14 @@ def gibbs_sample(spec: ChainSpec, beta: float, n: int, seed: int):
             f"beta * omega^2 leaves the double range: beta = {beta:.3g}, "
             f"omega^2 in [{lo:.3g}, {hi:.3g}]")
     rng = np.random.default_rng(seed)
-    xi = rng.standard_normal((n, spec.n_sites))
-    q = np.fft.irfft(np.fft.rfft(xi, axis=1) / np.sqrt(beta * omega2),
-                     n=spec.n_sites, axis=1)
-    p = rng.standard_normal((n, spec.n_sites)) / math.sqrt(beta)
+    root = np.sqrt(beta * omega2)
+    q = np.empty((n, spec.n_sites))
+    for rows in _row_blocks(n, spec.n_sites):
+        xi = rng.standard_normal(q[rows].shape)
+        np.fft.irfft(np.fft.rfft(xi, axis=1) / root, n=spec.n_sites, axis=1,
+                     out=q[rows])
+    p = rng.standard_normal((n, spec.n_sites))
+    p /= math.sqrt(beta)
     return q, p
 
 

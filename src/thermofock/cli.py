@@ -246,6 +246,11 @@ def _run_sphere(cfg: RunConfig):
         ("mean_energy_analytic", analytic),
         ("mean_energy_gap_sigmas", gap_sigmas),
     ]
+    # near the top of the double range the stderr, then 1/beta, is subnormal
+    guard("subnormal table cells",
+          sum(0.0 < abs(v) < sys.float_info.min for _, v in rows), 0,
+          "a result lies below the smallest normal double and has fewer "
+          "than 17 significant digits; lower beta")
     return ("uniform-sphere-to-Gibbs pushforward distance, phase-space "
             "normalization by quadrature, and Monte Carlo mean energy",
             ("quantity", "value"), rows, [])
@@ -299,9 +304,10 @@ def _chain_dispersion(cfg: RunConfig):
             comments)
 
 
-# noise, q, p, their spectra and the mode energies
+# q and p, then the mode energies over q, and the spectra of one row
+# block (under 1 MB at chain._BLOCK_ELEMENTS)
 @_table(_CHAIN, "equipartition",
-        footprint=lambda p: 12 * 8 * p["samples"] * p["sites"])
+        footprint=lambda p: 2 * 8 * p["samples"] * p["sites"] + (1 << 20))
 def _chain_equipartition(cfg: RunConfig):
     from . import chain as chain_mod
     beta = cfg.params["beta"]
@@ -311,11 +317,16 @@ def _chain_equipartition(cfg: RunConfig):
     spec = chain_mod.ChainSpec(*map(cfg.params.get, _SPEC_FLAGS))
     q, p = chain_mod.gibbs_sample(spec, beta, n, cfg.seed)
     root_n = math.sqrt(spec.n_sites)
-    modes = replace(chain_mod.normal_modes(spec),
-                    u=np.fft.fft(q, axis=1) / root_n,
-                    p=np.fft.fft(p, axis=1) / root_n)
+    modes = chain_mod.normal_modes(spec)
     with np.errstate(over="ignore", invalid="ignore"):   # checked by run
-        energies = chain_mod.mode_energies(modes)
+        # The mode energies overwrite q one row block at a time; each
+        # block is read before it is written.
+        for rows in chain_mod._row_blocks(n, spec.n_sites):
+            q[rows] = chain_mod.mode_energies(replace(
+                modes, u=np.fft.fft(q[rows], axis=1) / root_n,
+                p=np.fft.fft(p[rows], axis=1) / root_n))
+        energies = q
+        del q, p
         means = np.mean(energies, axis=0)
         stderrs = np.std(energies, axis=0, ddof=1) / math.sqrt(n)
     rows = []

@@ -18,6 +18,7 @@ coherent-amplitude phase evolved by the Hamiltonian ω a⁺a + ωħ/2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -272,7 +273,11 @@ def hamiltonian_apply(f: FockVector, omega: float,
     H is ω λ ħ times a⁺a + 1/2 at unit scale, and is applied so.
     """
     number_part = raised(lowered(FockVector(f.coeffs)))
-    c = omega * lam * f.hbar * (number_part.coeffs + 0.5 * f.coeffs)
+    scale = omega * lam * f.hbar
+    guard("|omega * lambda * hbar|", abs(scale), sys.float_info.max,
+          "the energy scale lies beyond the double range")
+    with np.errstate(over="ignore"):   # an overflow trips FockVector's guard
+        c = scale * (number_part.coeffs + 0.5 * f.coeffs)
     return FockVector(c, f.hbar)
 
 

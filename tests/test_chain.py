@@ -11,6 +11,8 @@ single-mode trajectory for the oscillation frequency, and closed-form
 lattice/continuum frequencies for the limit studies.
 """
 
+import contextlib
+import io
 import math
 import tracemalloc
 
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermofock import chain as chain_mod
 from thermofock.chain import (
     ChainSpec,
     ChainState,
@@ -39,6 +42,7 @@ from thermofock.chain import (
     standard_packet,
     total_energies,
 )
+from thermofock.cli import main
 from thermofock.errors import NumericalGuardError
 
 
@@ -60,6 +64,19 @@ def inverse_transform(modes, spec):
     so that a round trip shows any imaginary residue."""
     root_n = math.sqrt(spec.n_sites)
     return np.fft.ifft(modes.u) * root_n, np.fft.ifft(modes.p) * root_n
+
+
+def one_shot_gibbs(spec, beta, n, seed):
+    """Named oracle of ``gibbs_sample``: the whole (n, N) noise ξ in one
+    draw, q = irfft(rfft(ξ)/sqrt(β ω²)), then p as the generator's next
+    (n, N) draw over √β."""
+    omega2 = spec.dispersion(spec.k_grid()[: spec.n_sites // 2 + 1]) ** 2
+    rng = np.random.default_rng(seed)
+    xi = rng.standard_normal((n, spec.n_sites))
+    q = np.fft.irfft(np.fft.rfft(xi, axis=1) / np.sqrt(beta * omega2),
+                     n=spec.n_sites, axis=1)
+    p = rng.standard_normal((n, spec.n_sites)) / math.sqrt(beta)
+    return q, p
 
 
 def _force(q, spec):
@@ -397,6 +414,40 @@ class TestGibbsSampling:
         assert np.max(np.abs(q - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.array_equal(
             p, rng.standard_normal((n, n_sites)) / math.sqrt(beta))
+
+    @pytest.mark.parametrize("n_sites", [5, 64, 2048])
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1),
+                                                (3, 5)],
+                             ids=["b-1", "b", "b+1", "3b+5"])
+    def test_row_blocks_give_the_one_shot_sample_bit_for_bit(
+            self, n_sites, blocks, extra):
+        rows = max(1, chain_mod._BLOCK_ELEMENTS // n_sites)
+        n = blocks * rows + extra
+        spec = ChainSpec(n_sites, 0.8, 0.6, 1.2)
+        q, p = gibbs_sample(spec, 2.0, n, seed=21)
+        expected_q, expected_p = one_shot_gibbs(spec, 2.0, n, seed=21)
+        assert q.shape == p.shape == (n, n_sites)
+        assert np.array_equal(q, expected_q)
+        assert np.array_equal(p, expected_p)
+
+    def test_equipartition_table_is_that_of_the_one_shot_sample(
+            self, monkeypatch):
+        # The table of the whole-array form: the one-shot sample, and
+        # the mode energies of all rows in one block.
+        argv = ["chain", "--experiment", "equipartition", "--samples",
+                "2000", "--seed", "5"]
+
+        def table():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            return out.getvalue()
+
+        blocked = table()
+        monkeypatch.setattr(chain_mod, "gibbs_sample", one_shot_gibbs)
+        monkeypatch.setattr(chain_mod, "_row_blocks",
+                            lambda n, width: [slice(0, n)])
+        assert blocked == table()
 
     def test_massless_amplitudes_are_rejected(self):
         spec = ChainSpec(n_sites=6, mass=0.0)

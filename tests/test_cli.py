@@ -370,6 +370,17 @@ class TestExitCodes:
                      "--dt", "0.1", "--steps", "10"]) == 3
         assert "numerical guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta, cells", [("1.7e308", 3), ("4.5e307", 3),
+                                             ("2e305", 1)])
+    def test_subnormal_sphere_cells_trip_the_guard(self, beta, cells, capsys):
+        # The stderr, and from 1/float_info.min on 1/β and the mean, is
+        # below the smallest normal double; printed, such a cell has
+        # fewer than 17 significant digits.
+        assert main(["sphere", "--beta", beta]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            f"numerical guard: subnormal table cells is {cells},")
+
     def test_negative_coupling_eigenvalue_trips_the_guard(
             self, monkeypatch, capsys):
         shifted = chain_mod.ChainSpec.coupling_matrix
@@ -497,6 +508,7 @@ SIZED_TABLES = {
         "chain --experiment equipartition --sites 64 --samples 2000",
     "equipartition 256x2000":
         "chain --experiment equipartition --sites 256 --samples 2000",
+    "equipartition 64x20000": "chain --experiment equipartition",
     "charfn 1024": "charfn --points 1024",
     "charfn 8192": "charfn --points 8192",
     "measure d=100": f"measure --amps {_amps(100)}",

@@ -8,6 +8,7 @@ position-side checks.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,19 @@ class TestHamiltonian:
                                            omega=1.3, lam=lam)
                 np.testing.assert_allclose(scaled.coeffs, plain.coeffs,
                                            atol=1e-12)
+
+    @pytest.mark.parametrize("f, omega, name", [
+        # ω λ ħ = 1e400 is refused before it multiplies the vector
+        (FockVector.basis_state(1, 3, 1e200), 1e200, "omega * lambda * hbar"),
+        # a finite scale whose product overflows a coefficient
+        (FockVector(np.array([1e300, 0.0])), 1e10, "non-finite coefficients"),
+    ])
+    def test_overflow_trips_the_guard_not_a_warning(self, f, omega, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalGuardError) as raised_error:
+                hamiltonian_apply(f, omega)
+        assert name in str(raised_error.value)
 
     def test_rescaled_commutator_is_hbar_over_lambda(self):
         rng = np.random.default_rng(20240604)
