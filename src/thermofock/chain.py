@@ -203,6 +203,19 @@ def mode_energies(modes: ModeData) -> np.ndarray:
     return 0.5 * (np.abs(modes.p) ** 2 + modes.omega ** 2 * np.abs(modes.u) ** 2)
 
 
+def _mode_energies_over(q: np.ndarray, p: np.ndarray,
+                        modes: ModeData) -> np.ndarray:
+    """Mode energies of each row of the samples (q, p), as
+    ``mode_energies`` of their ``mode_transform``, written over q one row
+    block at a time (each block is read before it is written)."""
+    root_n = math.sqrt(q.shape[1])
+    for rows in _row_blocks(*q.shape):
+        q[rows] = mode_energies(replace(
+            modes, u=np.fft.fft(q[rows], axis=1) / root_n,
+            p=np.fft.fft(p[rows], axis=1) / root_n))
+    return q
+
+
 def _amplitudes(modes: ModeData) -> np.ndarray:
     """a(k) = sqrt(ω_k/2) conj(u(k)) + i conj(p(k))/sqrt(2 ω_k).
 

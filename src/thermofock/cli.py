@@ -21,7 +21,7 @@ import os
 import sys
 import tempfile
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -304,10 +304,13 @@ def _chain_dispersion(cfg: RunConfig):
             comments)
 
 
-# q and p, then the mode energies over q, and the spectra of one row
-# block (under 1 MB at chain._BLOCK_ELEMENTS)
+# q and p, then the mode energies over q; the spectra of one row block,
+# under 1 MB while a block holds several rows (up to 2**14 sites) and
+# under 100 B per site once it is one row; the table rows, under 1 KB per
+# site in JSON.  The 128 doubles per site cover the last two.
 @_table(_CHAIN, "equipartition",
-        footprint=lambda p: 2 * 8 * p["samples"] * p["sites"] + (1 << 20))
+        footprint=lambda p: 8 * p["sites"] * (2 * p["samples"] + 128)
+        + (1 << 20))
 def _chain_equipartition(cfg: RunConfig):
     from . import chain as chain_mod
     beta = cfg.params["beta"]
@@ -316,16 +319,9 @@ def _chain_equipartition(cfg: RunConfig):
             f"standard errors, got {n}")
     spec = chain_mod.ChainSpec(*map(cfg.params.get, _SPEC_FLAGS))
     q, p = chain_mod.gibbs_sample(spec, beta, n, cfg.seed)
-    root_n = math.sqrt(spec.n_sites)
     modes = chain_mod.normal_modes(spec)
     with np.errstate(over="ignore", invalid="ignore"):   # checked by run
-        # The mode energies overwrite q one row block at a time; each
-        # block is read before it is written.
-        for rows in chain_mod._row_blocks(n, spec.n_sites):
-            q[rows] = chain_mod.mode_energies(replace(
-                modes, u=np.fft.fft(q[rows], axis=1) / root_n,
-                p=np.fft.fft(p[rows], axis=1) / root_n))
-        energies = q
+        energies = chain_mod._mode_energies_over(q, p, modes)
         del q, p
         means = np.mean(energies, axis=0)
         stderrs = np.std(energies, axis=0, ddof=1) / math.sqrt(n)

@@ -433,7 +433,7 @@ class TestGibbsSampling:
     def test_equipartition_table_is_that_of_the_one_shot_sample(
             self, monkeypatch):
         # The table of the whole-array form: the one-shot sample, and
-        # the mode energies of all rows in one block.
+        # the mode energies of all 2000 x 64 entries in one block.
         argv = ["chain", "--experiment", "equipartition", "--samples",
                 "2000", "--seed", "5"]
 
@@ -445,8 +445,7 @@ class TestGibbsSampling:
 
         blocked = table()
         monkeypatch.setattr(chain_mod, "gibbs_sample", one_shot_gibbs)
-        monkeypatch.setattr(chain_mod, "_row_blocks",
-                            lambda n, width: [slice(0, n)])
+        monkeypatch.setattr(chain_mod, "_BLOCK_ELEMENTS", 2000 * 64)
         assert blocked == table()
 
     def test_massless_amplitudes_are_rejected(self):

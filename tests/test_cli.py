@@ -421,6 +421,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("experiment, sites, samples", [
         ("dispersion", 1_000_000, 20000),
         ("equipartition", 64, 1_000_000_000),
+        ("equipartition", 30_000_000, 2),   # wide rows, few samples
     ])
     def test_oversized_chain_request_exits_before_allocating(
             self, experiment, sites, samples, monkeypatch, capsys):
@@ -509,6 +510,10 @@ SIZED_TABLES = {
     "equipartition 256x2000":
         "chain --experiment equipartition --sites 256 --samples 2000",
     "equipartition 64x20000": "chain --experiment equipartition",
+    # wider than a block (2**14 entries): one row per block, and a JSON
+    # row per site
+    "equipartition 2x20000 json": "chain --experiment equipartition "
+                                  "--sites 20000 --samples 2 --format json",
     "charfn 1024": "charfn --points 1024",
     "charfn 8192": "charfn --points 8192",
     "measure d=100": f"measure --amps {_amps(100)}",
