@@ -5,7 +5,8 @@ table — CSV with '#'-prefixed comment lines (17-significant-digit
 floats, '.' decimal point) or an equivalent JSON document.  The first
 comment line names the check performed; the second echoes the fully
 resolved configuration.  Exit status: 0 success, 2 usage or invalid
-value, 3 tripped numerical guard or a float cell that is not finite.
+value, 3 tripped numerical guard or a float cell that is not finite or
+is subnormal.
 
 Configuration precedence: command-line flags override --config file
 entries (``key = value`` lines), which override built-in defaults.
@@ -23,9 +24,14 @@ import tempfile
 from collections import namedtuple
 from dataclasses import dataclass
 
-import numpy as np
+# A table's BLAS calls are tiny, and OpenBLAS's second thread only spins:
+# load numpy with one thread unless the caller set a count or loaded it.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .errors import NumericalGuardError, guard, require
+import numpy as np  # noqa: E402
+
+from .errors import NumericalGuardError, guard, require  # noqa: E402
 
 __all__ = ["ConfigError", "RunConfig", "main", "run", "config_precedence"]
 
@@ -246,11 +252,6 @@ def _run_sphere(cfg: RunConfig):
         ("mean_energy_analytic", analytic),
         ("mean_energy_gap_sigmas", gap_sigmas),
     ]
-    # near the top of the double range the stderr, then 1/beta, is subnormal
-    guard("subnormal table cells",
-          sum(0.0 < abs(v) < sys.float_info.min for _, v in rows), 0,
-          "a result lies below the smallest normal double and has fewer "
-          "than 17 significant digits; lower beta")
     return ("uniform-sphere-to-Gibbs pushforward distance, phase-space "
             "normalization by quadrature, and Monte Carlo mean energy",
             ("quantity", "value"), rows, [])
@@ -542,11 +543,15 @@ def _run_measure(cfg: RunConfig):
     amps = np.array([float(tok) for tok in cfg.params["amps"].split(",")
                      if tok.strip()])
     require(amps.size > 0, "need at least one branch amplitude")
-    # Scaled by the largest modulus first, the norm cannot overflow.
+    # Scaled by the largest modulus first, the norm cannot overflow; the
+    # unit-scale quotient serves where scale * norm would.
     scale = float(np.max(np.abs(amps)))
     require(0 < scale < math.inf,
             "branch amplitudes must be finite and not all zero")
-    amps = amps / (scale * np.linalg.norm(amps / scale))
+    unit = amps / scale
+    norm = np.linalg.norm(unit)
+    amps = (unit / norm if scale > sys.float_info.max / norm
+            else amps / (scale * norm))
     state = measure_mod.entangle(amps)
     rho = measure_mod.reduced_density(state, "apparatus")
     sectors = _parse_sectors(cfg.params["sectors"], rho.d)
@@ -676,9 +681,12 @@ def run(cfg: RunConfig) -> int:
             f"arrays, above the {_BUDGET_BYTES // 2 ** 20} MB budget; lower "
             "its size flags")
     description, columns, rows, comments = _TABLES[cfg.subcommand].runner(cfg)
-    guard("non-finite table cells", sum(
-        isinstance(v, float) and not math.isfinite(v) for row in rows
-        for v in row), 0, "a result lies beyond the double range")
+    guard("non-finite or subnormal table cells", sum(
+        isinstance(v, float) and not (v == 0.0 or sys.float_info.min
+                                      <= abs(v) < math.inf)
+        for row in rows for v in row), 0,
+        "a result lies beyond the double range, or below the smallest "
+        "normal double where it has fewer than 17 significant digits")
     text = _render(cfg, description, columns, rows, comments)
     if cfg.out is None:
         sys.stdout.write(text)

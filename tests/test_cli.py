@@ -103,6 +103,16 @@ class TestOutputShape:
         assert RAYLEIGH_RATIO_AT_001 in text
 
 
+# Every table that reaches BLAS, at small size flags.
+BLAS_TABLES = [
+    ["fock"],
+    ["charfn", "--packet", "gaussian"],
+    ["sphere", "--samples", "2000"],
+    ["chain", "--experiment", "dispersion", "--sites", "64"],
+    ["measure", "--amps", "0.6,0.48,0.64", "--samples", "1000"],
+]
+
+
 class TestDeterminism:
     """Same seed, same bytes."""
 
@@ -119,22 +129,83 @@ class TestDeterminism:
         second = run_to_file(tmp_path, argv, "b.json")
         assert first == second
 
-    def test_fock_table_does_not_depend_on_the_blas_thread_count(self):
-        tables = set()
+    def test_blas_tables_do_not_depend_on_the_blas_thread_count(self):
+        # Each child writes every table that reaches BLAS: the quadrature
+        # Gram (fock), the dense Fourier matvec (charfn), the Gibbs
+        # quadrature matvec (sphere), eigvalsh (chain dispersion) and the
+        # density matrices (measure).
+        script = (
+            "import contextlib, io, json\n"
+            "from thermofock.cli import main\n"
+            "tables = []\n"
+            f"for argv in {BLAS_TABLES!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        tables.append((main(argv + ['--seed', '12345']),\n"
+            "                       out.getvalue()))\n"
+            "print(json.dumps(tables))\n")
+        runs = {}
         for threads in ("1", "2", "4"):
             done = subprocess.run(
-                [sys.executable, "-m", "thermofock.cli", "fock",
-                 "--seed", "12345"],
+                [sys.executable, "-c", script],
                 env=child_env(OPENBLAS_NUM_THREADS=threads),
-                capture_output=True, timeout=120, check=True)
-            tables.add(done.stdout)
-        assert len(tables) == 1
+                capture_output=True, text=True, timeout=120, check=True)
+            runs[threads] = json.loads(done.stdout)
+        assert [code for code, _ in runs["1"]] == [0] * len(BLAS_TABLES)
+        for argv, *tables in zip(BLAS_TABLES, *runs.values()):
+            assert len(set(text for _, text in tables)) == 1, argv
 
     def test_different_seeds_differ(self, tmp_path):
         base = ["measure", "--samples", "5000"]
         first = run_to_file(tmp_path, base + ["--seed", "1"], "a.csv")
         second = run_to_file(tmp_path, base + ["--seed", "2"], "b.csv")
         assert first != second
+
+
+def cli_child(tmp_path, *, threads=None, numpy_first=False):
+    """Run ``thermofock.cli`` as ``__main__`` (``toy --steps 2``) in a
+    fresh interpreter; return its exit code, its OPENBLAS_NUM_THREADS,
+    whether its environment changed, and its thread count (None where
+    /proc/self/task does not exist)."""
+    script = (
+        "import json, os, runpy, sys\n"
+        + ("import numpy\n" if numpy_first else "")
+        + "before = dict(os.environ)\n"
+        f"sys.argv = ['thermofock', 'toy', '--steps', '2', '--out', "
+        f"{str(tmp_path / 'toy.csv')!r}]\n"
+        "try:\n"
+        "    runpy.run_module('thermofock.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "tasks = ('/proc/self/task' if os.path.isdir('/proc/self/task')\n"
+        "         else None)\n"
+        "print(json.dumps([code, os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+        "                  dict(os.environ) == before,\n"
+        "                  tasks and len(os.listdir(tasks))]))\n")
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return json.loads(done.stdout)
+
+
+class TestBlasThreads:
+    """A cold CLI process loads OpenBLAS with one thread, unless the
+    caller set a count or imported numpy first."""
+
+    def test_cold_table_runs_one_blas_thread(self, tmp_path):
+        code, threads, unchanged, tasks = cli_child(tmp_path)
+        assert (code, threads, unchanged) == (0, "1", False)
+        assert tasks in (None, 1)
+
+    def test_a_set_thread_count_wins(self, tmp_path):
+        assert cli_child(tmp_path, threads="2")[:3] == [0, "2", True]
+
+    def test_numpy_loaded_first_keeps_the_environment(self, tmp_path):
+        assert cli_child(tmp_path, numpy_first=True)[:3] == [0, None, True]
 
 
 class TestConfigPrecedence:
@@ -248,6 +319,19 @@ def float_flag_argv(draw):
     return argv
 
 
+@st.composite
+def float_list_flag_argv(draw):
+    """``measure --amps`` or ``toy --matrix`` with each comma-separated
+    entry any double, and the size flags small."""
+    if draw(st.booleans()):
+        amps = draw(st.lists(ANY_DOUBLE, min_size=1, max_size=5))
+        return ["measure", "--amps=" + ",".join(map(repr, amps)),
+                f"--samples={draw(SMALL_FLAGS['samples'])}"]
+    matrix = draw(st.lists(ANY_DOUBLE, min_size=4, max_size=4))
+    return ["toy", "--matrix=" + ",".join(map(repr, matrix)),
+            f"--steps={draw(SMALL_FLAGS['steps'])}"]
+
+
 def with_examples(argvs):
     """Each argv list as an explicit hypothesis example."""
     def attach(test):
@@ -258,10 +342,10 @@ def with_examples(argvs):
 
 
 def assert_finite_cells_or_refusal(argv):
-    """Exit 0 with every float cell finite, or exit 2 or 3 with no table
-    and the refusal on stderr; an escaping exception (a leaked
-    RuntimeWarning among them) fails.  The continuum table's first
-    halving ratio is the one cell declared undefined."""
+    """Exit 0 with every float cell finite and normal (or zero), or exit
+    2 or 3 with no table and the refusal on stderr; an escaping exception
+    (a leaked RuntimeWarning among them) fails.  The continuum table's
+    first halving ratio is the one cell declared undefined."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -274,7 +358,8 @@ def assert_finite_cells_or_refusal(argv):
                 except ValueError:   # a label
                     continue
                 if (i, column) != (0, "halving_ratio"):
-                    assert math.isfinite(value), (argv, column, cell)
+                    assert value == 0.0 or (sys.float_info.min <= abs(value)
+                                            < math.inf), (argv, column, cell)
     else:
         assert code in (2, 3) and out.getvalue() == ""
         assert err.getvalue().startswith(("error: ", "numerical guard: "))
@@ -379,7 +464,22 @@ class TestExitCodes:
         assert main(["sphere", "--beta", beta]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(
-            f"numerical guard: subnormal table cells is {cells},")
+            "numerical guard: non-finite or subnormal table cells is "
+            f"{cells},")
+
+    @pytest.mark.parametrize("argv, cells", [
+        # the commutator defect and 7 Hamiltonian defects are hbar times
+        # a few 2^-52
+        (["fock", "--hbar", "1e-300"], 8),
+        # hbar itself is echoed in the commutator row
+        (["fock", "--nmax", "0", "--hbar", "5e-324"], 1),
+    ], ids=["hbar 1e-300", "hbar 5e-324"])
+    def test_subnormal_fock_cells_trip_the_guard(self, argv, cells, capsys):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            "numerical guard: non-finite or subnormal table cells is "
+            f"{cells},")
 
     def test_negative_coupling_eigenvalue_trips_the_guard(
             self, monkeypatch, capsys):
@@ -399,6 +499,12 @@ class TestExitCodes:
     @settings(max_examples=200)
     @given(argv=float_flag_argv())
     def test_any_float_flag_prints_finite_cells_or_refuses(self, argv):
+        assert_finite_cells_or_refusal(argv)
+
+    @settings(max_examples=200)
+    @given(argv=float_list_flag_argv())
+    def test_any_amplitude_or_matrix_entry_prints_finite_cells_or_refuses(
+            self, argv):
         assert_finite_cells_or_refusal(argv)
 
     @pytest.mark.parametrize("argv", [
@@ -647,6 +753,8 @@ class TestTableContents:
     @pytest.mark.parametrize("amps, probs", [
         ("1e200", [1.0]),
         ("1e308,-1e308", [0.5, 0.5]),
+        # scale * norm overflows: the unit-scale quotient is used
+        ("1.7976931348623157e308,1.7976931348623157e308", [0.5, 0.5]),
         ("3e-320,4e-320", [0.36, 0.64]),
     ])
     def test_measure_scales_extreme_amplitudes(self, tmp_path, amps, probs):
@@ -750,7 +858,7 @@ class TestTableContents:
 
         unit = orthonormality()
         assert len(unit) == 169
-        for hbar in ("1e-300", "0.37", "1e300"):
+        for hbar in ("1e-280", "0.37", "1e300"):
             assert orthonormality("--hbar", hbar) == unit, hbar
 
     @pytest.mark.parametrize("beta", ["2.6e-299", "1e300"])
