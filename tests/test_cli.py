@@ -165,8 +165,8 @@ class TestDeterminism:
 def cli_child(tmp_path, *, threads=None, numpy_first=False):
     """Run ``thermofock.cli`` as ``__main__`` (``toy --steps 2``) in a
     fresh interpreter; return its exit code, its OPENBLAS_NUM_THREADS,
-    whether its environment changed, and its thread count (None where
-    /proc/self/task does not exist)."""
+    whether its environment is unchanged, and its thread count (None
+    where /proc/self/task does not exist)."""
     script = (
         "import json, os, runpy, sys\n"
         + ("import numpy\n" if numpy_first else "")
@@ -753,9 +753,9 @@ class TestTableContents:
     @pytest.mark.parametrize("amps, probs", [
         ("1e200", [1.0]),
         ("1e308,-1e308", [0.5, 0.5]),
+        ("3e-320,4e-320", [0.36, 0.64]),
         # scale * norm overflows: the unit-scale quotient is used
         ("1.7976931348623157e308,1.7976931348623157e308", [0.5, 0.5]),
-        ("3e-320,4e-320", [0.36, 0.64]),
     ])
     def test_measure_scales_extreme_amplitudes(self, tmp_path, amps, probs):
         text = run_to_file(tmp_path, ["measure", "--amps", amps,
