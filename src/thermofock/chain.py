@@ -138,10 +138,6 @@ class ChainState:
         require(np.all(np.isfinite(q)) and np.all(np.isfinite(p)),
                 "q and p must be finite")
 
-    @classmethod
-    def zero(cls, n: int) -> "ChainState":
-        return cls(np.zeros(n), np.zeros(n))
-
 
 @dataclass(frozen=True)
 class ModeData:

@@ -134,13 +134,6 @@ class DensityGrid:
     def is_normalized(self) -> bool:
         return abs(self.total_mass() - 1.0) <= _NORM_TOL
 
-    def mean(self) -> float:
-        return float(np.sum(self.x * self.values) * self.dx)
-
-    def variance(self) -> float:
-        mu = self.mean()
-        return float(np.sum((self.x - mu) ** 2 * self.values) * self.dx)
-
 
 @dataclass(frozen=True)
 class CharacteristicSamples:
@@ -155,9 +148,6 @@ class CharacteristicSamples:
                            np.asarray(self.values, dtype=complex))
         require(self.t.shape == self.values.shape,
                 "t grid and values must have matching shapes")
-
-    def max_modulus(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def density_from_amplitude(psi: GridWaveFunction) -> DensityGrid:

@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from collections import namedtuple
@@ -651,9 +652,27 @@ def _render(cfg: RunConfig, description, columns, rows, comments) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Replace a regular or new file through a renamed temporary file
+    that takes the target's mode, or the umask's for a new file; write a
+    FIFO or device in place, since renaming would replace the node.  A
+    symbolic link is followed, so the file it names is replaced."""
+    path = os.path.realpath(path)
+    try:
+        target = os.stat(path)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(target.st_mode):
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            return
+        mode = stat.S_IMODE(target.st_mode)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp_path, path)

@@ -5,8 +5,7 @@ Two fixed 4-coefficient graded algebras over a pair of generators:
 * :class:`ExteriorElement` — antisymmetric ("vector") generators e1, e2,
   basis {1, e1, e2, e1^e2};
 * :class:`GrassmannElement` — anticommuting generators th1, th2,
-  basis {1, th1, th2, th1*th2}, with a conjugation that conjugates
-  coefficients and reverses factor order.
+  basis {1, th1, th2, th1*th2}.
 
 Probability densities for bilinear, complex-pair, fermionic and bosonic
 amplitude configurations are extracted as coefficients of a fixed unit
@@ -90,9 +89,6 @@ class _Graded2:
     def wedge(self, other):
         return self * other
 
-    def is_zero(self):
-        return all(abs(c) == 0 for c in self.coefficients())
-
 
 class ExteriorElement(_Graded2):
     """Element of the exterior algebra over two vector generators e1, e2.
@@ -121,15 +117,6 @@ class GrassmannElement(_Graded2):
     @classmethod
     def theta_bar(cls):
         return cls(0, 1.0, -1.0j, 0)
-
-    def conjugate(self):
-        """Conjugate coefficients and reverse factor order.
-
-        Order reversal is trivial on grades 0 and 1 and flips the sign of
-        the grade-2 coefficient (th1*th2 -> th2*th1 = -th1*th2).
-        """
-        return type(self)(np.conj(self.c0), np.conj(self.c1),
-                          np.conj(self.c2), -np.conj(self.c12))
 
 
 # ---------------------------------------------------------------------------

@@ -102,20 +102,14 @@ class FockVector:
         c /= np.linalg.norm(c)
         return cls(c, hbar)
 
-    def evaluate(self, z) -> np.ndarray:
-        """f(z) = Σ c_n Z_n(z) at complex points z."""
-        z = np.asarray(z, dtype=complex)
-        rows = _basis_rows(z.ravel(), self.n_max, self.hbar)
-        return (self.coeffs @ rows).reshape(z.shape)
 
-
-def _basis_rows(z, n_max: int, hbar: float) -> np.ndarray:
-    """Rows Z_0..Z_{n_max} at the points of the 1-d array z, by the ratio
-    recurrence Z_n = Z_{n-1} z / sqrt(n ħ), Z_0 = 1."""
+def _basis_rows(z, n_max: int) -> np.ndarray:
+    """Rows Z_0..Z_{n_max} at ħ = 1 at the points of the 1-d array z, by
+    the ratio recurrence Z_n = Z_{n-1} z / sqrt(n), Z_0 = 1."""
     rows = np.empty((n_max + 1, z.size), dtype=complex)
     rows[0] = 1.0
     for n in range(1, n_max + 1):
-        rows[n] = rows[n - 1] * z / np.sqrt(n * hbar)
+        rows[n] = rows[n - 1] * z / np.sqrt(n)
     return rows
 
 
@@ -174,7 +168,7 @@ def _quadrature_rows(nodes: tuple):
     """Weights and unit-scale basis rows Z_0..Z_{_QUAD_N_MAX} at the
     oracle's nodes for one node set, read-only."""
     z, w = GaussianMeasure().quadrature_nodes(*nodes)
-    rows = _basis_rows(z, _QUAD_N_MAX, 1.0)
+    rows = _basis_rows(z, _QUAD_N_MAX)
     w.setflags(write=False)
     rows.setflags(write=False)
     return w, rows

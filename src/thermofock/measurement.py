@@ -47,7 +47,6 @@ __all__ = [
 _HERM_TOL = 1e-12
 _EIG_TOL = 1e-12
 _TRACE_TOL = 1e-12
-_SCHMIDT_TOL = 1e-12   # singular values above it count toward the rank
 _BLOCK_ELEMENTS = 2 ** 16   # entries per row block of the Hermiticity check
 
 
@@ -95,20 +94,8 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def pure(cls, vector) -> "DensityMatrix":
-        v = np.asarray(vector, dtype=complex)
-        norm = float(np.linalg.norm(v))
-        require(0.0 < norm < np.inf, "need a nonzero finite vector")
-        v = v / norm
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
     def diagonal(cls, probs) -> "DensityMatrix":
         return cls(np.diag(np.asarray(probs, dtype=float)))
-
-    @classmethod
-    def maximally_mixed(cls, d: int) -> "DensityMatrix":
-        return cls(np.eye(d, dtype=complex) / d)
 
     def diagonal_part(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).copy()
@@ -176,16 +163,6 @@ class BipartiteState:
                 "amplitude table must be a nonempty 2-d array")
         require(abs(float(np.sum(np.abs(a) ** 2)) - 1.0) <= 1e-12,
                 "state is not normalized within 1e-12")
-
-    def schmidt_values(self) -> np.ndarray:
-        """Singular values of the amplitude table, descending."""
-        return np.linalg.svd(self.amplitudes, compute_uv=False)
-
-    def schmidt_rank(self) -> int:
-        return int(np.sum(self.schmidt_values() > _SCHMIDT_TOL))
-
-    def is_product(self) -> bool:
-        return self.schmidt_rank() == 1
 
 
 def entangle(c, d_object: int | None = None,

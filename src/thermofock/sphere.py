@@ -102,7 +102,7 @@ class ThermalOscillator:
     temperature β, with the scale ħ tied to it by βω = 1/ħ.
 
     ``hbar`` may be overridden to represent a deliberately inconsistent
-    configuration; ``is_consistent`` reports whether βωħ = 1 holds.
+    configuration, one with βωħ ≠ 1.
     """
 
     beta: float
@@ -120,18 +120,9 @@ class ThermalOscillator:
                 f"with a finite cell 2 pi hbar, got {self.hbar}")
 
     @property
-    def is_consistent(self) -> bool:
-        return abs(self.beta * self.omega * self.hbar - 1.0) <= 1e-14
-
-    @property
     def h(self) -> float:
         """Phase-space cell 2πħ."""
         return 2.0 * math.pi * self.hbar
-
-    def energy(self, q, p):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        return p * p / (2.0 * self.mass) + 0.5 * self.mass * self.omega ** 2 * q * q
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,6 @@ class StochasticMatrix:
                 f"columns must sum to 1, got {sums.tolist()}")
 
     @classmethod
-    def identity(cls) -> "StochasticMatrix":
-        return cls(np.eye(2))
-
-    @classmethod
     def swap(cls) -> "StochasticMatrix":
         return cls(np.array([[0.0, 1.0], [1.0, 0.0]]))
 

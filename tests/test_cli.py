@@ -11,6 +11,7 @@ import json
 import math
 import operator
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -88,6 +89,45 @@ class TestOutputShape:
         target.mkdir()
         assert main(["toy", "--out", str(target)]) == 2
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_out_writes_into_a_fifo(self, tmp_path, capsys):
+        # The reader opens without blocking before the writer starts, so
+        # a writer that replaces the node leaves it nothing to read.
+        fifo = tmp_path / "table"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            subprocess.run([sys.executable, "-m", "thermofock.cli", "toy",
+                            "--out", str(fifo)], env=child_env(),
+                           timeout=120, check=True)
+            chunks = [os.read(reader, 1 << 16)]
+            while chunks[-1]:
+                chunks.append(os.read(reader, 1 << 16))
+        finally:
+            os.close(reader)
+        assert main(["toy"]) == 0
+        assert b"".join(chunks).decode("utf-8") == capsys.readouterr().out
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_out_keeps_the_mode_of_its_target(self, tmp_path):
+        existing = tmp_path / "existing.csv"
+        existing.write_text("old", encoding="utf-8")
+        existing.chmod(0o604)
+        umask = os.umask(0o027)
+        try:
+            run_to_file(tmp_path, ["toy"], name="new.csv")
+            run_to_file(tmp_path, ["toy"], name="existing.csv")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o640
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o604
+
+    def test_out_writes_through_a_symlink(self, tmp_path):
+        (tmp_path / "table.csv").write_text("old", encoding="utf-8")
+        (tmp_path / "link.csv").symlink_to("table.csv")
+        text = run_to_file(tmp_path, ["toy"], name="link.csv")
+        assert (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "table.csv").read_text(encoding="utf-8") == text
 
     def test_stdout_when_no_out_given(self, capsys):
         code = main(["states", "--experiment", "circle"])

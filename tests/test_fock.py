@@ -161,32 +161,16 @@ class TestInnerProduct:
                                    atol=1e-14)
 
 
-class TestEvaluation:
-    """f(z) = Σ c_n Z_n(z) at points of any shape."""
+class TestBasisRows:
+    """The rows Z_n(z) the quadrature Gram reads, at ħ = 1."""
 
-    @pytest.mark.parametrize("hbar", [0.25, 1.0, 4.0])
-    def test_evaluate_matches_the_explicit_series(self, hbar):
+    def test_basis_rows_match_the_explicit_series(self):
         rng = np.random.default_rng(7)
-        f = random_vector(rng, 20, hbar)
         z = 2.0 * (rng.standard_normal(50) + 1j * rng.standard_normal(50))
-        norms = [math.sqrt(math.factorial(n) * hbar ** n)
-                 for n in range(f.coeffs.size)]
-        terms = np.array([[c * zi ** n / norm
-                           for n, (c, norm) in enumerate(zip(f.coeffs, norms))]
-                          for zi in z])
-        scale = np.abs(terms).sum(axis=1)
-        assert np.all(np.abs(f.evaluate(z) - terms.sum(axis=1))
-                      <= 1e-12 * scale)
-
-    def test_evaluate_keeps_the_shape_of_its_points(self):
-        f = random_vector(np.random.default_rng(8), 5)
-        z = np.array([[0.3 + 0.1j, -1.0], [2.0j, 0.5 - 0.5j]])
-        grid = f.evaluate(z)
-        assert grid.shape == (2, 2)
-        point = f.evaluate(z[1, 0])
-        assert np.shape(point) == ()
-        np.testing.assert_allclose(point, grid[1, 0], rtol=1e-14)
-        assert f.evaluate(z.ravel()).shape == (4,)
+        explicit = np.array([z ** n / math.sqrt(math.factorial(n))
+                             for n in range(21)])
+        rows = fock_mod._basis_rows(z, 20)
+        assert np.all(np.abs(rows - explicit) <= 1e-12 * np.abs(explicit))
 
 
 class TestLadders:

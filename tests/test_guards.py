@@ -43,7 +43,7 @@ NON_FINITE_CALLS = {
     "toy.Constraint((nan, nan))":
         lambda: toy.Constraint((NAN, NAN), (0.5, 0.5)),
     "toy.markov_step([nan, nan])":
-        lambda: toy.markov_step([NAN, NAN], toy.StochasticMatrix.identity()),
+        lambda: toy.markov_step([NAN, NAN], toy.StochasticMatrix(np.eye(2))),
     "toy.ToyUnitary(inf)":
         lambda: toy.ToyUnitary(np.full((2, 2), INF)),
     "measurement.BipartiteState([[nan]])":
@@ -166,7 +166,7 @@ BAD_INDEX_CALLS = {
         (lambda: measurement.entangle([0.6, 0.8], d_object=2.5),
          "subsystem dimensions must be integers"),
     "chain.evolve(steps=2.5)":
-        (lambda: chain.evolve(chain.ChainState.zero(8), chain.ChainSpec(8),
+        (lambda: chain.evolve(chain.ChainState(np.zeros(8), np.zeros(8)), chain.ChainSpec(8),
                               steps=2.5),
          "steps must be an integer"),
     "fock.FockVector.basis_state(-1, 3)":

@@ -1,10 +1,12 @@
 """Each module's ``__all__`` is the one declaration of its public API.
 
 The package ``__init__`` re-exports nothing, so this is the check that
-every public name is listed and that every listed name exists.  Two more
-checks keep names from outliving their last caller: a private helper
-must be named elsewhere in the package, and a public name must be run
-by the package, a demo or the benchmark, not by the tests alone.
+every public name is listed and that every listed name exists.  Three
+more checks keep names from outliving their last caller: a private
+helper must be named elsewhere in the package, and each public name and
+each public method, property, classmethod or staticmethod of a class in
+the package must be run by the package, a demo or the benchmark, not by
+the tests alone.
 """
 
 import ast
@@ -100,13 +102,18 @@ def test_every_private_definition_has_a_reference():
     assert unreferenced == []
 
 
+def _caller_references() -> Counter:
+    referenced = Counter()
+    for path in sorted(p for d in CALLERS for p in d.glob("*.py")):
+        referenced += _references(ast.parse(path.read_text(encoding="utf-8")))
+    return referenced
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     """Each ``__all__`` name is named in ``src/thermofock/``, ``demos/``
     or ``perfbench/`` besides its own definition, so the public API is
     exactly what something runs."""
-    referenced = Counter()
-    for path in sorted(p for d in CALLERS for p in d.glob("*.py")):
-        referenced += _references(ast.parse(path.read_text(encoding="utf-8")))
+    referenced = _caller_references()
     uncalled = []
     for name in MODULES:
         module = importlib.import_module(f"thermofock.{name}")
@@ -115,4 +122,27 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         uncalled += [f"{name}.{entry}" for entry in module.__all__
                      if referenced[entry] <= own.get(entry, 0)]
+    assert uncalled == []
+
+
+def test_every_public_member_has_a_caller_outside_the_tests():
+    """Each public method, property, classmethod or staticmethod (not
+    ``_x``, not a dunder) of every class in the package, private classes
+    included, is named in ``src/thermofock/``, ``demos/`` or
+    ``perfbench/`` besides its own definition.  The check reads names
+    only, so a member sharing its name with another reference (such as
+    ``ndarray.mean``) passes it without a caller of its own."""
+    members, own = [], Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")):
+                    members.append((cls.name, node.name))
+                    own[node.name] += _references(node)[node.name]
+    assert members, "no public class members found"
+    referenced = _caller_references()
+    uncalled = [f"{cls}.{name}" for cls, name in members
+                if referenced[name] <= own[name]]
     assert uncalled == []

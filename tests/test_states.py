@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thermofock import states
 from thermofock.chain import fock_inner
@@ -81,6 +83,41 @@ class TestWidthProducts:
             psi = GridWaveFunction.sampled(packet, -30.0, 0.05, 1200)
             wx, wk = rms_widths(psi)
             assert wx * wk >= 0.5 - 1e-9
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                    min_size=7, max_size=7))
+    def test_hermite_mixtures_match_the_ladder_moments(self, pairs):
+        """Δx·Δk ≥ ½ − 1e−9 for ψ = Σ c_n ψ_n, n ≤ 6, and both widths
+        agree with the moments of x = (a + a†)/√2 and k = i(a† − a)/√2.
+
+        ``rms_widths`` trips its guards when more than τ = 1e−8 of the
+        mass lies in the outer 2% of the position grid or of the
+        wavenumber grid, the cut-off and aliased parts of the packet.
+        Moving a mass m within a grid of span S moves a second central
+        moment by at most m·S², so with both edges of a grid admitted
+        the grid variances agree with the ladder variances to 2τS²:
+        S = 40 for x and S = 2π/dx for k."""
+        c = np.array([complex(re, im) for re, im in pairs])
+        assume(np.linalg.norm(c) > 0.1)
+        c /= np.linalg.norm(c)
+        dx = 40.0 / 1024
+        psi = GridWaveFunction.sampled(
+            lambda x: sum(cn * hermite_function(n, x)
+                          for n, cn in enumerate(c)), -20.0, dx, 1024)
+        wx, wk = rms_widths(psi)
+        assert wx * wk >= 0.5 - 1e-9
+
+        lower = np.diag(np.sqrt(np.arange(1.0, 8.0)), k=1)   # a on n <= 7
+        cc = np.append(c, 0.0)
+        for op, width, span in (
+                ((lower + lower.T) / math.sqrt(2.0), wx, 40.0),
+                (1j * (lower.T - lower) / math.sqrt(2.0), wk,
+                 2.0 * math.pi / dx)):
+            moved = op @ cc
+            mean = np.vdot(cc, moved).real
+            variance = np.vdot(moved, moved).real - mean * mean
+            assert abs(width ** 2 - variance) <= 2e-8 * span ** 2
 
     def test_unnormalized_packet_rejected(self):
         x = -15.0 + 0.025 * np.arange(1200)

@@ -39,7 +39,7 @@ class TestStepMaps:
         for site in (0, 1):
             p = np.eye(2)[site]
             np.testing.assert_array_equal(
-                markov_step(p, StochasticMatrix.identity()), p)
+                markov_step(p, StochasticMatrix(np.eye(2))), p)
             np.testing.assert_array_equal(
                 markov_step(p, StochasticMatrix.swap()), p[::-1])
 
@@ -49,7 +49,7 @@ class TestStepMaps:
             p0 = rng.uniform(0.0, 1.0)
             p = np.array([p0, 1.0 - p0])
             np.testing.assert_allclose(
-                markov_step(p, StochasticMatrix.identity()), p, atol=0.0)
+                markov_step(p, StochasticMatrix(np.eye(2))), p, atol=0.0)
 
     def test_markov_preserves_the_simplex(self):
         rng = np.random.default_rng(20240631)
@@ -92,7 +92,7 @@ class TestStepMaps:
         with pytest.raises(ValueError, match="modulus above 1"):
             ToyUnitary(np.full((2, 2), 1e300))
         with pytest.raises(ValueError):
-            markov_step([0.7, 0.7], StochasticMatrix.identity())
+            markov_step([0.7, 0.7], StochasticMatrix(np.eye(2)))
         with pytest.raises(ValueError):
             Constraint((1.0, 0.0), (1.0, 0.0), steps=0)
 
