@@ -10,7 +10,10 @@ Decoherence is modeled as the exact projection onto the block diagonal
 of a sector partition: trace preserved, purity never increased,
 idempotent; a validated matrix is read-only, and each block of the
 projection is a principal submatrix of it, so positivity carries over
-without an ``eigvalsh`` (Cauchy interlacing).  A charge operator
+without an ``eigvalsh`` (Cauchy interlacing), and the symmetric block
+mask cannot raise the Hermitian defect, so that check is not repeated
+either.  ``random_density`` mirrors its real-arithmetic Wishart Gram,
+so it too is Hermitian by construction.  A charge operator
 S = Σ_i s_i Π_i built from the sectors commutes with every
 block-diagonal ("physical") operator, and no operator with vanishing
 cross-sector matrix elements connects distinct sectors — the
@@ -48,6 +51,7 @@ _HERM_TOL = 1e-12
 _EIG_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _BLOCK_ELEMENTS = 2 ** 16   # entries per row block of the Hermiticity check
+_TILE = 256                 # rows and columns per tile of the Gram mirror
 
 
 def _hermitian_defect(m: np.ndarray) -> float:
@@ -59,6 +63,21 @@ def _hermitian_defect(m: np.ndarray) -> float:
                          for i in range(0, d, b)]))
 
 
+def _mirror(re: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(re + reᵀ)/2 + i(g − gᵀ), exactly Hermitian, one square tile at a
+    time so that the transposed reads stay in cache."""
+    d = re.shape[0]
+    out = np.empty((d, d), dtype=complex)
+    for i in range(0, d, _TILE):
+        for j in range(0, d, _TILE):
+            rows, cols = slice(i, i + _TILE), slice(j, j + _TILE)
+            tile = out[rows, cols]
+            np.add(re[rows, cols], re[cols, rows].T, out=tile.real)
+            np.subtract(g[rows, cols], g[cols, rows].T, out=tile.imag)
+    out.real *= 0.5
+    return out
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace d×d matrix, kept as
@@ -67,23 +86,24 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self._check(np.array(self.matrix, dtype=complex), True)
-
-    @classmethod
-    def _known_positive(cls, matrix: np.ndarray) -> "DensityMatrix":
-        """A fresh matrix, positive by construction: skip the eigvalsh."""
-        rho = object.__new__(cls)
-        rho._check(matrix, False)
-        return rho
-
-    def _check(self, m: np.ndarray, spectrum: bool) -> None:
+        m = np.array(self.matrix, dtype=complex)
         require(m.ndim == 2 and m.shape[0] == m.shape[1] and m.shape[0] > 0,
                 "density matrix must be square and nonempty")
         require(_hermitian_defect(m) <= _HERM_TOL,
                 "matrix is not Hermitian within 1e-12")
-        if spectrum:
-            require(float(np.min(np.linalg.eigvalsh(m))) >= -_EIG_TOL,
-                    "matrix has an eigenvalue below -1e-12")
+        require(float(np.min(np.linalg.eigvalsh(m))) >= -_EIG_TOL,
+                "matrix has an eigenvalue below -1e-12")
+        self._store(m)
+
+    @classmethod
+    def _known_positive(cls, matrix: np.ndarray) -> "DensityMatrix":
+        """A fresh square matrix, Hermitian and positive by construction:
+        skip the Hermiticity check and the eigvalsh."""
+        rho = object.__new__(cls)
+        rho._store(matrix)
+        return rho
+
+    def _store(self, m: np.ndarray) -> None:
         require(abs(float(np.trace(m).real) - 1.0) <= _TRACE_TOL,
                 "trace differs from 1 by more than 1e-12")
         m.setflags(write=False)
@@ -92,10 +112,6 @@ class DensityMatrix:
     @property
     def d(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def diagonal(cls, probs) -> "DensityMatrix":
-        return cls(np.diag(np.asarray(probs, dtype=float)))
 
     def diagonal_part(self) -> np.ndarray:
         return np.real(np.diag(self.matrix)).copy()
@@ -216,6 +232,8 @@ def decohere(rho: DensityMatrix, sectors: SectorStructure) -> DensityMatrix:
             "sector partition size does not match the matrix")
     # Each block is a copied principal submatrix of ρ: by Cauchy
     # interlacing its lowest eigenvalue is at least ρ's, so ≥ −1e-12.
+    # The mask is symmetric, so an entry and its mirror are both kept or
+    # both zeroed: the Hermitian defect cannot exceed ρ's.
     projected = np.where(sectors.block_mask(), rho.matrix, 0.0)
     return DensityMatrix._known_positive(projected)
 
@@ -302,16 +320,34 @@ def rotation_2pi(state, spins) -> np.ndarray:
 
 def random_density(d: int, rng: np.random.Generator,
                    rank: int | None = None) -> DensityMatrix:
-    """Random density matrix: normalized Wishart A A† with A of shape
-    (d, rank), positive by construction.  Rounding moves its spectrum
-    by at most γ_{rank+2} ≈ rank·u (Higham, §3.5), so the ``eigvalsh``
-    runs only when that exceeds 1e-12 (rank above about 9000)."""
+    """Random density matrix: normalized Wishart A A† with A = X + iY of
+    shape (d, rank), positive by construction.
+
+    The Gram is formed in real arithmetic at half the flops of the
+    complex product: Re = X Xᵀ + Y Yᵀ, mirrored as (Re + Reᵀ)/2, and
+    Im = G − Gᵀ with G = Y Xᵀ, so the result is exactly Hermitian.
+    Before the scaling by 1/trace an entry of Re carries at most
+    rank + 2 roundings and one of Im rank + 1, so their errors are
+    bounded entrywise by γ_{rank+2} times |X||X|ᵀ + |Y||Y|ᵀ and
+    |Y||X|ᵀ + |X||Y|ᵀ (Higham, §3.5), each of 2-norm at most tr A A†.
+    With the scaling, the normalized spectrum moves by at most
+    2γ_{rank+3} ≈ 2·rank·u (Weyl), so the ``eigvalsh`` runs only when
+    that exceeds 1e-12, at rank above 4500."""
     rank = d if rank is None else rank
     require(d >= 1 and rank >= 1,
             f"need d >= 1 and rank >= 1, got d={d}, rank={rank}")
-    a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    m = a @ a.conj().T
-    m /= np.trace(m).real
-    if (rank + 2) * np.finfo(float).eps / 2 <= _EIG_TOL:
+    xy = np.empty((2, d, rank))
+    rng.standard_normal(out=xy)   # X, then Y: the stream of two draws
+    x, y = xy
+    gram = np.empty((2, d, d))
+    re, g = gram
+    np.matmul(x, x.T, out=re)
+    np.matmul(y, y.T, out=g)
+    re += g
+    np.matmul(y, x.T, out=g)
+    del xy, x, y                  # free the draws before the output
+    m = _mirror(re, g)
+    m *= 1.0 / np.trace(m).real
+    if (rank + 3) * np.finfo(float).eps <= _EIG_TOL:    # 2γ_{rank+3}
         return DensityMatrix._known_positive(m)
     return DensityMatrix(m)

@@ -8,6 +8,7 @@ for sector defects and charge commutators.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,13 @@ class TestDensityMatrix:
     def test_nan_matrix_rejected(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("m", [np.ones(3) / 3.0, np.eye(2, 3) / 2.0,
+                                   np.zeros((0, 0))],
+                             ids=["vector", "2x3", "empty"])
+    def test_non_square_rejected(self, m):
+        with pytest.raises(ValueError, match="square and nonempty"):
+            DensityMatrix(m)
 
     @settings(max_examples=25)
     @given(d=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1),
@@ -182,6 +190,20 @@ class TestEntangling:
         with pytest.raises(ValueError):
             BipartiteState(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("table", [np.array([0.6, 0.8]),
+                                       np.zeros((0, 2))],
+                             ids=["vector", "empty"])
+    def test_bipartite_shape_guard(self, table):
+        with pytest.raises(ValueError, match="nonempty 2-d array"):
+            BipartiteState(table)
+
+    @pytest.mark.parametrize("c", [1.0, [[0.6, 0.8]], []],
+                             ids=["scalar", "2-d", "empty"])
+    def test_amplitudes_must_be_a_nonempty_list(self, c):
+        # A 1x2 table has unit norm, so only this check refuses it.
+        with pytest.raises(ValueError, match="nonempty 1-d amplitude"):
+            entangle(c)
+
 
 class TestDecoherence:
     """Block projection: trace, idempotence, purity."""
@@ -250,7 +272,7 @@ class TestBornSampling:
     """Branch weights become classical frequencies."""
 
     def test_deterministic_outcome(self):
-        rho = DensityMatrix.diagonal([1.0, 0.0])
+        rho = DensityMatrix(np.diag([1.0, 0.0]))
         freqs = sample_outcomes(rho, 1000, seed=1)
         assert freqs.counts[0] == 1000
         assert freqs.counts[1] == 0
@@ -264,12 +286,12 @@ class TestBornSampling:
         assert diag.off_diagonal_max() == 0.0
 
     def test_flat_mixture_frequencies_within_three_sigma(self):
-        rho = DensityMatrix.diagonal([0.5, 0.5])
+        rho = DensityMatrix(np.diag([0.5, 0.5]))
         freqs = sample_outcomes(rho, 100000, seed=2)
         assert freqs.within_3_sigma().all()
 
     def test_skewed_mixture_frequencies_within_three_sigma(self):
-        rho = DensityMatrix.diagonal([0.09, 0.91])
+        rho = DensityMatrix(np.diag([0.09, 0.91]))
         freqs = sample_outcomes(rho, 100000, seed=3)
         assert freqs.within_3_sigma().all()
         np.testing.assert_allclose(freqs.probabilities, [0.09, 0.91],
@@ -282,7 +304,7 @@ class TestBornSampling:
 
     def test_at_least_one_draw(self):
         with pytest.raises(ValueError):
-            sample_outcomes(DensityMatrix.diagonal([1.0]), 0, seed=5)
+            sample_outcomes(DensityMatrix(np.diag([1.0])), 0, seed=5)
 
 
 class TestSectors:
@@ -414,16 +436,63 @@ class TestRotation:
             rotation_2pi(np.array([1.0, 0.0]), [0.5])
 
 
+def complex_wishart(d, rank, seed):
+    """Oracle: A A†/tr A A† as one complex product, with A = X + iY drawn
+    as two (d, rank) blocks, X first; also the row norms of A and the
+    trace."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    gram = a @ a.conj().T
+    trace = np.trace(gram).real
+    return gram / trace, np.linalg.norm(a, axis=1), trace
+
+
 class TestRandomDensity:
     def test_gram_bound_replaces_eigvalsh(self, monkeypatch):
-        # The Gram rounding bound γ_{rank+2} is within 1e-12 up to rank
-        # about 9000; past it the constructor's eigvalsh runs once.
+        # The Gram rounding bound 2γ_{rank+3} is within 1e-12 up to rank
+        # 4500; past it the constructor's eigvalsh runs once.
         rng = np.random.default_rng(20240629)
         calls = count_eigvalsh(monkeypatch)
         random_density(64, rng)
         assert calls == []
         random_density(2, rng, rank=10_000)
         assert calls == [2]
+
+    @settings(max_examples=40)
+    @given(d=st.integers(1, 40), rank=st.integers(1, 60),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(d=5, rank=1, seed=0)
+    @example(d=3, rank=50, seed=1)
+    @example(d=300, rank=7, seed=2)   # mirror tiles of 256 and 44 rows
+    def test_exactly_hermitian_and_the_complex_formula(self, d, rank, seed):
+        m = random_density(d, np.random.default_rng(seed), rank).matrix
+        assert np.array_equal(m, m.conj().T)
+        want, norms, trace = complex_wishart(d, rank, seed)
+        # Entry (i, j) before normalization: the real-arithmetic Gram is
+        # off by 2γ_{rank+2}‖a_i‖‖a_j‖ (|x| + |y| ≤ √2|a|), the complex
+        # product by γ_{rank+2}‖a_i‖‖a_j‖.  Each trace adds γ_{rank+d+2}
+        # and each scaling by 1/trace two roundings, relative to
+        # |A A†|_ij ≤ ‖a_i‖‖a_j‖: (5·rank + 2d + 14)·u in all.
+        n = 5 * rank + 2 * d + 14
+        u = np.finfo(float).eps / 2
+        bound = n * u / (1 - n * u) * np.outer(norms, norms) / trace
+        assert np.all(np.abs(m - want) <= bound)
+
+    def test_peak_allocation_is_two_buffers(self):
+        # The draws and the Gram are (2, d, d) real buffers of 16·d²
+        # bytes each; the draws are freed before the 16·d²-byte output
+        # is allocated.  The slack holds numpy's ufunc buffers for the
+        # transposed tiles (about 0.2 MiB); one more real d×d
+        # temporary, 2 MiB at d = 512, exceeds it.
+        d = 512
+        rng = np.random.default_rng(20240630)
+        tracemalloc.start()
+        try:
+            random_density(d, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * d * d + 2 ** 20
 
     def test_rank_control(self):
         rng = np.random.default_rng(20240627)
@@ -486,6 +555,25 @@ class TestSectorProperties:
             i, j = cross[rng.integers(len(cross))]
             op[i, j] = 0.25 - 0.5j
             assert sector_defect(op, sectors) == abs(0.25 - 0.5j)
+
+    @settings(max_examples=60)
+    @given(partition=sector_partitions(), seed=st.integers(0, 2 ** 32 - 1),
+           defect=st.floats(1e-15, 0.9e-12))
+    def test_decohere_never_raises_the_hermitian_defect(self, partition,
+                                                        seed, defect):
+        # decohere skips the Hermiticity check: its symmetric mask keeps
+        # or zeroes an entry together with its mirror.
+        _, sectors = partition
+        d = sectors.d
+        rng = np.random.default_rng(seed)
+        noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        noise[np.diag_indices(d)] = 1j * np.diag(noise).imag   # trace kept
+        noise *= defect / _hermitian_defect(noise)
+        rho = DensityMatrix(0.5 * random_density(d, rng).matrix
+                            + 0.5 * np.eye(d) / d + noise)
+        before = _hermitian_defect(rho.matrix)
+        assert 0.0 < before <= 1e-12
+        assert _hermitian_defect(decohere(rho, sectors).matrix) <= before
 
     @settings(max_examples=120)
     @given(partition=sector_partitions(), seed=st.integers(0, 2 ** 32 - 1),
