@@ -16,10 +16,11 @@ counting as exactly one.  This script exercises each claim:
 - an antisymmetric two-particle state puts exactly half its marginal
   mass on each side;
 - the amplitude-measure axioms Q1–Q4 hold for a two-event space in
-  each of the three density modes and catch a broken additivity; a
-  weight pair's bivector coefficient is the product of its weights,
-  while a complex coordinate pair's density changes sign under a swap
-  and a two-wave bosonic current takes both signs.
+  both density modes and catch densities that do not sum to 1 and a
+  broken additivity; a weight pair's bivector coefficient is the
+  product of its weights, while a complex coordinate pair's density
+  changes sign under a swap and a two-wave bosonic current takes both
+  signs.
 """
 
 import numpy as np
@@ -132,12 +133,12 @@ for mode in ("nonrelativistic", "fermionic"):
     probabilities = ", ".join(f"{p:.2f}" for p in report.probabilities)
     print(f"  {mode:22s} axioms {'hold' if report else 'fail'}, "
           f"event probabilities {probabilities}")
-densities = ", ".join(
-    f"{p:.2f}" for p in check_axioms(space, "relativistic-bivector")
-    .probabilities)
-print(f"  {'relativistic-bivector':22s} has no normalisation: event "
-      f"densities {densities}")
-print("  (the bivector pairing vanishes for commuting scalar amplitudes)")
+print("  sides (1, i) and (0.5, -0.5i) have total amplitude 1, but the "
+      "fermionic")
+print("  densities read one side only:")
+unpaired = AmplitudeEventSpace(amp_e=(1.0, 1j), amp_ebar=(0.5, -0.5j))
+for violation in check_axioms(unpaired, "fermionic").violations:
+    print(f"    {violation}")
 print("  an override of 0.9 on the pair of events breaks two axioms:")
 broken = AmplitudeEventSpace((0.6, 0.8j), (0.6, -0.8j), {(0, 1): 0.9})
 for violation in check_axioms(broken).violations:

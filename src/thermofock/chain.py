@@ -248,9 +248,6 @@ class _Rows:
         self._rows = rows       # step numbers (1-d int array) -> rows
         self.shape = shape
 
-    def __len__(self) -> int:
-        return self.shape[0]
-
     def __getitem__(self, key) -> np.ndarray:
         steps = np.arange(self.shape[0])[key]
         out = self._rows(np.atleast_1d(steps))

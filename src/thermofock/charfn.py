@@ -130,10 +130,6 @@ class DensityGrid:
     def total_mass(self) -> float:
         return float(np.sum(self.values) * self.dx)
 
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.total_mass() - 1.0) <= _NORM_TOL
-
 
 @dataclass(frozen=True)
 class CharacteristicSamples:

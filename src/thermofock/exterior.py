@@ -289,8 +289,9 @@ class AxiomReport:
         return self.passed
 
 
-_MODES = ("nonrelativistic", "relativistic-bivector", "fermionic")
+_MODES = ("nonrelativistic", "fermionic")
 _AXIOM_TOL = 1e-12   # additivity gap and imaginary/negative density allowed
+_TOTAL_TOL = 1e-9    # Q4: gap of the full-space amplitude and density sum
 
 
 def check_axioms(space: AmplitudeEventSpace, mode: str = "nonrelativistic",
@@ -306,17 +307,16 @@ def check_axioms(space: AmplitudeEventSpace, mode: str = "nonrelativistic",
       without an override is the sum of its events by definition, so
       each override is compared with the sum of its events' amplitudes,
       and an override naming an index outside 0..n-1 fails;
-    * Q4 — the full space has amplitude 1;
-    * positivity — the per-event density extracted for ``mode`` is real
-      and nonnegative.
+    * Q4 — the full space has amplitude 1, and the per-event densities
+      extracted for ``mode`` sum to 1 (a "sum" violation);
+    * positivity — each of those densities is real and nonnegative.
 
     ``mode`` selects the density rule: "nonrelativistic" pairs each
     amplitude with its conjugate side (P_j = amp_ebar_j * amp_e_j, which
     equals |amp_e_j|^2 when the sides are conjugate); "fermionic" routes
     each amplitude through the Grassmann pairing of
-    :func:`fermion_density`; "relativistic-bivector" evaluates the
-    commutator-style bivector coefficient, which vanishes identically
-    for commuting scalar amplitudes and is reported as such.
+    :func:`fermion_density`, which reads amp_e alone, so its densities
+    sum to 1 only when the sides are conjugate.
 
     ``skip`` names axiom labels among Q1..Q4 (e.g. {"Q3"}) excluded from
     checking — used by the axiom-independence smoke test.
@@ -354,7 +354,7 @@ def check_axioms(space: AmplitudeEventSpace, mode: str = "nonrelativistic",
 
     if "Q4" not in skip:
         total = space.subset_amplitude(range(n))
-        if not (abs(total - 1.0) <= 1e-9):
+        if not (abs(total - 1.0) <= _TOTAL_TOL):
             violations.append(
                 f"Q4: full-space amplitude {total!r} differs from 1")
 
@@ -362,14 +362,8 @@ def check_axioms(space: AmplitudeEventSpace, mode: str = "nonrelativistic",
     if not violations or skip:
         probabilities = []
         for j in range(n):
-            if mode == "nonrelativistic":
-                p = space.event_amplitude(j)
-            elif mode == "fermionic":
-                p = fermion_density(space.amp_e[j])
-            else:  # relativistic-bivector: antisymmetrized scalar pairing
-                a, b = space.amp_e[j], space.amp_ebar[j]
-                p = 0.5 * (a * b - b * a)   # identically zero for scalars
-            p = complex(p)
+            p = complex(space.event_amplitude(j) if mode == "nonrelativistic"
+                        else fermion_density(space.amp_e[j]))
             if not (abs(p.imag) <= _AXIOM_TOL * max(1.0, abs(p.real))):
                 violations.append(
                     f"positivity: event {j} density {p!r} is not real")
@@ -377,6 +371,10 @@ def check_axioms(space: AmplitudeEventSpace, mode: str = "nonrelativistic",
                 violations.append(
                     f"positivity: event {j} density {p.real:.3e} is negative")
             probabilities.append(p.real)
+        density_sum = sum(probabilities)
+        if "Q4" not in skip and not (abs(density_sum - 1.0) <= _TOTAL_TOL):
+            violations.append(
+                f"sum: {mode} densities sum to {density_sum!r}, not 1")
 
     return AxiomReport(passed=not violations, violations=violations,
                        probabilities=probabilities, mode=mode)

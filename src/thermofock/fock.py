@@ -78,9 +78,6 @@ class FockVector:
     def n_max(self) -> int:
         return self.coeffs.size - 1
 
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
     @classmethod
     def basis_state(cls, n: int, n_max: int,
                     hbar: float = 1.0) -> "FockVector":
@@ -157,10 +154,6 @@ class GaussianMeasure:
         z = np.outer(r, np.exp(1j * phi)).ravel()
         w = np.outer(wu, np.full(angular_nodes, 1.0 / angular_nodes)).ravel()
         return z, w
-
-    def total_mass(self) -> float:
-        _, w = self.quadrature_nodes(*_QUAD_NODES)
-        return float(np.sum(w))
 
 
 @lru_cache(maxsize=2)

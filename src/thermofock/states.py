@@ -81,9 +81,6 @@ class ModeProfile:
     def n_modes(self) -> int:
         return self.values.size
 
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2))
-
     def overlaps(self, other: "ModeProfile") -> bool:
         """True iff the declared supports intersect."""
         return bool(self.support & other.support)

@@ -1,8 +1,8 @@
 """Two-site, discrete-time triple: deterministic, Markov, unitary.
 
 The same two-point configuration space supports three dynamics:
-a deterministic site map (a 0/1 stochastic matrix, ``identity`` or
-``swap``), a column-stochastic transition matrix acting on probability
+a deterministic site map (a 0/1 stochastic matrix: the identity or
+the swap), a column-stochastic transition matrix acting on probability
 pairs, and a unitary 2×2 matrix acting on amplitude pairs with outcome
 probabilities |ψ_i|².  No scale constant appears anywhere in these
 rules.
@@ -64,10 +64,6 @@ class StochasticMatrix:
         sums = np.sum(w, axis=0)
         require(np.all(np.abs(sums - 1.0) <= _COLUMN_TOL),
                 f"columns must sum to 1, got {sums.tolist()}")
-
-    @classmethod
-    def swap(cls) -> "StochasticMatrix":
-        return cls(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     @classmethod
     def from_params(cls, a: float, b: float) -> "StochasticMatrix":
@@ -155,9 +151,6 @@ class FeasibilityResult:
     w: StochasticMatrix | None
     residual: float
     certificate: str | None
-
-    def __bool__(self) -> bool:
-        return self.feasible
 
 
 def _stepped(w: np.ndarray, c: Constraint) -> np.ndarray:

@@ -314,7 +314,6 @@ class TestDynamics:
         for rows in (traj.q, traj.p):
             full = np.asarray(rows)
             scale = np.max(np.abs(full))
-            assert len(rows) == steps + 1
             assert rows.shape == full.shape == (steps + 1, 12)
             assert rows[-1].shape == (12,)
             strided = rows[::stride]

@@ -426,6 +426,13 @@ class TestExitCodes:
         config.write_text("points = many\n", encoding="utf-8")
         assert main(["spectrum", "--config", str(config)]) == 2
 
+    def test_config_packet_outside_the_choices(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("packet = foo\n", encoding="utf-8")
+        assert main(["charfn", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "error: packet must be gaussian or hermite1\n")
+
     def test_bad_environment_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("THERMOFOCK_SEED", "not-a-number")
         assert main(["toy"]) == 2
@@ -452,6 +459,7 @@ class TestExitCodes:
     def test_bad_parameter_value(self, capsys):
         for argv, message in [
             (["spectrum", "--tmin", "5.0", "--tmax", "1.0"], "tmin < tmax"),
+            (["spectrum", "--points", "1"], "at least 2 points"),
             (["fock", "--nmax", "-1"], "nmax must be nonnegative"),
             (["states", "--experiment", "uncertainty", "--nmax", "-1"],
              "nmax must be nonnegative"),
@@ -471,6 +479,7 @@ class TestExitCodes:
             # the continuum table builds no ChainSpec; its law refuses m
             (["chain", "--experiment", "continuum", "--mass", "1e155"],
              "m^2 + 4 gamma/a^2 overflows"),
+            (["measure", "--amps", ","], "at least one branch amplitude"),
             (["measure", "--sectors", "0;;1"], "empty sector group"),
             (["measure", "--sectors", "0,5"],
              "sectors must partition 0..d-1 exactly once"),

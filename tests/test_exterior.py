@@ -203,12 +203,19 @@ class TestAxioms:
         assert report.passed
         np.testing.assert_allclose(report.probabilities, [1.0], atol=1e-14)
 
-    def test_bivector_mode_vanishes_for_scalar_amplitudes(self):
-        psi = np.array([0.6, 0.8])
-        space = AmplitudeEventSpace(tuple(psi), tuple(psi))
-        report = check_axioms(space, mode="relativistic-bivector")
-        np.testing.assert_allclose(report.probabilities, [0.0, 0.0],
+    def test_densities_that_miss_unit_sum_fail(self):
+        # Q4 holds (0.5 * 1 + (-0.5j) * 1j = 1), but the fermionic rule
+        # reads amp_e alone: its densities |1|^2 and |1j|^2 sum to 2.
+        space = AmplitudeEventSpace((1.0, 1j), (0.5, -0.5j))
+        assert check_axioms(space).passed
+        report = check_axioms(space, mode="fermionic")
+        assert not report.passed
+        np.testing.assert_allclose(report.probabilities, [1.0, 1.0],
                                    atol=1e-14)
+        assert len(report.violations) == 1
+        assert report.violations[0].startswith(
+            "sum: fermionic densities sum to 1.99")
+        assert check_axioms(space, mode="fermionic", skip={"Q4"}).passed
 
     def test_additivity_violation_is_caught(self):
         space = AmplitudeEventSpace(

@@ -2,15 +2,22 @@
 
 The package ``__init__`` re-exports nothing, so this is the check that
 every public name is listed and that every listed name exists.  Three
-more checks keep names from outliving their last caller: a private
-helper must be named elsewhere in the package, and each public name and
-each public method, property, classmethod or staticmethod of a class in
-the package must be run by the package, a demo or the benchmark, not by
-the tests alone.
+more checks keep code from outliving its last caller.  Two read names:
+a private function, class or constant must be named elsewhere in the
+package, and each public name must be named by the package, a demo or
+the benchmark, not by the tests alone.  The third runs the callers:
+every function, method, dunder and lambda in the package must receive a
+call when the benchmark's tables and warm-ups and the demos run.  A
+profiler cannot see a constant or a class that is never called, so the
+name checks stay for those.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -125,24 +132,114 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert uncalled == []
 
 
-def test_every_public_member_has_a_caller_outside_the_tests():
-    """Each public method, property, classmethod or staticmethod (not
-    ``_x``, not a dunder) of every class in the package, private classes
-    included, is named in ``src/thermofock/``, ``demos/`` or
-    ``perfbench/`` besides its own definition.  The check reads names
-    only, so a member sharing its name with another reference (such as
-    ``ndarray.mean``) passes it without a caller of its own."""
-    members, own = [], Counter()
+# The callers' run, in a fresh interpreter whose profiler is set before
+# thermofock is imported, so that import-time calls count: every
+# perfbench table op and probe through cli.main, one more table that
+# reads --config, writes --out and takes its seed from THERMOFOCK_SEED,
+# one warm-up of each ladder and oracles op, and every demo.  It prints
+# the exit codes that differ from the ops' and the (file, first line) of
+# each code object in the package that received a call.
+_CALLERS_RUN = r"""
+import sys
+
+called = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
+
+
+sys.setprofile(profile)
+
+import contextlib
+import io
+import json
+import os
+import runpy
+from pathlib import Path
+
+from thermofock import cli
+
+root, tmp = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path.insert(0, str(root / "perfbench"))
+import numpy as np
+import tables
+import workloads
+
+config = tmp / "toy.cfg"
+config.write_text("steps = 3\n", encoding="utf-8")
+wrong = []
+with contextlib.redirect_stdout(io.StringIO()), \
+        contextlib.redirect_stderr(io.StringIO()):
+    for op in tables.OPS + tables.PROBES:
+        code = cli.main(tables.argv_for(op, tables.REFERENCE_SEED))
+        if code != op[2]:
+            wrong.append([op[0], code])
+    os.environ["THERMOFOCK_SEED"] = "7"
+    try:
+        code = cli.main(["toy", "--config", str(config),
+                         "--out", str(tmp / "toy.csv")])
+    finally:
+        del os.environ["THERMOFOCK_SEED"]
+    if code != 0:
+        wrong.append(["toy --config --out", code])
+    ops = workloads.LADDER + workloads.ORACLES
+    for op in workloads.warm_ops(ops):
+        op.run(np.random.default_rng([tables.REFERENCE_SEED, ops.index(op)]),
+               op.warm_size)
+    for demo in sorted((root / "demos").glob("*.py")):
+        runpy.run_path(str(demo), run_name="__main__")
+sys.setprofile(None)
+package = os.path.dirname(cli.__file__)
+print(json.dumps({"wrong": wrong, "called": sorted(
+    (os.path.basename(code.co_filename), code.co_firstlineno)
+    for code in called if os.path.dirname(code.co_filename) == package)}))
+"""
+
+
+def _definitions(nodes, prefix=""):
+    """(first line, qualified name) of each function, method and lambda
+    among ``nodes``.  The first line is the code object's: a decorated
+    definition starts at its first decorator."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            inner = set(map(id, body))
+            # decorators, bases and defaults run in the enclosing scope
+            yield from _definitions([child for child in
+                                     ast.iter_child_nodes(node)
+                                     if id(child) not in inner], prefix)
+            name = prefix + getattr(node, "name", "<lambda>")
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(body, name + ".")
+                continue
+            yield min(n.lineno for n in [node, *getattr(
+                node, "decorator_list", ())]), name
+            yield from _definitions(body, name + ".<locals>.")
+        else:
+            yield from _definitions(ast.iter_child_nodes(node), prefix)
+
+
+def test_every_definition_runs_outside_the_tests(tmp_path):
+    """Each function, method, dunder and lambda defined in the package
+    receives a call in one run of the benchmark's tables and warm-ups and
+    of the demos; unlike a check by name, a definition is not covered
+    by another one of the same name."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "THERMOFOCK_SEED"}
+    env["PYTHONPATH"] = str(SRC.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _CALLERS_RUN, str(ROOT), str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["wrong"] == [], "exit codes differ from the ops'"
+    called = {tuple(site) for site in result["called"]}
+    uncalled = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
-            for node in cls.body:
-                if (isinstance(node, ast.FunctionDef)
-                        and not node.name.startswith("_")):
-                    members.append((cls.name, node.name))
-                    own[node.name] += _references(node)[node.name]
-    assert members, "no public class members found"
-    referenced = _caller_references()
-    uncalled = [f"{cls}.{name}" for cls, name in members
-                if referenced[name] <= own[name]]
-    assert uncalled == []
+        uncalled += [f"{path.stem}:{name}"
+                     for line, name in _definitions([tree])
+                     if (path.name, line) not in called]
+    assert not uncalled, "no call: " + ", ".join(uncalled)

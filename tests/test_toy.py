@@ -41,7 +41,7 @@ class TestStepMaps:
             np.testing.assert_array_equal(
                 markov_step(p, StochasticMatrix(np.eye(2))), p)
             np.testing.assert_array_equal(
-                markov_step(p, StochasticMatrix.swap()), p[::-1])
+                markov_step(p, StochasticMatrix(np.eye(2)[::-1])), p[::-1])
 
     def test_markov_identity_fixes_every_distribution(self):
         rng = np.random.default_rng(20240630)
@@ -102,7 +102,7 @@ class TestFeasibilitySearch:
 
     def test_single_swap_requirement_is_feasible(self):
         result = markov_feasibility([Constraint((1.0, 0.0), (0.0, 1.0))])
-        assert result
+        assert result.feasible
         assert result.residual <= 1e-6
         # the requirement pins only the first column
         np.testing.assert_allclose(result.w.entries[:, 0], [0.0, 1.0],
@@ -119,9 +119,8 @@ class TestFeasibilitySearch:
             Constraint((1.0, 0.0), (1.0, 0.0), steps=2),
         ]
         result = markov_feasibility(constraints)
-        assert result
-        np.testing.assert_allclose(result.w.entries,
-                                   StochasticMatrix.swap().entries,
+        assert result.feasible
+        np.testing.assert_allclose(result.w.entries, [[0.0, 1.0], [1.0, 0.0]],
                                    atol=1e-6)
 
     def test_recovering_a_known_matrix_from_its_one_step_law(self):
@@ -131,7 +130,7 @@ class TestFeasibilitySearch:
             Constraint((0.0, 1.0), (0.7, 0.3), steps=1),
         ]
         result = markov_feasibility(constraints)
-        assert result
+        assert result.feasible
         np.testing.assert_allclose(result.w.entries, target.entries,
                                    atol=1e-6)
 
@@ -149,7 +148,7 @@ class TestFeasibilitySearch:
                 constraints.append(Constraint(tuple(p), tuple(state),
                                               steps=steps))
             result = markov_feasibility(constraints)
-            assert result
+            assert result.feasible
             for c in constraints:
                 out = np.array(c.p_in)
                 for _ in range(c.steps):
@@ -167,7 +166,7 @@ class TestFeasibilitySearch:
             Constraint((0.0, 1.0), (0.0, 1.0), steps=2),
         ]
         result = markov_feasibility(constraints)
-        assert not result
+        assert not result.feasible
         assert result.w is None
         assert result.residual == pytest.approx(0.5, abs=1e-12)
         assert "force both columns" in result.certificate
@@ -179,7 +178,7 @@ class TestFeasibilitySearch:
             Constraint((1.0, 0.0), (0.1, 0.9), steps=1),
         ]
         result = markov_feasibility(constraints)
-        assert not result
+        assert not result.feasible
         assert "mutually inconsistent" in result.certificate
 
     def test_forced_columns_outside_the_unit_interval(self):
@@ -191,7 +190,7 @@ class TestFeasibilitySearch:
             Constraint((0.9, 0.1), (0.8, 0.2), steps=1),
         ]
         result = markov_feasibility(constraints)
-        assert not result
+        assert not result.feasible
         assert "outside [0, 1]" in result.certificate
 
     def test_grid_certificate_for_a_pure_multi_step_contradiction(self):
@@ -206,7 +205,7 @@ class TestFeasibilitySearch:
             Constraint((0.5, 0.5), (1.0, 0.0), steps=2),
         ]
         result = markov_feasibility(constraints)
-        assert not result
+        assert not result.feasible
         assert result.w is None
         assert result.certificate.startswith("infeasible:")
         assert result.residual > 1e-6
@@ -250,7 +249,7 @@ class TestSpectralSearch:
                              @ [p0, 1.0 - p0]), steps=steps)
             for p0, steps in requirements]
         result = markov_feasibility(constraints)
-        assert result, result.certificate
+        assert result.feasible, result.certificate
         for c in constraints:
             out = np.linalg.matrix_power(result.w.entries, c.steps) @ c.p_in
             np.testing.assert_allclose(out, c.p_out, rtol=0.0, atol=1e-9)
