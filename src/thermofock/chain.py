@@ -143,19 +143,16 @@ class ChainState:
 class ModeData:
     """Normal-mode content of a chain state on the discrete k grid.
 
-    ``u`` and ``p`` are the complex normal coordinates; ``a`` the
-    complex amplitudes; ``a_rescaled`` and ``lam`` filled in by
-    :func:`rescaled_modes`.  Frequency entries satisfy the dispersion
-    law of the generating ChainSpec.
+    ``u`` and ``p`` are the complex normal coordinates; ``a_rescaled``
+    is filled in by :func:`rescaled_modes`.  Frequency entries satisfy
+    the dispersion law of the generating ChainSpec.
     """
 
     k: np.ndarray
     omega: np.ndarray
     u: np.ndarray | None = None
     p: np.ndarray | None = None
-    a: np.ndarray | None = None
     a_rescaled: np.ndarray | None = None
-    lam: np.ndarray | None = None
 
 
 def hamiltonian(state: ChainState, spec: ChainSpec) -> float:
@@ -228,12 +225,10 @@ def _amplitudes(modes: ModeData) -> np.ndarray:
 
 
 def rescaled_modes(modes: ModeData, spec: ChainSpec) -> ModeData:
-    """Fill in amplitudes a(k), ratios λ_k = ω_k/ω̄ and the rescaled
-    amplitudes a_k = sqrt(λ_k) a(k), for which
-    H = ω̄ Σ_k conj(a_k) a_k."""
-    a = _amplitudes(modes)
+    """Fill in the rescaled amplitudes a_k = sqrt(λ_k) a(k), with
+    λ_k = ω_k/ω̄, for which H = ω̄ Σ_k conj(a_k) a_k."""
     lam = modes.omega / spec.omega_ref
-    return replace(modes, a=a, a_rescaled=np.sqrt(lam) * a, lam=lam)
+    return replace(modes, a_rescaled=np.sqrt(lam) * _amplitudes(modes))
 
 
 # ---------------------------------------------------------------------------

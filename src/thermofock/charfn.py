@@ -133,17 +133,10 @@ class DensityGrid:
 
 @dataclass(frozen=True)
 class CharacteristicSamples:
-    """Values f(t_j) of a characteristic function on a grid of t points."""
+    """Values f(t_j) of a characteristic function on the caller's grid
+    of t points, one complex value per point."""
 
-    t: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=complex))
-        require(self.t.shape == self.values.shape,
-                "t grid and values must have matching shapes")
 
 
 def density_from_amplitude(psi: GridWaveFunction) -> DensityGrid:
@@ -174,7 +167,7 @@ def characteristic_function(p: DensityGrid, t_grid) -> CharacteristicSamples:
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     require(np.all(np.isfinite(t)), "t values must be finite")
     w = _trapezoid_weights(p.n) * p.values * p.dx
-    return CharacteristicSamples(t, _dense_fourier(p.x, w, t))
+    return CharacteristicSamples(_dense_fourier(p.x, w, t))
 
 
 def _xi_lattice(psi: GridWaveFunction) -> tuple[int, float]:
@@ -234,7 +227,7 @@ def autocorrelation_charfn(psi: GridWaveFunction,
         s = shift[k]
         values[k] = np.exp(1j * t[k] * psi.x0) * (
             h[s:] @ h0bar_w[:m - s] + h[:s] @ h0bar_w[m - s:])
-    return CharacteristicSamples(t, values)
+    return CharacteristicSamples(values)
 
 
 def default_t_grid(psi: GridWaveFunction) -> np.ndarray:

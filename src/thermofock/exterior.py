@@ -123,6 +123,7 @@ class GrassmannElement(_Graded2):
 # Probability densities as coefficient extractions
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def bilinear_density(w1: float, w2: float) -> float:
     """Probability of a two-component configuration with weights (w1, w2).
 
@@ -132,7 +133,7 @@ def bilinear_density(w1: float, w2: float) -> float:
     i*(e1^e2) from (1/2) wbar^w.  The result equals w1*w2 exactly.
 
     Negative or infinite weights lie outside the physical region and
-    raise ValueError.
+    raise ValueError, and so do weights whose wedge 2*w1*w2 overflows.
     """
     require(0 <= w1 < np.inf and 0 <= w2 < np.inf,
             f"weights must be nonnegative and finite, got ({w1}, {w2})")
@@ -141,22 +142,28 @@ def bilinear_density(w1: float, w2: float) -> float:
     paired = wbar.wedge(w)
     coeff = 0.5 * paired.c12          # equals i*w1*w2
     value = coeff / 1j                # measure against the unit i*(e1^e2)
-    require(abs(value.imag) <= 1e-12 * max(1.0, abs(value.real)),
-            f"bivector coefficient not real: {value!r}")
+    require(np.isfinite(value)
+            and abs(value.imag) <= 1e-12 * max(1.0, abs(value.real)),
+            f"the wedge of weights ({w1}, {w2}) overflows the double range")
     return float(value.real)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def complex_pair_density(z_q: complex, z_p: complex) -> float:
     """Coefficient of the unit bivector in i*zbar^z for z = z_q*e1 + z_p*e2.
 
     Expands to i*(conj(z_q)*z_p - conj(z_p)*z_q), which is real for all
-    inputs and changes sign under z_q <-> z_p.
+    finite inputs and changes sign under z_q <-> z_p.  A non-finite
+    amplitude, or one whose wedge overflows, raises ValueError.
     """
+    require(np.isfinite(z_q) and np.isfinite(z_p),
+            f"amplitudes must be finite, got ({z_q}, {z_p})")
     z = ExteriorElement.vector(z_q, z_p)
     zbar = ExteriorElement.vector(np.conj(z_q), np.conj(z_p))
     coeff = 1j * zbar.wedge(z).c12
-    require(abs(coeff.imag) <= 1e-12 * max(1.0, abs(coeff.real)),
-            f"pair density not real: {coeff!r}")
+    require(np.isfinite(coeff)
+            and abs(coeff.imag) <= 1e-12 * max(1.0, abs(coeff.real)),
+            f"the wedge of ({z_q}, {z_p}) overflows the double range")
     return float(coeff.real)
 
 
@@ -168,6 +175,7 @@ def _fermion_pair(q: complex):
     return psi, psi_plus
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fermion_density(q: complex) -> float:
     """Probability |q|^2 of a one-mode fermionic amplitude q.
 
@@ -176,8 +184,10 @@ def fermion_density(q: complex) -> float:
     coefficient of the fermionic probability unit theta*theta_bar*(e_q^e_p).
     All anticommutation is exact in the 4-coefficient algebra; only the
     orientation of the unit is a fixed convention, chosen so the physical
-    region gives nonnegative values.
+    region gives nonnegative values.  A non-finite q, or one whose
+    pairing overflows, raises ValueError.
     """
+    require(np.isfinite(q), f"amplitude must be finite, got {q}")
     psi, psi_plus = _fermion_pair(q)
     z = ExteriorElement(GrassmannElement(), psi, psi_plus, GrassmannElement())
     paired = z.wedge(z)
@@ -186,9 +196,9 @@ def fermion_density(q: complex) -> float:
     unit_top = (GrassmannElement.theta() * GrassmannElement.theta_bar()).c12
     value = top.c12 / unit_top
     residual = max(abs(top.c0), abs(top.c1), abs(top.c2))
-    require(residual <= 1e-12
+    require(np.isfinite(value) and residual <= 1e-12
             and abs(value.imag) <= 1e-12 * max(1.0, abs(value.real)),
-            "fermionic pairing left a non-scalar remainder")
+            f"the fermionic pairing of q = {q} overflows the double range")
     return float(value.real)
 
 
@@ -283,7 +293,6 @@ class AxiomReport:
     passed: bool
     violations: list
     probabilities: list | None
-    mode: str
 
     def __bool__(self):
         return self.passed
@@ -377,4 +386,4 @@ def check_axioms(space: AmplitudeEventSpace, mode: str = "nonrelativistic",
                 f"sum: {mode} densities sum to {density_sum!r}, not 1")
 
     return AxiomReport(passed=not violations, violations=violations,
-                       probabilities=probabilities, mode=mode)
+                       probabilities=probabilities)

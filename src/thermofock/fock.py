@@ -341,11 +341,8 @@ def bargmann_kernel(z: complex, q, n_max: int = 64,
           f"increase n_max beyond {n_max} for |z|={abs(z):.3g}")
     q = np.atleast_1d(np.asarray(q, dtype=float))
     table = _hermite_table(n_max, q, hbar)
-    # Z_n(z) accumulated stably through the ratio recurrence
-    basis = np.empty(n_max + 1, dtype=complex)
-    basis[0] = 1.0
-    for m in range(1, n_max + 1):
-        basis[m] = basis[m - 1] * z / np.sqrt(m * hbar)
+    # Z_n(z) at scale ħ is the unit-scale row Z_n(z/sqrt(ħ))
+    basis = _basis_rows(np.array([z / math.sqrt(hbar)]), n_max)[:, 0]
     # einsum, not BLAS: zgemv rounds by its thread count
     return np.einsum("m,mj->j", basis, table)
 

@@ -177,11 +177,16 @@ def pushforward_radii(theta: np.ndarray, beta: float) -> np.ndarray:
     map, in the phase plane of ``ThermalOscillator(beta)``."""
     require(0 < beta < math.inf,
             f"beta must be positive and finite, got {beta}")
-    s2 = np.sin(theta / 2.0) ** 2
-    require(np.all(s2 < 1.0),
-            "theta = pi is the singular pole of the exact map")
+    half = np.asarray(theta, dtype=float) / 2.0
+    require(np.all(half < math.pi / 2.0),
+            "theta must lie below pi, the singular pole of the exact map")
+    # ln cos²(θ/2): log1p(−sin²) is accurate near θ = 0, cos near θ = π
+    far = half > math.pi / 4.0
+    log_cos2 = np.empty_like(half)
+    log_cos2[~far] = np.log1p(-np.sin(half[~far]) ** 2)
+    log_cos2[far] = 2.0 * np.log(np.cos(half[far]))
     # Rooted apart, so a tiny beta cannot overflow the quotient.
-    return np.sqrt(-2.0 * np.log1p(-s2)) / math.sqrt(beta)
+    return np.sqrt(-2.0 * log_cos2) / math.sqrt(beta)
 
 
 def pushforward_ks_statistic(beta: float, n: int, seed: int) -> float:
@@ -350,10 +355,9 @@ def region_probability(region, osc: ThermalOscillator) -> float:
 
 @dataclass(frozen=True)
 class PlanckConstants:
-    """Caller-supplied constants; natural units by default."""
+    """Caller-supplied h and k (c cancels out of every ratio of u)."""
 
     h: float = 1.0
-    c: float = 1.0
     k: float = 1.0
 
 

@@ -169,7 +169,7 @@ class TestEnergyBookkeeping:
                                    math.sqrt(1.1 ** 2 + 0.9), atol=1e-14)
         # plain amplitudes weight each mode by its own frequency
         np.testing.assert_allclose(
-            np.sum(modes.omega * np.abs(modes.a) ** 2),
+            np.sum(modes.omega * np.abs(chain_mod._amplitudes(modes)) ** 2),
             hamiltonian(state, spec), atol=1e-10)
 
     def test_batched_energies(self):

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermofock.charfn import (
-    CharacteristicSamples,
     DensityGrid,
     GridWaveFunction,
     autocorrelation_charfn,
@@ -361,10 +360,6 @@ class TestContainers:
     def test_density_rejects_nan_samples(self):
         with pytest.raises(ValueError):
             DensityGrid(0.0, 0.1, np.array([float("nan"), 1.0]))
-
-    def test_characteristic_samples_shape_check(self):
-        with pytest.raises(ValueError):
-            CharacteristicSamples(np.zeros(3), np.zeros(4, dtype=complex))
 
     def test_sampled_normalizes(self):
         psi = GridWaveFunction.sampled(lambda x: np.exp(-x * x), -8.0,

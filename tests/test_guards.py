@@ -186,6 +186,52 @@ def test_bad_indices_raise(call, message):
         call()
 
 
+# Refusals that only an overflow, a non-finite input or missing state
+# reaches, each tripped through its public function and matched by its
+# message, with no warning on the way.
+REFUSAL_CALLS = {
+    "exterior.bilinear_density(1e154, 1e154)":
+        (lambda: exterior.bilinear_density(1e154, 1e154),
+         r"wedge of weights \(1e\+154, 1e\+154\) overflows"),
+    "exterior.complex_pair_density(nan, 1)":
+        (lambda: exterior.complex_pair_density(NAN, 1.0),
+         r"amplitudes must be finite, got \(nan, 1.0\)"),
+    "exterior.complex_pair_density(1e200+1e200j, 1e200)":
+        (lambda: exterior.complex_pair_density(1e200 + 1e200j, 1e200),
+         r"wedge of \(\(1e\+200\+1e\+200j\), 1e\+200\) overflows"),
+    "exterior.fermion_density(nan)":
+        (lambda: exterior.fermion_density(NAN),
+         "amplitude must be finite, got nan"),
+    "exterior.fermion_density(1e200)":
+        (lambda: exterior.fermion_density(1e200),
+         r"fermionic pairing of q = 1e\+200 overflows"),
+    "chain.mode_energies(normal_modes)":
+        (lambda: chain.mode_energies(chain.normal_modes(chain.ChainSpec(8))),
+         "mode data carries no state content"),
+    "chain.rescaled_modes(normal_modes)":
+        (lambda: chain.rescaled_modes(chain.normal_modes(chain.ChainSpec(8)),
+                                      chain.ChainSpec(8)),
+         "mode data carries no state content"),
+    "charfn.GridWaveFunction(dx=0)":
+        (lambda: charfn.GridWaveFunction(0.0, 0.0, [1, 1]),
+         "dx must be positive and finite, got 0.0"),
+    "charfn.GridWaveFunction(x0=inf)":
+        (lambda: charfn.GridWaveFunction(INF, 1.0, [1, 1]),
+         "x0 must be finite, got inf"),
+    "charfn.GridWaveFunction([0, 0]).normalized()":
+        (lambda: charfn.GridWaveFunction(0.0, 1.0, [0, 0]).normalized(),
+         "cannot normalize a zero-norm sample list"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", list(REFUSAL_CALLS.values()),
+                         ids=list(REFUSAL_CALLS))
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_guard_reports_its_triple_and_trips_on_nan():
     errors.guard("tail mass", 1e-9, 1e-8, "unused")
     with pytest.raises(errors.NumericalGuardError,

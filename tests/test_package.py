@@ -7,9 +7,10 @@ a private function, class or constant must be named elsewhere in the
 package, and each public name must be named by the package, a demo or
 the benchmark, not by the tests alone.  The third runs the callers:
 every function, method, dunder and lambda in the package must receive a
-call when the benchmark's tables and warm-ups and the demos run.  A
-profiler cannot see a constant or a class that is never called, so the
-name checks stay for those.
+call, and every field of its dataclasses and namedtuples must be read,
+when the benchmark's tables and warm-ups and the demos run.  Neither a
+profiler nor a field log can see a constant or a class that is never
+called, so the name checks stay for those.
 """
 
 import ast
@@ -136,9 +137,14 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 # thermofock is imported, so that import-time calls count: every
 # perfbench table op and probe through cli.main, one more table that
 # reads --config, writes --out and takes its seed from THERMOFOCK_SEED,
-# one warm-up of each ladder and oracles op, and every demo.  It prints
-# the exit codes that differ from the ops' and the (file, first line) of
-# each code object in the package that received a call.
+# one warm-up of each ladder and oracles op, and every demo.  Each
+# dataclass and namedtuple of the package logs the reads of its fields,
+# except those from a method that ``dataclass`` generated (code file
+# ``<string>``), from the ``dataclasses`` module (``replace`` reads every
+# field) and from the class's own ``__post_init__``.  The run prints the
+# exit codes that differ from the ops', the (file, first line) of each
+# code object in the package that received a call, and the
+# ``module:Class.field`` of each field that nothing read.
 _CALLERS_RUN = r"""
 import sys
 
@@ -153,6 +159,8 @@ def profile(frame, event, arg):
 sys.setprofile(profile)
 
 import contextlib
+import dataclasses
+import importlib
 import io
 import json
 import os
@@ -160,6 +168,35 @@ import runpy
 from pathlib import Path
 
 from thermofock import cli
+
+unread = set()
+
+
+def log_reads(cls, fields):
+    module = cls.__module__.rpartition(".")[2]
+    labels = {name: f"{module}:{cls.__qualname__}.{name}" for name in fields}
+    unread.update(labels.values())
+    skip = {dataclasses.__file__, "<string>"}
+    post_init = getattr(getattr(cls, "__post_init__", None), "__code__", None)
+    read = cls.__getattribute__
+
+    def __getattribute__(self, name):
+        if name in labels:
+            code = sys._getframe(1).f_code
+            if code.co_filename not in skip and code is not post_init:
+                unread.discard(labels[name])
+        return read(self, name)
+
+    cls.__getattribute__ = __getattribute__
+
+
+for name in sys.argv[3:]:
+    for cls in vars(importlib.import_module(f"thermofock.{name}")).values():
+        if isinstance(cls, type) and cls.__module__ == f"thermofock.{name}":
+            if dataclasses.is_dataclass(cls):
+                log_reads(cls, {f.name for f in dataclasses.fields(cls)})
+            elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
+                log_reads(cls, set(cls._fields))
 
 root, tmp = Path(sys.argv[1]), Path(sys.argv[2])
 sys.path.insert(0, str(root / "perfbench"))
@@ -192,7 +229,7 @@ with contextlib.redirect_stdout(io.StringIO()), \
         runpy.run_path(str(demo), run_name="__main__")
 sys.setprofile(None)
 package = os.path.dirname(cli.__file__)
-print(json.dumps({"wrong": wrong, "called": sorted(
+print(json.dumps({"wrong": wrong, "unread": sorted(unread), "called": sorted(
     (os.path.basename(code.co_filename), code.co_firstlineno)
     for code in called if os.path.dirname(code.co_filename) == package)}))
 """
@@ -223,14 +260,16 @@ def _definitions(nodes, prefix=""):
 
 def test_every_definition_runs_outside_the_tests(tmp_path):
     """Each function, method, dunder and lambda defined in the package
-    receives a call in one run of the benchmark's tables and warm-ups and
-    of the demos; unlike a check by name, a definition is not covered
-    by another one of the same name."""
+    receives a call, and each field of its dataclasses and namedtuples
+    is read, in one run of the benchmark's tables and warm-ups and of
+    the demos; unlike a check by name, a definition is not covered by
+    another one of the same name."""
     env = {key: value for key, value in os.environ.items()
            if key != "THERMOFOCK_SEED"}
     env["PYTHONPATH"] = str(SRC.parent)
     done = subprocess.run(
-        [sys.executable, "-c", _CALLERS_RUN, str(ROOT), str(tmp_path)],
+        [sys.executable, "-c", _CALLERS_RUN, str(ROOT), str(tmp_path),
+         *MODULES],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
@@ -243,3 +282,4 @@ def test_every_definition_runs_outside_the_tests(tmp_path):
                      for line, name in _definitions([tree])
                      if (path.name, line) not in called]
     assert not uncalled, "no call: " + ", ".join(uncalled)
+    assert not result["unread"], "no read: " + ", ".join(result["unread"])

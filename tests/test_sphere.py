@@ -168,8 +168,26 @@ class TestGeometry:
                                    1.5 * math.log(2.0), atol=1e-12)
 
     def test_exact_map_rejects_the_south_pole(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="singular pole"):
             thermal_map_exact(SpherePoint(math.pi, 0.0), 1.0)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-8, 3e-8, 4.4e-16])
+    def test_exact_map_is_finite_next_to_the_south_pole(self, gap):
+        # r^2 = -4 ln cos(theta/2) = -4 ln sin(delta/2) with
+        # delta = pi - theta; math.sin(math.pi) is the part of pi that
+        # the double math.pi drops, so delta is exact to rounding.
+        theta = math.pi - gap
+        delta = (math.pi - theta) + math.sin(math.pi)
+        expected = math.sqrt(-4.0 * math.log(math.sin(delta / 2.0)))
+        radius = abs(thermal_map_exact(SpherePoint(theta), 1.0))
+        assert abs(radius - expected) <= 4 * math.ulp(expected)
+
+    def test_exact_map_keeps_small_angles_accurate(self):
+        # r^2 = -2 log1p(-sin^2(theta/2)) = theta^2/2 to first order
+        theta = 1e-9
+        radius = abs(thermal_map_exact(SpherePoint(theta), 1.0))
+        expected = theta / math.sqrt(2.0)
+        assert abs(radius - expected) <= 4 * math.ulp(expected)
 
 
 class TestPushforward:
@@ -193,12 +211,7 @@ class TestPushforward:
         # image disk's quadrature mass is the cap's area fraction,
         # within the quadrature's 1e-7 self-estimate bound.
         cap = cap_area_fraction(theta)
-        try:
-            radius = abs(thermal_map_exact(SpherePoint(theta), beta))
-        except ValueError:
-            # sin^2(theta/2) rounds to 1 within about 2e-8 of the pole
-            assert cap == 1.0
-            return
+        radius = abs(thermal_map_exact(SpherePoint(theta), beta))
         # below theta ~ 3e-162 the radius underflows to the empty disk
         mass = (region_probability(Disk(radius), ThermalOscillator(beta))
                 if radius > 0.0 else 0.0)
@@ -368,13 +381,13 @@ class TestBlackbody:
         # u = 8 pi h nu^3 / c^3 / (e^x - 1) against its two limits, the
         # Wien law 8 pi h nu^3 e^{-x} / c^3 and the Rayleigh-Jeans law
         # 8 pi nu^2 kT / c^3
-        consts = PlanckConstants(h=2.0, c=3.0, k=1.5)
+        consts, c = PlanckConstants(h=2.0, k=1.5), 3.0
         nu, temp = 1.2, 0.9
         x = consts.h * nu / (consts.k * temp)
-        cubic = 8.0 * math.pi * consts.h * nu ** 3 / consts.c ** 3
+        cubic = 8.0 * math.pi * consts.h * nu ** 3 / c ** 3
         u = cubic / math.expm1(x)
         wien = cubic * math.exp(-x)
-        rj = 8.0 * math.pi * nu ** 2 * consts.k * temp / consts.c ** 3
+        rj = 8.0 * math.pi * nu ** 2 * consts.k * temp / c ** 3
         np.testing.assert_allclose(limit_ratios(nu, temp, consts),
                                    (u / wien, u / rj), rtol=1e-14)
 
