@@ -153,12 +153,14 @@ def density_from_amplitude(psi: GridWaveFunction) -> DensityGrid:
 def _dense_fourier(x: np.ndarray, weights: np.ndarray,
                    freqs: np.ndarray) -> np.ndarray:
     """Σ_i exp(i·f·x_i) weights_i for every f, chunked over f to bound
-    the phase-matrix size."""
+    the phase-matrix size.  The sums run in numpy's own loops, not BLAS,
+    so they do not depend on the BLAS thread count."""
     out = np.empty(freqs.size, dtype=complex)
     step = max(1, int(2e6 / max(1, x.size)))
     for i in range(0, freqs.size, step):
         block = freqs[i:i + step]
-        out[i:i + step] = np.exp(1j * np.outer(block, x)) @ weights
+        phases = np.exp(1j * np.outer(block, x))
+        out[i:i + step] = np.einsum("fj,j->f", phases, weights)
     return out
 
 
@@ -226,7 +228,8 @@ def autocorrelation_charfn(psi: GridWaveFunction,
             h = np.fft.ifft(a * np.exp(1j * r * psi.dx * i), m)
         s = shift[k]
         values[k] = np.exp(1j * t[k] * psi.x0) * (
-            h[s:] @ h0bar_w[:m - s] + h[:s] @ h0bar_w[m - s:])
+            np.einsum("j,j->", h[s:], h0bar_w[:m - s])
+            + np.einsum("j,j->", h[:s], h0bar_w[m - s:]))
     return CharacteristicSamples(values)
 
 

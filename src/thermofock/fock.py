@@ -157,14 +157,17 @@ class GaussianMeasure:
 
 
 @lru_cache(maxsize=2)
-def _quadrature_rows(nodes: tuple):
-    """Weights and unit-scale basis rows Z_0..Z_{_QUAD_N_MAX} at the
-    oracle's nodes for one node set, read-only."""
+def _quadrature_gram(nodes: tuple) -> np.ndarray:
+    """G[m, n] = Σ_j w_j Z_m(z_j) conj(Z_n(z_j)) over one node set of the
+    oracle, m, n <= _QUAD_N_MAX, at unit scale; read-only.  Row m is
+    summed as a basis pair's integrand would be, so a basis pair reads
+    the per-node value exactly."""
     z, w = GaussianMeasure().quadrature_nodes(*nodes)
     rows = _basis_rows(z, _QUAD_N_MAX)
-    w.setflags(write=False)
-    rows.setflags(write=False)
-    return w, rows
+    conj_rows = np.conj(rows)
+    gram = np.array([np.sum(w * row * conj_rows, axis=1) for row in rows])
+    gram.setflags(write=False)
+    return gram
 
 
 def quadrature_inner_product(f: FockVector, g: FockVector) -> complex:
@@ -176,16 +179,18 @@ def quadrature_inner_product(f: FockVector, g: FockVector) -> complex:
     error above 1e-8 raises NumericalGuardError.  Truncations above 12
     are outside the guaranteed-accuracy domain and are rejected.  ħ does
     not enter the oracle: z = sqrt(ħ) ζ maps dμ and Z_n(z; ħ) at ħ onto
-    dμ and Z_n(ζ; 1) at unit scale, where the integral runs.
+    dμ and Z_n(ζ; 1) at unit scale, where the integral runs.  Each node
+    set's quadrature Gram G of the basis rows is formed once, and the
+    integral is the bilinear form f · G · conj(g).
     """
     _check_compatible(f, g)
     require(f.n_max <= _QUAD_N_MAX and g.n_max <= _QUAD_N_MAX,
             f"quadrature oracle limited to truncations <= {_QUAD_N_MAX}")
 
     def integral(nodes):
-        w, rows = _quadrature_rows(nodes)
-        return complex(np.sum(w * (f.coeffs @ rows[:f.coeffs.size])
-                              * np.conj(g.coeffs @ rows[:g.coeffs.size])))
+        gram = _quadrature_gram(nodes)[:f.coeffs.size, :g.coeffs.size]
+        return complex(np.einsum("m,mn,n->", f.coeffs, gram,
+                                 np.conj(g.coeffs)))
 
     coarse = integral(_QUAD_NODES)
     fine = integral(_QUAD_NODES_FINE)
@@ -357,7 +362,7 @@ def to_position(f: FockVector, grid) -> GridWaveFunction:
                         atol=1e-12 * max(1.0, abs(dq))),
             "grid must be uniformly spaced")
     table = _hermite_table(f.n_max, q, f.hbar)
-    values = f.coeffs @ table
+    values = np.einsum("m,mj->j", f.coeffs, table)
     return GridWaveFunction(float(q[0]), float(dq), values)
 
 
@@ -371,7 +376,7 @@ def from_position(psi: GridWaveFunction, n_max: int,
     NumericalGuardError is raised.
     """
     wv = psi.values * _trapezoid_weights(psi.n) * psi.dx
-    coeffs = _hermite_table(n_max, psi.x, hbar).astype(complex) @ wv
+    coeffs = np.einsum("mj,j->m", _hermite_table(n_max, psi.x, hbar), wv)
     guard("projection mass shortfall",
           psi.norm_squared() - float(np.sum(np.abs(coeffs) ** 2)), _TAIL_TOL,
           f"widen the grid or increase n_max beyond {n_max}")

@@ -147,6 +147,7 @@ class TestOutputShape:
 BLAS_TABLES = [
     ["fock"],
     ["charfn", "--packet", "gaussian"],
+    ["charfn", "--packet", "hermite1", "--points", "4096"],
     ["sphere", "--samples", "2000"],
     ["chain", "--experiment", "dispersion", "--sites", "64"],
     ["measure", "--amps", "0.6,0.48,0.64", "--samples", "1000"],
@@ -170,9 +171,10 @@ class TestDeterminism:
         assert first == second
 
     def test_blas_tables_do_not_depend_on_the_blas_thread_count(self):
-        # Each child writes every table that reaches BLAS: the quadrature
-        # Gram (fock), the dense Fourier matvec (charfn), the Gibbs
-        # quadrature matvec (sphere), eigvalsh (chain dispersion) and the
+        # Each child writes every table whose sums BLAS would round by
+        # its thread count: the quadrature Gram (fock), the dense Fourier
+        # and lag sums (charfn, split over threads at 4096 points), the
+        # Gibbs quadrature (sphere), eigvalsh (chain dispersion) and the
         # density matrices (measure).
         script = (
             "import contextlib, io, json\n"

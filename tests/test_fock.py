@@ -125,12 +125,10 @@ class TestInnerProduct:
             assert abs(quadrature_inner_product(f, g)
                        - per_node_quadrature(f, g)) <= 1e-14
 
-    def test_cached_quadrature_rows_are_read_only(self):
-        w, rows = fock_mod._quadrature_rows(fock_mod._QUAD_NODES)
+    def test_cached_quadrature_gram_is_read_only(self):
+        gram = fock_mod._quadrature_gram(fock_mod._QUAD_NODES)
         with pytest.raises(ValueError):
-            rows[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            w[0] = 0.0
+            gram[0, 0] = 0.0
 
     def test_quadrature_respects_scale(self):
         for hbar in (0.5, 2.0):

@@ -186,9 +186,10 @@ def test_bad_indices_raise(call, message):
         call()
 
 
-# Refusals that only an overflow, a non-finite input or missing state
-# reaches, each tripped through its public function and matched by its
-# message, with no warning on the way.
+# Refusals that no other test trips (an overflow, a non-finite input,
+# missing state or a value outside the call's domain), each tripped
+# through its public function and matched by its message, with no
+# warning on the way.
 REFUSAL_CALLS = {
     "exterior.bilinear_density(1e154, 1e154)":
         (lambda: exterior.bilinear_density(1e154, 1e154),
@@ -221,6 +222,22 @@ REFUSAL_CALLS = {
     "charfn.GridWaveFunction([0, 0]).normalized()":
         (lambda: charfn.GridWaveFunction(0.0, 1.0, [0, 0]).normalized(),
          "cannot normalize a zero-norm sample list"),
+    "sphere.SpherePoint(theta=4)":
+        (lambda: sphere.SpherePoint(4.0),
+         r"theta must lie in \[0, pi\], got 4.0"),
+    "sphere.SpherePoint(phi=2 pi)":
+        (lambda: sphere.SpherePoint(1.0, 2.0 * math.pi),
+         r"phi must lie in \[0, 2\*pi\), got 6.28"),
+    "sphere.region_probability(SpherePoint)":
+        (lambda: sphere.region_probability(sphere.SpherePoint(1.0),
+                                           sphere.ThermalOscillator(1.0)),
+         "unsupported region type SpherePoint"),
+    "sphere.classical_limit_table(omega=0)":
+        (lambda: sphere.classical_limit_table([1.0], 0.0),
+         "omega must be positive and finite"),
+    "sphere.classical_limit_table(hbar=-1)":
+        (lambda: sphere.classical_limit_table([1.0, -1.0], 1.0),
+         "hbar must be nonnegative and finite, got -1.0"),
 }
 
 

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from thermofock import sphere as sphere_mod
 from thermofock.errors import NumericalGuardError
 from thermofock.sphere import (
     FULL_PLANE,
@@ -260,6 +261,20 @@ class TestGibbsMeasure:
         np.testing.assert_allclose(gibbs_normalization_check(osc), 0.5,
                                    atol=1e-8)
 
+    @settings(max_examples=100)
+    @given(logs=st.tuples(*[st.floats(-12.0, 12.0)] * 4))
+    def test_normalization_is_within_1e9_or_refused(self, logs):
+        # The self-estimate of region_probability alone bounds the gap
+        # to the analytic mass 2 pi / (beta omega h), with hbar
+        # overridden, over 1e-12..1e12 in each parameter.
+        beta, omega, mass, hbar = (10.0 ** x for x in logs)
+        osc = ThermalOscillator(beta, omega, mass, hbar)
+        try:
+            value = gibbs_normalization_check(osc)
+        except NumericalGuardError:
+            return
+        assert abs(value - 2.0 * math.pi / (beta * omega * osc.h)) <= 1e-9
+
     def test_consistency_triangle(self):
         # beta, omega, hbar with hbar = 1/(beta omega): the three
         # quantities close the identity 1/beta = hbar omega exactly.
@@ -343,6 +358,20 @@ class TestGibbsMeasure:
         except NumericalGuardError:
             return
         assert abs(value - erf_simpson_disk_probability(disk, osc)) <= 1e-7
+
+    def test_cached_legendre_rules_are_read_only(self):
+        for rule in sphere_mod._legendre_rules(64):
+            with pytest.raises(ValueError):
+                rule[0] = 0.0
+
+    def test_region_probabilities_build_two_legendre_rules(self):
+        sphere_mod._legendre_rules.cache_clear()
+        osc = ThermalOscillator(beta=1.0)
+        for r in (0.5, 1.0, 2.0):
+            region_probability(Disk(r), osc)
+            region_probability(Rectangle(-r, r, 0.0, math.inf), osc)
+        info = sphere_mod._legendre_rules.cache_info()
+        assert (info.misses, info.hits) == (2, 10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
