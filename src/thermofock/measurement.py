@@ -12,8 +12,12 @@ idempotent; a validated matrix is read-only, and each block of the
 projection is a principal submatrix of it, so positivity carries over
 without an ``eigvalsh`` (Cauchy interlacing), and the symmetric block
 mask cannot raise the Hermitian defect, so that check is not repeated
-either.  ``random_density`` mirrors its real-arithmetic Wishart Gram,
-so it too is Hermitian by construction.  A charge operator
+either.  ``random_density`` draws the complex Wishart law through its
+Bartlett factor L (Bartlett 1933; Goodman 1963 for the complex case)
+and forms L L† one block row at a time in L's own buffer, mirroring
+each tile, so it too is Hermitian by construction; its rounding bound
+2γ_{k+3}, k = min(d, rank), stands in for the ``eigvalsh`` up to
+k = 4500.  A charge operator
 S = Σ_i s_i Π_i built from the sectors commutes with every
 block-diagonal ("physical") operator, and no operator with vanishing
 cross-sector matrix elements connects distinct sectors — the
@@ -51,7 +55,7 @@ _HERM_TOL = 1e-12
 _EIG_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _BLOCK_ELEMENTS = 2 ** 16   # entries per row block of the Hermiticity check
-_TILE = 256                 # rows and columns per tile of the Gram mirror
+_GRAM_ROWS = 64             # rows per block of the Bartlett draw and Gram
 
 
 def _hermitian_defect(m: np.ndarray) -> float:
@@ -61,21 +65,6 @@ def _hermitian_defect(m: np.ndarray) -> float:
     b = max(1, _BLOCK_ELEMENTS // d)
     return float(np.max([np.max(np.abs(m[i:i + b] - m[:, i:i + b].conj().T))
                          for i in range(0, d, b)]))
-
-
-def _mirror(re: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(re + reᵀ)/2 + i(g − gᵀ), exactly Hermitian, one square tile at a
-    time so that the transposed reads stay in cache."""
-    d = re.shape[0]
-    out = np.empty((d, d), dtype=complex)
-    for i in range(0, d, _TILE):
-        for j in range(0, d, _TILE):
-            rows, cols = slice(i, i + _TILE), slice(j, j + _TILE)
-            tile = out[rows, cols]
-            np.add(re[rows, cols], re[cols, rows].T, out=tile.real)
-            np.subtract(g[rows, cols], g[cols, rows].T, out=tile.imag)
-    out.real *= 0.5
-    return out
 
 
 @dataclass(frozen=True)
@@ -320,34 +309,65 @@ def rotation_2pi(state, spins) -> np.ndarray:
 
 def random_density(d: int, rng: np.random.Generator,
                    rank: int | None = None) -> DensityMatrix:
-    """Random density matrix: normalized Wishart A A† with A = X + iY of
-    shape (d, rank), positive by construction.
+    """Random density matrix: the normalized complex Wishart A A† of
+    A = X + iY with standard normal X, Y of shape (d, rank), positive
+    by construction.
 
-    The Gram is formed in real arithmetic at half the flops of the
-    complex product: Re = X Xᵀ + Y Yᵀ, mirrored as (Re + Reᵀ)/2, and
-    Im = G − Gᵀ with G = Y Xᵀ, so the result is exactly Hermitian.
-    Before the scaling by 1/trace an entry of Re carries at most
-    rank + 2 roundings and one of Im rank + 1, so their errors are
-    bounded entrywise by γ_{rank+2} times |X||X|ᵀ + |Y||Y|ᵀ and
-    |Y||X|ᵀ + |X||Y|ᵀ (Higham, §3.5), each of 2-norm at most tr A A†.
-    With the scaling, the normalized spectrum moves by at most
-    2γ_{rank+3} ≈ 2·rank·u (Weyl), so the ``eigvalsh`` runs only when
-    that exceeds 1e-12, at rank above 4500."""
+    A A† has the law of L L†, where L is the d×k Bartlett factor,
+    k = min(d, rank) (Bartlett 1933; Goodman 1963, Ann. Math. Stat. 34,
+    for the complex case): its entries left of the diagonal, and every
+    entry of the rows i ≥ k, are complex normals X + iY like A's, and
+    its diagonal is L_ii = √χ²_{2(rank−i)}.  At rank = d the draw takes
+    about half the normals of A, and the Gram about half the real
+    multiply-adds of A A† formed as X Xᵀ + Y Yᵀ and Y Xᵀ.  The normals
+    are drawn one block of rows at a time, in row-major order of the
+    entries they fill, then the diagonal in one call.
+
+    Block row I of the upper triangle is L_I L[i1:, :e]† with
+    e = min(i1, k), one BLAS product that skips L's zero triangle; when
+    k = d it is written over L's own buffer, whose rows in I are not
+    read again, so the draw and the Gram share one d×d buffer.  Each
+    diagonal tile t becomes (t + t†)/2 and each tile below the diagonal
+    the conjugate transpose of its mirror, so the result is exactly
+    Hermitian.  Entry (i, j) sums min(i, j) + 1 ≤ k complex products,
+    so before the scaling by 1/trace its error is bounded entrywise by
+    γ_{k+2} |L||L|ᵀ (Higham §3.6), γ_{k+3} with the tile average, and
+    |L||L|ᵀ has 2-norm at most ‖L‖²_F = tr L L†.  With the scaling, the
+    normalized spectrum moves by at most 2γ_{k+3} ≈ 2·k·u (Weyl), so
+    the ``eigvalsh`` runs only when that exceeds 1e-12, at k above
+    4500."""
     rank = d if rank is None else rank
     require(d >= 1 and rank >= 1,
             f"need d >= 1 and rank >= 1, got d={d}, rank={rank}")
-    xy = np.empty((2, d, rank))
-    rng.standard_normal(out=xy)   # X, then Y: the stream of two draws
-    x, y = xy
-    gram = np.empty((2, d, d))
-    re, g = gram
-    np.matmul(x, x.T, out=re)
-    np.matmul(y, y.T, out=g)
-    re += g
-    np.matmul(y, x.T, out=g)
-    del xy, x, y                  # free the draws before the output
-    m = _mirror(re, g)
+    k = min(d, rank)
+    f = np.zeros((d, k), dtype=complex)
+    # one block of rows of L at a time: the normals, then the conjugate
+    rowbuf = np.empty(min(_GRAM_ROWS, d) * k, dtype=complex)
+    blocks = [(i0, min(i0 + _GRAM_ROWS, d)) for i0 in range(0, d, _GRAM_ROWS)]
+    for i0, i1 in blocks:
+        e = min(i1, k)
+        below = np.tri(i1 - i0, e, i0 - 1, dtype=bool)   # column < row
+        z = rowbuf[:np.count_nonzero(below)]
+        rng.standard_normal(out=z.view(float))
+        f[i0:i1, :e][below] = z
+    diag = np.arange(k)
+    f[diag, diag] = np.sqrt(rng.chisquare(2 * (rank - diag)))
+    m = f if k == d else np.empty((d, d), dtype=complex)
+    for i0, i1 in blocks:
+        e = min(i1, k)
+        rows = f[i0:i1, :e]
+        c = np.conjugate(rows, out=rowbuf[:rows.size].reshape(rows.shape))
+        right = m[i0:i1, i1:]       # L_I L[i1:]† = conj(conj(L_I) L[i1:]ᵀ)
+        np.matmul(c, f[i1:, :e].T, out=right)
+        np.conjugate(right, out=right)
+        t = rows @ c.T
+        tile = m[i0:i1, i0:i1]
+        np.conjugate(t.T, out=tile)
+        tile += t
+        tile *= 0.5
+        for j0, j1 in blocks[:i0 // _GRAM_ROWS]:
+            np.conjugate(m[j0:j1, i0:i1].T, out=m[i0:i1, j0:j1])
     m *= 1.0 / np.trace(m).real
-    if (rank + 3) * np.finfo(float).eps <= _EIG_TOL:    # 2γ_{rank+3}
+    if (k + 3) * np.finfo(float).eps <= _EIG_TOL:       # 2γ_{k+3}
         return DensityMatrix._known_positive(m)
     return DensityMatrix(m)

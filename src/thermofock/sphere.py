@@ -116,6 +116,10 @@ class ThermalOscillator:
                 and 0 < self.mass < math.inf,
                 "beta, omega, mass must all be positive and finite")
         if self.hbar is None:
+            require(self.beta * self.omega > 0.0,
+                    f"beta * omega underflows to 0 (beta={self.beta}, "
+                    f"omega={self.omega}), so hbar = 1/(beta omega) leaves "
+                    "the double range")
             object.__setattr__(self, "hbar", 1.0 / (self.beta * self.omega))
         require(0 < self.hbar and self.h < math.inf, "hbar must be positive "
                 f"with a finite cell 2 pi hbar, got {self.hbar}")
@@ -350,10 +354,27 @@ def region_probability(region, osc: ThermalOscillator) -> float:
     Iterated Gauss–Legendre rules with 48 and 64 nodes per axis and
     panel; the 64-node value is returned.  Their gap plus the Gibbs mass
     beyond the ±12-width clip is the self-estimated error, and above
-    1e−7 it raises NumericalGuardError.
+    1e−7 it raises NumericalGuardError.  An oscillator whose Gibbs
+    widths, clips or mass leave the double range raises ValueError.
     """
     require(isinstance(region, (Rectangle, Disk)),
             f"unsupported region type {type(region).__name__}")
+    # β, ω, m and ħ are each positive and finite; the Gibbs widths, their
+    # ±12-width clips and the Gibbs mass must be as well.
+    q_scale = osc.omega * math.sqrt(osc.beta * osc.mass)   # 1/σ_q
+    require(0.0 < q_scale < math.inf and _CLIP / q_scale < math.inf,
+            f"omega * sqrt(beta * mass) = {q_scale:.3g} leaves the double "
+            "range, and with it the position width 1/(omega sqrt(beta mass))")
+    p_scale = osc.mass / osc.beta                         # σ_p²
+    require(0.0 < p_scale and _CLIP * math.sqrt(p_scale) < math.inf,
+            f"mass / beta = {p_scale:.3g} leaves the double range, and with "
+            "it the momentum width sqrt(mass / beta)")
+    # The clipped integral is at most (24 σ_q)(24 σ_p) = 576/(βω), and
+    # the mass is the integral over h.
+    m_scale = osc.beta * osc.omega * min(osc.h, 1.0)
+    require(m_scale > 0.0 and (2.0 * _CLIP) ** 2 / m_scale < math.inf,
+            f"beta * omega * min(h, 1) = {m_scale:.3g} underflows: the Gibbs "
+            "mass 2 pi/(beta omega h) leaves the double range")
     coarse, fine = _gibbs_mass(region, osc, 48), _gibbs_mass(region, osc, 64)
     tail = _CLIP_TAIL * 2.0 * math.pi / (osc.beta * osc.omega * osc.h)
     guard("region quadrature self-estimate", abs(coarse - fine) + tail, 1e-7,

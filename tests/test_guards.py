@@ -222,6 +222,17 @@ REFUSAL_CALLS = {
     "charfn.GridWaveFunction([0, 0]).normalized()":
         (lambda: charfn.GridWaveFunction(0.0, 1.0, [0, 0]).normalized(),
          "cannot normalize a zero-norm sample list"),
+    "charfn.DensityGrid(dx=0)":
+        (lambda: charfn.DensityGrid(0.0, 0.0, [1, 1]),
+         "dx must be positive and finite, got 0.0"),
+    "charfn.DensityGrid(x0=inf)":
+        (lambda: charfn.DensityGrid(INF, 1.0, [1, 1]),
+         "x0 must be finite, got inf"),
+    "charfn.autocorrelation_charfn(dx=1e152)":
+        (lambda: charfn.autocorrelation_charfn(
+            charfn.GridWaveFunction(-10.0, 1e152, _gaussian_samples()),
+            [0.0]),
+         r"the lattice weight \(4 N dx\)\^2 overflows at dx = 1e\+152"),
     "sphere.SpherePoint(theta=4)":
         (lambda: sphere.SpherePoint(4.0),
          r"theta must lie in \[0, pi\], got 4.0"),
@@ -238,6 +249,24 @@ REFUSAL_CALLS = {
     "sphere.classical_limit_table(hbar=-1)":
         (lambda: sphere.classical_limit_table([1.0, -1.0], 1.0),
          "hbar must be nonnegative and finite, got -1.0"),
+    "sphere.ThermalOscillator(beta=1e-200, omega=1e-200)":
+        (lambda: sphere.ThermalOscillator(beta=1e-200, omega=1e-200),
+         r"beta \* omega underflows to 0 \(beta=1e-200, omega=1e-200\)"),
+    "sphere.region_probability(beta=omega=hbar=1e-300)":
+        (lambda: sphere.region_probability(
+            sphere.FULL_PLANE,
+            sphere.ThermalOscillator(beta=1e-300, omega=1e-300, hbar=1e-300)),
+         r"omega \* sqrt\(beta \* mass\) = 0 leaves the double range"),
+    "sphere.region_probability(beta=1e300, mass=1e-300)":
+        (lambda: sphere.region_probability(
+            sphere.FULL_PLANE,
+            sphere.ThermalOscillator(beta=1e300, mass=1e-300)),
+         r"mass / beta = 0 leaves the double range"),
+    "sphere.region_probability(beta=omega=1e-200, hbar=1)":
+        (lambda: sphere.region_probability(
+            sphere.FULL_PLANE,
+            sphere.ThermalOscillator(beta=1e-200, omega=1e-200, hbar=1.0)),
+         r"beta \* omega \* min\(h, 1\) = 0 underflows"),
 }
 
 

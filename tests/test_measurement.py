@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thermofock import measurement
 from thermofock.errors import NumericalGuardError
 from thermofock.measurement import (
     _hermitian_defect,
@@ -437,62 +438,117 @@ class TestRotation:
 
 
 def complex_wishart(d, rank, seed):
-    """Oracle: A A†/tr A A† as one complex product, with A = X + iY drawn
-    as two (d, rank) blocks, X first; also the row norms of A and the
-    trace."""
+    """Oracle: L L†/tr L L† as one complex product, with the d×k
+    Bartlett factor L (k = min(d, rank)) redrawn from the seed: complex
+    normals X + iY below the diagonal, drawn as one (count, 2) block in
+    row-major order, then L_ii = √χ²_{2(rank−i)}; also the row norms of
+    L and the trace."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    gram = a @ a.conj().T
+    k = min(d, rank)
+    below = np.tril(np.ones((d, k), dtype=bool), -1)
+    z = rng.standard_normal((np.count_nonzero(below), 2))
+    f = np.zeros((d, k), dtype=complex)
+    f[below] = z[:, 0] + 1j * z[:, 1]
+    f[np.arange(k), np.arange(k)] = np.sqrt(
+        rng.chisquare(2 * (rank - np.arange(k))))
+    gram = f @ f.conj().T
     trace = np.trace(gram).real
-    return gram / trace, np.linalg.norm(a, axis=1), trace
+    return gram / trace, np.linalg.norm(f, axis=1), trace
+
+
+def direct_wishart_purities(d, rank, n, rng):
+    """Oracle: purities Σ|ρ_ij|² of n normalized A A† with A = X + iY of
+    shape (d, rank) drawn directly, the sampler before the Bartlett
+    factor."""
+    a = rng.standard_normal((n, d, rank)) + 1j * rng.standard_normal(
+        (n, d, rank))
+    gram = a @ a.conj().transpose(0, 2, 1)
+    rho = gram / np.trace(gram, axis1=1, axis2=2).real[:, None, None]
+    return np.sum(np.abs(rho) ** 2, axis=(1, 2))
 
 
 class TestRandomDensity:
     def test_gram_bound_replaces_eigvalsh(self, monkeypatch):
-        # The Gram rounding bound 2γ_{rank+3} is within 1e-12 up to rank
-        # 4500; past it the constructor's eigvalsh runs once.
+        # The Gram rounding bound 2γ_{k+3}, k = min(d, rank), is within
+        # 1e-12 up to k = 4500, so neither call runs an eigvalsh.
         rng = np.random.default_rng(20240629)
         calls = count_eigvalsh(monkeypatch)
         random_density(64, rng)
-        assert calls == []
         random_density(2, rng, rank=10_000)
-        assert calls == [2]
+        assert calls == []
+        # Past the bound the constructor's checks run once: at 1e-14,
+        # 2γ_{67} ≈ 1.5e-14 crosses it for d = 64.
+        monkeypatch.setattr(measurement, "_EIG_TOL", 1e-14)
+        rho = random_density(64, rng)
+        assert calls == [64]
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        with pytest.raises(ValueError, match="read-only"):
+            rho.matrix[0, 0] = -5
+        assert float(np.trace(rho.matrix).real) == pytest.approx(1.0,
+                                                                 abs=1e-12)
 
     @settings(max_examples=40)
     @given(d=st.integers(1, 40), rank=st.integers(1, 60),
            seed=st.integers(0, 2 ** 32 - 1))
     @example(d=5, rank=1, seed=0)
     @example(d=3, rank=50, seed=1)
-    @example(d=300, rank=7, seed=2)   # mirror tiles of 256 and 44 rows
+    @example(d=300, rank=7, seed=2)     # five row blocks, a d×d output
+    @example(d=260, rank=300, seed=3)   # five row blocks, in L's buffer
     def test_exactly_hermitian_and_the_complex_formula(self, d, rank, seed):
         m = random_density(d, np.random.default_rng(seed), rank).matrix
         assert np.array_equal(m, m.conj().T)
         want, norms, trace = complex_wishart(d, rank, seed)
-        # Entry (i, j) before normalization: the real-arithmetic Gram is
-        # off by 2γ_{rank+2}‖a_i‖‖a_j‖ (|x| + |y| ≤ √2|a|), the complex
-        # product by γ_{rank+2}‖a_i‖‖a_j‖.  Each trace adds γ_{rank+d+2}
-        # and each scaling by 1/trace two roundings, relative to
-        # |A A†|_ij ≤ ‖a_i‖‖a_j‖: (5·rank + 2d + 14)·u in all.
-        n = 5 * rank + 2 * d + 14
+        # Entry (i, j) before normalization: both Grams sum
+        # min(i, j) + 1 ≤ k complex products, so each is off by
+        # γ_{k+2}(|L||L|ᵀ)_ij (Higham §3.6), and the tile average adds
+        # one rounding here: γ_{k+3}.  Each trace sums d diagonal
+        # entries, each within that relative bound of ‖l_i‖²: relative
+        # error γ_{k+d+2}, and dividing by it costs as much to first
+        # order.  The scaling adds two roundings here (1/trace, then the
+        # product) and one in the oracle (the division).  Relative to
+        # (|L||L|ᵀ)_ij/tr ≤ ‖l_i‖‖l_j‖/tr that is (2k + d + 7)·u and
+        # (2k + d + 4)·u; 3u more covers the second-order terms.
+        k = min(d, rank)
+        n = 4 * k + 2 * d + 14
         u = np.finfo(float).eps / 2
         bound = n * u / (1 - n * u) * np.outer(norms, norms) / trace
         assert np.all(np.abs(m - want) <= bound)
 
-    def test_peak_allocation_is_two_buffers(self):
-        # The draws and the Gram are (2, d, d) real buffers of 16·d²
-        # bytes each; the draws are freed before the 16·d²-byte output
-        # is allocated.  The slack holds numpy's ufunc buffers for the
-        # transposed tiles (about 0.2 MiB); one more real d×d
-        # temporary, 2 MiB at d = 512, exceeds it.
-        d = 512
+    @pytest.mark.parametrize("d, rank", [(4, 4), (3, 7), (6, 2)])
+    def test_purity_law_matches_the_direct_sampler(self, d, rank):
+        # E Tr ρ² = (d + r)/(dr + 1) for the normalized A A† (Życzkowski
+        # and Sommers): the mean purity of the Bartlett draw and of the
+        # direct A A† sampler each lie within 6 standard errors of it.
+        n = 20_000
+        rng = np.random.default_rng([20240701, d, rank])
+        expected = (d + rank) / (d * rank + 1)
+        drawn = np.array([purity(random_density(d, rng, rank))
+                          for _ in range(n)])
+        direct = direct_wishart_purities(d, rank, n, rng)
+        for sample in (drawn, direct):
+            error = sample.std(ddof=1) / math.sqrt(n)
+            assert abs(sample.mean() - expected) <= 6.0 * error
+
+    def test_peak_allocation_is_one_buffer(self):
+        # rank ≥ d: L, the d×d Gram and the output share one buffer of
+        # 16·d² bytes; the block temporaries are one buffer of
+        # b = _GRAM_ROWS rows of L (the normals, then conj(L_I)), 16·b·d
+        # bytes.  The slack holds the b×b tile products, the row masks
+        # and numpy's ufunc buffers for the transposed tiles (about
+        # 0.35 MiB); a second such buffer, 0.5 MiB at d = 512, exceeds
+        # it.  rank < d: the d×k factor L and a separate d×d output.
+        d, k, b = 512, 64, measurement._GRAM_ROWS
         rng = np.random.default_rng(20240630)
-        tracemalloc.start()
-        try:
-            random_density(d, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 16 * d * d + 2 ** 20
+        random_density(8, rng)   # numpy's one-time set-up is not counted
+        for rank, plan in ((d, 16 * d * d + 16 * b * d),
+                           (k, 16 * d * d + 16 * d * k + 16 * b * k)):
+            tracemalloc.start()
+            try:
+                random_density(d, rng, rank)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= plan + 3 * 2 ** 18, rank
 
     def test_rank_control(self):
         rng = np.random.default_rng(20240627)

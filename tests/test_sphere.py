@@ -275,6 +275,30 @@ class TestGibbsMeasure:
             return
         assert abs(value - 2.0 * math.pi / (beta * omega * osc.h)) <= 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200)
+    @given(logs=st.tuples(*[st.floats(-320.0, 308.0)] * 3),
+           hbar_log=st.none() | st.floats(-320.0, 308.0),
+           region=st.sampled_from([FULL_PLANE, Disk(1.0),
+                                   Rectangle(-1.0, 1.0, -1.0, 1.0)]))
+    @example(logs=(-300.0, -300.0, 0.0), hbar_log=-300.0, region=FULL_PLANE)
+    @example(logs=(-200.0, -200.0, 0.0), hbar_log=None, region=FULL_PLANE)
+    @example(logs=(300.0, 0.0, -300.0), hbar_log=None, region=FULL_PLANE)
+    def test_a_number_or_a_refusal_over_the_double_range(self, logs,
+                                                          hbar_log, region):
+        # beta, omega, mass and hbar log-uniform over the whole double
+        # range, subnormals included: region_probability returns a
+        # finite mass or raises ValueError, never another exception
+        # (ZeroDivisionError) and never a numpy warning.
+        beta, omega, mass = (10.0 ** x for x in logs)
+        hbar = None if hbar_log is None else 10.0 ** hbar_log
+        try:
+            value = region_probability(
+                region, ThermalOscillator(beta, omega, mass, hbar))
+        except ValueError:
+            return
+        assert math.isfinite(value) and value >= 0.0
+
     def test_consistency_triangle(self):
         # beta, omega, hbar with hbar = 1/(beta omega): the three
         # quantities close the identity 1/beta = hbar omega exactly.
