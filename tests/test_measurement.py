@@ -529,6 +529,21 @@ class TestRandomDensity:
             error = sample.std(ddof=1) / math.sqrt(n)
             assert abs(sample.mean() - expected) <= 6.0 * error
 
+    def test_peak_allocation_is_two_buffers(self):
+        # The ceiling of the direct A A† sampler, which held its draws
+        # and its Gram as two (2, d, d) real buffers of 16·d² bytes
+        # each: the Bartlett draw, counted cold with numpy's set-up,
+        # stays within it at full rank.
+        d = 512
+        rng = np.random.default_rng(20240630)
+        tracemalloc.start()
+        try:
+            random_density(d, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * d * d + 2 ** 20
+
     def test_peak_allocation_is_one_buffer(self):
         # rank ≥ d: L, the d×d Gram and the output share one buffer of
         # 16·d² bytes; the block temporaries are one buffer of
