@@ -531,14 +531,14 @@ def _parse_sectors(text: str, d: int):
     return measure_mod.SectorStructure(sectors, charges)
 
 
-# d amplitudes make d×d complex matrices; three arrays of samples
+# d amplitudes make d×d complex matrices; the outcome counts are one
+# multinomial draw of d entries, whatever the sample count
 @_table(_TABLES, "measure", {
     "amps": (str, "0.6,0.8", "comma list of branch amplitudes"),
     "samples": (int, 100000, "number of sampled outcomes"),
     "sectors": (str, "", "sector partition like '0,1;2'; empty means "
                          "one sector per outcome"),
-}, footprint=lambda p: 8 * 16 * (p["amps"].count(",") + 1) ** 2
-   + 3 * 8 * p["samples"])
+}, footprint=lambda p: 8 * 16 * (p["amps"].count(",") + 1) ** 2)
 def _run_measure(cfg: RunConfig):
     from . import measurement as measure_mod
     amps = np.array([float(tok) for tok in cfg.params["amps"].split(",")

@@ -123,6 +123,8 @@ class GrassmannElement(_Graded2):
 # Probability densities as coefficient extractions
 # ---------------------------------------------------------------------------
 
+_HALF_EARLY = 2.0 ** 511   # a larger weight takes the measure's 1/2 early
+
 @np.errstate(over="ignore", invalid="ignore")
 def bilinear_density(w1: float, w2: float) -> float:
     """Probability of a two-component configuration with weights (w1, w2).
@@ -133,14 +135,22 @@ def bilinear_density(w1: float, w2: float) -> float:
     i*(e1^e2) from (1/2) wbar^w.  The result equals w1*w2 exactly.
 
     Negative or infinite weights lie outside the physical region and
-    raise ValueError, and so do weights whose wedge 2*w1*w2 overflows.
+    raise ValueError, and so do weights whose product w1*w2 overflows.
     """
     require(0 <= w1 < np.inf and 0 <= w2 < np.inf,
             f"weights must be nonnegative and finite, got ({w1}, {w2})")
-    w = ExteriorElement.vector(w1, 1j * w2)
-    wbar = ExteriorElement.vector(w1, -1j * w2)
+    # The 1/2 scales e1^e2, so it may go on one slot of both vectors
+    # before the wedge.  On the slot of a weight above 2**511 it is
+    # exact, and the wedge forms w1*w2 where 2*w1*w2 would overflow;
+    # below that 2*w1*w2 is finite, and the 1/2 stays after the wedge,
+    # where halving a subnormal product loses no bit.
+    early = max(w1, w2) > _HALF_EARLY
+    h1 = 0.5 if early and w1 >= w2 else 1.0
+    h2 = 0.5 if early and w2 > w1 else 1.0
+    w = ExteriorElement.vector(h1 * w1, 1j * (h2 * w2))
+    wbar = ExteriorElement.vector(h1 * w1, -1j * (h2 * w2))
     paired = wbar.wedge(w)
-    coeff = 0.5 * paired.c12          # equals i*w1*w2
+    coeff = (1.0 if early else 0.5) * paired.c12    # equals i*w1*w2
     value = coeff / 1j                # measure against the unit i*(e1^e2)
     require(np.isfinite(value)
             and abs(value.imag) <= 1e-12 * max(1.0, abs(value.real)),

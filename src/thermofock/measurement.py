@@ -56,6 +56,7 @@ _EIG_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _BLOCK_ELEMENTS = 2 ** 16   # entries per row block of the Hermiticity check
 _GRAM_ROWS = 64             # rows per block of the Bartlett draw and Gram
+_MAX_DRAWS = 2 ** 63 - 1    # largest count numpy's multinomial takes
 
 
 def _hermitian_defect(m: np.ndarray) -> float:
@@ -255,16 +256,26 @@ class OutcomeFrequencies:
 
 
 def sample_outcomes(rho: DensityMatrix, n: int, seed: int) -> OutcomeFrequencies:
-    """Draw n outcomes with Born weights p_k = ρ_kk (diagonal ρ only)."""
-    require(n >= 1, "need at least one draw")
+    """Outcome counts of n draws with Born weights p_k = ρ_kk (diagonal ρ
+    only).
+
+    Only the counts are kept, and they follow Multinomial(n, p) exactly,
+    so they are drawn as one multinomial (sequential binomials): O(d)
+    time and memory, whatever n.  n is at most 2^63 − 1, numpy's count
+    type.  Outcomes of zero weight stay out of the draw: numpy hands its
+    last outcome what the binomials before it leave, which rounding
+    makes a stray count now and then at n ~ 1e15.
+    """
+    require(1 <= n <= _MAX_DRAWS,
+            f"need between 1 and 2**63 - 1 draws, got {n}")
     require(rho.off_diagonal_max() <= 1e-12,
             "matrix has coherences; decohere before sampling")
     p = rho.diagonal_part()
     p = np.maximum(p, 0.0)
     p = p / np.sum(p)
-    rng = np.random.default_rng(seed)
-    outcomes = rng.choice(rho.d, size=n, p=p)
-    counts = np.bincount(outcomes, minlength=rho.d)
+    support = p > 0.0
+    counts = np.zeros(rho.d, dtype=np.int64)
+    counts[support] = np.random.default_rng(seed).multinomial(n, p[support])
     return OutcomeFrequencies(counts=counts, n=n, probabilities=p)
 
 

@@ -352,9 +352,10 @@ def region_probability(region, osc: ThermalOscillator) -> float:
     """P(A) = ∫_A e^{−βH} dq dp / h for a Rectangle or Disk region.
 
     Iterated Gauss–Legendre rules with 48 and 64 nodes per axis and
-    panel; the 64-node value is returned.  Their gap plus the Gibbs mass
-    beyond the ±12-width clip is the self-estimated error, and above
-    1e−7 it raises NumericalGuardError.  An oscillator whose Gibbs
+    panel; the 64-node value is returned.  The Gibbs mass beyond the
+    ±12-width clip, alone and then plus the gap of the two values, is
+    the self-estimated error, and above 1e−7 either raises
+    NumericalGuardError under its own name.  An oscillator whose Gibbs
     widths, clips or mass leave the double range raises ValueError.
     """
     require(isinstance(region, (Rectangle, Disk)),
@@ -375,8 +376,11 @@ def region_probability(region, osc: ThermalOscillator) -> float:
     require(m_scale > 0.0 and (2.0 * _CLIP) ** 2 / m_scale < math.inf,
             f"beta * omega * min(h, 1) = {m_scale:.3g} underflows: the Gibbs "
             "mass 2 pi/(beta omega h) leaves the double range")
-    coarse, fine = _gibbs_mass(region, osc, 48), _gibbs_mass(region, osc, 64)
     tail = _CLIP_TAIL * 2.0 * math.pi / (osc.beta * osc.omega * osc.h)
+    guard("region clip tail", tail, 1e-7,
+          "the Gibbs mass 2 pi/(beta omega h) is so large that its share "
+          "beyond the ±12-width clip exceeds the bound")
+    coarse, fine = _gibbs_mass(region, osc, 48), _gibbs_mass(region, osc, 64)
     guard("region quadrature self-estimate", abs(coarse - fine) + tail, 1e-7,
           "the region's edges are too sharp for the Gauss–Legendre rules")
     return fine
@@ -393,6 +397,11 @@ class PlanckConstants:
     h: float = 1.0
     k: float = 1.0
 
+    def __post_init__(self):
+        require(0 < self.h < math.inf and 0 < self.k < math.inf,
+                f"h and k must be positive and finite, got ({self.h}, "
+                f"{self.k})")
+
 
 def _expm1(x: float) -> float:
     """e^x − 1, and inf where e^x lies beyond the double range."""
@@ -402,31 +411,30 @@ def _expm1(x: float) -> float:
         return math.inf
 
 
-def _planck_x(nu: float, temperature: float,
-              constants: PlanckConstants) -> tuple[float, float]:
-    """x = hν/kT and u/RJ = x/(e^x − 1).
-
-    u/RJ is 1, its limit, where x underflows to 0, and 0 once e^x
-    overflows."""
-    require(0 < nu < math.inf and 0 < temperature < math.inf,
-            "nu and temperature must be positive and finite")
-    x = constants.h * nu / (constants.k * temperature)
-    return x, (x / _expm1(x) if x > 0.0 else 1.0)
-
-
 def limit_ratios(nu: float, temperature: float,
                  constants: PlanckConstants = PlanckConstants()):
     """(u/Wien, u/Rayleigh–Jeans) at x = hν/kT.
 
     u/Wien = 1/(1 − e^{−x}) → 1 as x → ∞, and about 1/x as x → 0: where
-    it leaves the double range it raises ValueError;
-    u/RJ = x/(e^x − 1) → 1 as x → 0, and is 0 once e^x overflows.
+    it leaves the double range it raises ValueError, and so does an x
+    that overflows; u/RJ = x/(e^x − 1) → 1 as x → 0, and is 0 once e^x
+    overflows.  x is formed from the mantissas and exponents of h, ν, k
+    and T, so hν or kT leaving the double range does not lose it, and
+    wherever both are normal it is hν/(kT) to the last bit.
     """
-    x, rj = _planck_x(nu, temperature, constants)
+    require(0 < nu < math.inf and 0 < temperature < math.inf,
+            "nu and temperature must be positive and finite")
+    (mh, eh), (mn, en), (mk, ek), (mt, et) = map(
+        math.frexp, (constants.h, nu, constants.k, temperature))
+    try:
+        x = math.ldexp(mh * mn / (mk * mt), eh + en - ek - et)
+    except OverflowError:
+        x = math.inf
+    require(x < math.inf, "x = hv/kT overflows the double range")
     wien = 1.0 / (-math.expm1(-x)) if x > 0.0 else math.inf
     require(wien < math.inf,
             f"u/Wien at x = hv/kT = {x:.3g} lies beyond the double range")
-    return wien, rj
+    return wien, x / _expm1(x)
 
 
 def classical_limit_table(hbar_values, omega: float):

@@ -600,12 +600,10 @@ class TestExitCodes:
         (["sphere", "--samples", "10000000000"],
          [(sphere_mod, "pushforward_ks_statistic"),
           (sphere_mod, "mean_energy")]),
-        (["measure", "--samples", "10000000000"],
-         [(measure_mod, "entangle"), (measure_mod, "sample_outcomes")]),
         (["measure", "--amps", ",".join(["0.1"] * 5000)],
          [(measure_mod, "entangle"), (measure_mod, "sample_outcomes")]),
     ], ids=["spectrum-points", "toy-steps", "charfn-points",
-            "sphere-samples", "measure-samples", "measure-amps"])
+            "sphere-samples", "measure-amps"])
     def test_oversized_request_exits_before_allocating(
             self, argv, allocators, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -614,6 +612,24 @@ class TestExitCodes:
         for owner, name in allocators:
             monkeypatch.setattr(owner, name, refuse)
         assert_refused_by_the_budget(argv, capsys)
+
+    def test_ten_billion_samples_are_one_count_draw(self, capsys):
+        # The outcome counts cost O(d) whatever --samples is, so 1e10
+        # samples run at once and stay within 6 standard errors.
+        start = time.perf_counter()
+        assert main(["measure", "--samples", "10000000000"]) == 0
+        assert time.perf_counter() - start < 1.0
+        _, header, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 2
+        for row in rows:
+            cell = dict(zip(header, map(float, row)))
+            assert (abs(cell["frequency"] - cell["probability"])
+                    <= 6.0 * cell["stderr"])
+
+    def test_samples_beyond_the_count_type_are_refused(self, capsys):
+        assert main(["measure", "--samples", "9223372036854775808"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2**63 - 1 draws" in err
 
     @pytest.mark.parametrize("nmax", [13, 3_000_000, 1_000_000_000])
     def test_fock_nmax_above_12_exits_before_allocating(
@@ -675,6 +691,7 @@ SIZED_TABLES = {
     "charfn 8192": "charfn --points 8192",
     "measure d=100": f"measure --amps {_amps(100)}",
     "measure d=400": f"measure --amps {_amps(400)}",
+    "measure 1e10 samples": "measure --samples 10000000000",
 }
 
 

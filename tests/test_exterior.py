@@ -8,10 +8,11 @@ fermionic pairing.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermofock.exterior import (
@@ -25,6 +26,10 @@ from thermofock.exterior import (
     complex_pair_density,
     fermion_density,
 )
+
+
+# 10^e for e uniform over the double range; 10.0 ** -324 is 0.
+LOG_WEIGHTS = st.floats(-324.0, 308.25).map(lambda e: 10.0 ** e)
 
 
 def wedge_oracle(a, b):
@@ -85,6 +90,24 @@ class TestBilinearDensity:
         for _ in range(1000):
             w1, w2 = rng.uniform(0.0, 5.0, size=2)
             assert abs(bilinear_density(w1, w2) - w1 * w2) < 1e-14
+
+    @settings(max_examples=300)
+    @given(w1=LOG_WEIGHTS, w2=LOG_WEIGHTS)
+    @example(w1=1e154, w2=1e154)           # 1e308: 2*w1*w2 overflows
+    @example(w1=1e155, w2=1e154)           # the product itself overflows
+    @example(w1=1e300, w2=5e-324)          # a subnormal weight
+    @example(w1=1.0000000000000002, w2=2.2250738585072014e-308)
+    def test_product_over_the_double_range(self, w1, w2):
+        # Log-uniform weights, subnormals and 0 included: the density is
+        # the rounded product w1*w2 to the last bit wherever that is
+        # finite (the last example is a normal product whose half is
+        # subnormal), and a refusal where it overflows.
+        product = w1 * w2
+        if math.isfinite(product):
+            assert bilinear_density(w1, w2) == product
+        else:
+            with pytest.raises(ValueError, match="overflows"):
+                bilinear_density(w1, w2)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):

@@ -191,9 +191,9 @@ def test_bad_indices_raise(call, message):
 # through its public function and matched by its message, with no
 # warning on the way.
 REFUSAL_CALLS = {
-    "exterior.bilinear_density(1e154, 1e154)":
-        (lambda: exterior.bilinear_density(1e154, 1e154),
-         r"wedge of weights \(1e\+154, 1e\+154\) overflows"),
+    "exterior.bilinear_density(1e155, 1e154)":
+        (lambda: exterior.bilinear_density(1e155, 1e154),
+         r"wedge of weights \(1e\+155, 1e\+154\) overflows"),
     "exterior.complex_pair_density(nan, 1)":
         (lambda: exterior.complex_pair_density(NAN, 1.0),
          r"amplitudes must be finite, got \(nan, 1.0\)"),
@@ -267,6 +267,22 @@ REFUSAL_CALLS = {
             sphere.FULL_PLANE,
             sphere.ThermalOscillator(beta=1e-200, omega=1e-200, hbar=1.0)),
          r"beta \* omega \* min\(h, 1\) = 0 underflows"),
+    "sphere.limit_ratios(h=1e300, k=1e-300)":
+        (lambda: sphere.limit_ratios(
+            1.0, 1.0, sphere.PlanckConstants(h=1e300, k=1e-300)),
+         "x = hv/kT overflows the double range"),
+    "measurement.sample_outcomes(n=2**63)":
+        (lambda: measurement.sample_outcomes(
+            measurement.DensityMatrix(np.diag([0.5, 0.5])), 2 ** 63, 0),
+         r"need between 1 and 2\*\*63 - 1 draws, got 9223372036854775808"),
+    "toy.markov_step(three entries)":
+        (lambda: toy.markov_step([0.5, 0.25, 0.25],
+                                 toy.StochasticMatrix(np.eye(2))),
+         "need a probability pair"),
+    "toy.StochasticMatrix(3x3)":
+        (lambda: toy.StochasticMatrix(np.eye(3)), "need a 2x2 matrix"),
+    "toy.ToyUnitary(3x3)":
+        (lambda: toy.ToyUnitary(np.eye(3)), "need a 2x2 matrix"),
 }
 
 

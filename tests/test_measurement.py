@@ -3,7 +3,8 @@ Born sampling, superselection sectors, and full-turn rotations.
 
 Oracles: Schmidt values from an SVD of hand-built amplitude tables,
 exact partial-trace algebra for two-branch states, binomial standard
-errors for the sampled frequencies, and elementary matrix arithmetic
+errors for the sampled frequencies, the outcome-by-outcome sampler
+``choice_counts`` for the law of the counts, and elementary matrix arithmetic
 for sector defects and charge commutators.
 """
 
@@ -269,8 +270,73 @@ class TestDecoherence:
         assert np.array_equal(out.matrix, np.where(mask, rho.matrix, 0.0))
 
 
+def choice_counts(rho, n, seed):
+    """Oracle: the counts of n outcomes drawn one by one with Born
+    weights and tallied, the sampler before the multinomial draw."""
+    p = np.maximum(rho.diagonal_part(), 0.0)
+    p = p / np.sum(p)
+    outcomes = np.random.default_rng(seed).choice(rho.d, size=n, p=p)
+    return np.bincount(outcomes, minlength=rho.d)
+
+
 class TestBornSampling:
     """Branch weights become classical frequencies."""
+
+    @settings(max_examples=200)
+    @given(weights=st.lists(st.just(0.0) | st.floats(1e-3, 1.0),
+                            min_size=1, max_size=8)
+           .filter(lambda w: sum(w) > 0.0),
+           n=st.integers(1, 2 ** 63 - 1), seed=st.integers(0, 2 ** 32))
+    @example(weights=[1.0], n=2 ** 63 - 1, seed=0)
+    @example(weights=[0.0, 0.5, 0.0, 0.5], n=1, seed=1)
+    # numpy's multinomial gives the zero-weight last outcome 1 count here
+    @example(weights=[1.0, 0.8233874127355948, 0.0], n=4099336588578296,
+             seed=2)
+    def test_counts_are_a_composition_of_n(self, weights, n, seed):
+        p = np.array(weights) / math.fsum(weights)
+        table = sample_outcomes(DensityMatrix(np.diag(p)), n, seed)
+        assert np.all(table.counts >= 0)
+        assert int(np.sum(table.counts)) == n
+        assert np.all(table.counts[p == 0.0] == 0)
+
+    @pytest.mark.parametrize("p", [[0.3, 0.7], [0.2, 0.0, 0.8],
+                                   [0.05, 0.1, 0.15, 0.2, 0.25, 0.15, 0.1]])
+    def test_mean_counts_agree_with_the_drawn_outcomes(self, p):
+        # Counts over 2,000 seeds, against the counts of the outcomes
+        # drawn one by one: every mean within 6 standard errors of the
+        # difference.
+        rho, n, seeds = DensityMatrix(np.diag(p)), 1000, range(2000)
+        drawn = np.array([sample_outcomes(rho, n, s).counts for s in seeds])
+        oracle = np.array([choice_counts(rho, n, 10 ** 6 + s)
+                           for s in seeds])
+        error = np.sqrt((drawn.var(axis=0, ddof=1)
+                         + oracle.var(axis=0, ddof=1)) / len(seeds))
+        gap = np.abs(drawn.mean(axis=0) - oracle.mean(axis=0))
+        assert np.all(gap <= 6.0 * error)
+
+    def test_a_diagonal_at_the_tolerance_edges_is_renormalised(self):
+        # A diagonal entry of -0.9e-12 and a trace of 1 + 0.9e-12 pass
+        # the constructor; clipped, the weights sum to 1 + 1.8e-12, and
+        # only after dividing by that do they make a distribution.
+        rho = DensityMatrix(np.diag([0.5 + 0.9e-12, 0.5 + 0.9e-12,
+                                     -0.9e-12]))
+        table = sample_outcomes(rho, 1000, seed=6)
+        assert abs(math.fsum(table.probabilities) - 1.0) <= 1e-15
+        assert table.counts[2] == 0 and int(np.sum(table.counts)) == 1000
+
+    def test_a_billion_draws_allocate_no_array_of_draws(self):
+        # The counts are one multinomial draw: O(d) memory whatever n,
+        # where the draws one by one held 8 bytes each.
+        rho = DensityMatrix(np.diag([0.25, 0.75]))
+        sample_outcomes(rho, 10 ** 9, seed=7)   # warm numpy's set-up
+        tracemalloc.start()
+        try:
+            table = sample_outcomes(rho, 10 ** 9, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert table.within_3_sigma().all()
 
     def test_deterministic_outcome(self):
         rho = DensityMatrix(np.diag([1.0, 0.0]))

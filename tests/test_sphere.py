@@ -15,6 +15,8 @@ region probabilities.
 """
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +58,9 @@ RAYLEIGH_RATIO_AT_001 = 0.99500833331944438
 # erf_simpson_disk_probability approximates; it lies 8.2e-5 below 1/2
 # because the disk's edge curves away from the half plane q > 0.
 OFFSET_DISK_MASS = 0.4999180584154
+
+# 10^e for e uniform over the double range; 10.0 ** -324 is 0.
+LOG_FLOATS = st.floats(-324.0, 308.25).map(lambda e: 10.0 ** e)
 
 OSCILLATORS = st.builds(ThermalOscillator, beta=st.floats(0.1, 10.0),
                         omega=st.floats(0.5, 2.0), mass=st.floats(0.3, 3.0))
@@ -260,6 +265,16 @@ class TestGibbsMeasure:
         assert osc.beta * osc.omega * osc.hbar == 2.0
         np.testing.assert_allclose(gibbs_normalization_check(osc), 0.5,
                                    atol=1e-8)
+
+    def test_clip_tail_is_refused_under_its_own_name(self):
+        # The Gibbs mass 2 pi/(beta omega h) is 1e300, so its share
+        # beyond the ±12-width clip, 7.1e-33 of it, is far above 1e-7,
+        # although the 48- and 64-node rules agree on the rectangle.
+        osc = ThermalOscillator(beta=1e-300, mass=1e-20, hbar=1.0)
+        with pytest.raises(NumericalGuardError,
+                           match=r"^region clip tail is 7\.1.*beyond the "
+                                 "±12-width clip"):
+            region_probability(Rectangle(-1.0, 1.0, -1.0, 1.0), osc)
 
     @settings(max_examples=100)
     @given(logs=st.tuples(*[st.floats(-12.0, 12.0)] * 4))
@@ -467,6 +482,46 @@ class TestBlackbody:
         wien, rayleigh = limit_ratios(1e-300, 1.0)
         np.testing.assert_allclose(wien, 1e300, rtol=1e-15)
         assert rayleigh == 1.0
+
+    @pytest.mark.parametrize("h, k", [(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0),
+                                      (1.0, math.inf), (math.nan, 1.0)])
+    def test_constants_must_be_positive_and_finite(self, h, k):
+        with pytest.raises(ValueError, match="h and k must be positive"):
+            PlanckConstants(h=h, k=k)
+
+    @settings(max_examples=300)
+    @given(nu=LOG_FLOATS, temperature=LOG_FLOATS, h=LOG_FLOATS, k=LOG_FLOATS)
+    # x = hv/kT overflows; the parent returned (1.0, nan)
+    @example(nu=1.0, temperature=1.0, h=1e300, k=1e-300)
+    # k = 0; the parent raised ZeroDivisionError
+    @example(nu=1.0, temperature=1.0, h=1.0, k=0.0)
+    # hv and kT underflow to 0, x = 1
+    @example(nu=1e-200, temperature=1e-200, h=1e-200, k=1e-200)
+    # hv and kT overflow, x = 1
+    @example(nu=1e200, temperature=1e200, h=1e200, k=1e200)
+    def test_a_number_or_a_refusal_over_the_double_range(self, nu,
+                                                          temperature, h, k):
+        # nu, T, h and k log-uniform over the whole double range, 0 and
+        # subnormals included: limit_ratios returns the two ratios at the
+        # exact x = hv/kT, or refuses an input whose x or u/Wien ~ 1/x
+        # leaves the double range.
+        top = Fraction(h) * Fraction(nu)
+        bottom = Fraction(k) * Fraction(temperature)
+        try:
+            wien, rayleigh = limit_ratios(nu, temperature,
+                                          PlanckConstants(h=h, k=k))
+        except ValueError:
+            # x is 0 or undefined, above the largest double, or below its
+            # reciprocal, within a relative 1e-12
+            big = Fraction(sys.float_info.max)
+            slack = 1 - Fraction(1, 10 ** 12)
+            assert (top == 0 or bottom == 0 or top > big * bottom * slack
+                    or top * big * slack < bottom)
+            return
+        x = float(top / bottom)
+        assert wien == pytest.approx(1.0 / -math.expm1(-x), rel=1e-14)
+        rj = 0.0 if x > 709.0 else x / math.expm1(x)
+        assert math.isclose(rayleigh, rj, rel_tol=1e-12, abs_tol=1e-300)
 
     @pytest.mark.parametrize("beta", [2.6e-299, 1e300])
     def test_extreme_beta_mean_energy_is_the_unit_estimate_over_beta(
