@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charfn import GridWaveFunction
-from .errors import _indices, guard, require
+from .errors import _indices, _row_blocks, guard, require
 from .fock import hermite_function
 
 __all__ = [
@@ -59,14 +59,6 @@ __all__ = [
 ]
 
 _CONTINUUM_K_POINTS = 257   # wavenumbers sampled over the continuum window
-_BLOCK_ELEMENTS = 2 ** 14   # entries per row block of thermal samples
-
-
-def _row_blocks(n_rows: int, width: int) -> list[slice]:
-    """Consecutive row slices of about _BLOCK_ELEMENTS entries each, at
-    least one row per slice."""
-    b = max(1, _BLOCK_ELEMENTS // width)
-    return [slice(i, i + b) for i in range(0, n_rows, b)]
 
 
 @dataclass(frozen=True)
@@ -507,16 +499,20 @@ def continuum_limit_error(m: float, k_window: float, a_list):
     require(abs(m) < math.inf, f"m must be finite, got {m}")
     require(0 < k_window < math.inf,
             f"k_window must be positive and finite, got {k_window}")
-    results = []
-    k = np.linspace(-k_window, k_window, _CONTINUUM_K_POINTS)
-    target = np.sqrt(m * m + k ** 2)   # m ** 2 raises where m * m is inf
+    specs = []
     for a in a_list:
         require(0 < a < math.pi / k_window,
                 f"a={a} must lie in (0, pi/k_window): the window {k_window} "
                 "must sit inside the Brillouin zone")
-        chain_omega = ChainSpec(2, spacing=a, mass=abs(m)).dispersion(k)
-        results.append((float(a), float(np.max(np.abs(chain_omega - target)))))
-    return results
+        specs.append(ChainSpec(2, spacing=a, mass=abs(m)))
+    require(specs, "need at least one spacing")
+    # A chain bounds m² and 4/a², and so the window, below the double
+    # range; hypot keeps k² from overflowing where the target does not.
+    k = np.linspace(-k_window, k_window, _CONTINUUM_K_POINTS)
+    target = np.hypot(m, k)
+    return [(float(spec.spacing),
+             float(np.max(np.abs(spec.dispersion(k) - target))))
+            for spec in specs]
 
 
 def standard_packet() -> GridWaveFunction:

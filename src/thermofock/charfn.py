@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import guard, require
+from .errors import _row_blocks, guard, require
 
 __all__ = [
     "GridWaveFunction",
@@ -150,26 +150,21 @@ def density_from_amplitude(psi: GridWaveFunction) -> DensityGrid:
     return DensityGrid(psi.x0, psi.dx, np.abs(psi.values) ** 2 / nrm2)
 
 
-def _dense_fourier(x: np.ndarray, weights: np.ndarray,
-                   freqs: np.ndarray) -> np.ndarray:
-    """Σ_i exp(i·f·x_i) weights_i for every f, chunked over f to bound
-    the phase-matrix size.  The sums run in numpy's own loops, not BLAS,
-    so they do not depend on the BLAS thread count."""
-    out = np.empty(freqs.size, dtype=complex)
-    step = max(1, int(2e6 / max(1, x.size)))
-    for i in range(0, freqs.size, step):
-        block = freqs[i:i + step]
-        phases = np.exp(1j * np.outer(block, x))
-        out[i:i + step] = np.einsum("fj,j->f", phases, weights)
-    return out
-
-
 def characteristic_function(p: DensityGrid, t_grid) -> CharacteristicSamples:
-    """f(t) = integral of exp(itx) p(x) dx by trapezoidal quadrature."""
+    """f(t) = integral of exp(itx) p(x) dx by trapezoidal quadrature.
+
+    The phases exp(i t x) are formed one row block of t values at a
+    time, so no temporary outgrows a block.  The sums run in numpy's own
+    loops, not BLAS, so they do not depend on the BLAS thread count."""
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     require(np.all(np.isfinite(t)), "t values must be finite")
+    x = p.x
     w = _trapezoid_weights(p.n) * p.values * p.dx
-    return CharacteristicSamples(_dense_fourier(p.x, w, t))
+    values = np.empty(t.size, dtype=complex)
+    for rows in _row_blocks(t.size, p.n):
+        values[rows] = np.einsum("fj,j->f", np.exp(1j * np.outer(t[rows], x)),
+                                 w)
+    return CharacteristicSamples(values)
 
 
 def _xi_lattice(psi: GridWaveFunction) -> tuple[int, float]:

@@ -32,7 +32,8 @@ if "numpy" not in sys.modules:
 
 import numpy as np  # noqa: E402
 
-from .errors import NumericalGuardError, guard, require  # noqa: E402
+from .errors import (  # noqa: E402
+    _BLOCK_ELEMENTS, NumericalGuardError, guard, require)
 
 __all__ = ["ConfigError", "RunConfig", "main", "run", "config_precedence"]
 
@@ -307,12 +308,12 @@ def _chain_dispersion(cfg: RunConfig):
 
 
 # q and p, then the mode energies over q; the spectra of one row block,
-# under 1 MB while a block holds several rows (up to 2**14 sites) and
-# under 100 B per site once it is one row; the table rows, under 1 KB per
-# site in JSON.  The 128 doubles per site cover the last two.
+# under 64 B per block entry while it holds several rows and under 100 B
+# per site once it is one row; the table rows, under 1 KB per site in
+# JSON.  The 128 doubles per site cover the last two.
 @_table(_CHAIN, "equipartition",
         footprint=lambda p: 8 * p["sites"] * (2 * p["samples"] + 128)
-        + (1 << 20))
+        + 64 * _BLOCK_ELEMENTS)
 def _chain_equipartition(cfg: RunConfig):
     from . import chain as chain_mod
     beta = cfg.params["beta"]
@@ -380,13 +381,15 @@ def _run_chain(cfg: RunConfig):
     return _experiment(cfg.params, _CHAIN).runner(cfg)
 
 
-# the direct route's 61 × N phase block and its exponential, plus the
-# autocorrelation's 4N-point FFT buffers
+# four N-point complex sample arrays and the autocorrelation's four
+# 4N-point complex FFT buffers; the direct route's phases and their
+# exponential over one row block, at least one row of N entries
 @_table(_TABLES, "charfn", {
     "packet": (str, "gaussian", "test amplitude: gaussian or hermite1"),
     "span": (float, 40.0, "grid span"),
     "points": (int, 512, "grid points"),
-}, footprint=lambda p: 16 * (2 * 61 + 16) * p["points"])
+}, footprint=lambda p: 16 * (4 + 16) * p["points"]
+    + 32 * max(_BLOCK_ELEMENTS, p["points"]))
 def _run_charfn(cfg: RunConfig):
     from . import charfn as charfn_mod
     from . import fock as fock_mod

@@ -13,11 +13,15 @@ finite:
 
 Bounds are module constants at the call sites, never arguments, and
 ``_indices`` coerces index lists, refusing a non-integer with ValueError.
+``_row_blocks`` slices every loop that bounds its temporaries in row
+blocks against one budget, ``_BLOCK_ELEMENTS`` entries per block.
 """
 
 import operator
 
 __all__ = ["NumericalGuardError", "guard", "require"]
+
+_BLOCK_ELEMENTS = 2 ** 14   # entries per row block: 256 KiB of complex
 
 
 class NumericalGuardError(ValueError):
@@ -50,3 +54,10 @@ def _indices(values, message: str) -> tuple:
         return tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(message) from None
+
+
+def _row_blocks(n_rows: int, width: int) -> list[slice]:
+    """Consecutive row slices of about _BLOCK_ELEMENTS entries each, at
+    least one row per slice."""
+    b = max(1, _BLOCK_ELEMENTS // width)
+    return [slice(i, i + b) for i in range(0, n_rows, b)]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _indices, require
+from .errors import _indices, _row_blocks, require
 
 __all__ = [
     "DensityMatrix",
@@ -54,18 +54,15 @@ __all__ = [
 _HERM_TOL = 1e-12
 _EIG_TOL = 1e-12
 _TRACE_TOL = 1e-12
-_BLOCK_ELEMENTS = 2 ** 16   # entries per row block of the Hermiticity check
-_GRAM_ROWS = 64             # rows per block of the Bartlett draw and Gram
+_GRAM_ROWS = 64   # Bartlett rows per block, not entries: sized on ladder RSS
 _MAX_DRAWS = 2 ** 63 - 1    # largest count numpy's multinomial takes
 
 
 def _hermitian_defect(m: np.ndarray) -> float:
-    """max |m − m^H|, one block of rows at a time so that no temporary
-    holds more than about 2^16 entries; NaN propagates."""
-    d = m.shape[0]
-    b = max(1, _BLOCK_ELEMENTS // d)
-    return float(np.max([np.max(np.abs(m[i:i + b] - m[:, i:i + b].conj().T))
-                         for i in range(0, d, b)]))
+    """max |m − m^H|, one row block at a time so that no temporary
+    outgrows a block; NaN propagates."""
+    return float(np.max([np.max(np.abs(m[rows] - m[:, rows].conj().T))
+                         for rows in _row_blocks(*m.shape)]))
 
 
 @dataclass(frozen=True)

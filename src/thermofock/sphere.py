@@ -63,6 +63,7 @@ _CLIP = 12.0   # Gibbs widths kept on each axis by the quadrature
 _PANELS = 8    # equal panels of the outer Gauss–Legendre rule
 # Gibbs mass outside the clipped square, as a fraction of the full plane
 _CLIP_TAIL = 2.0 * math.erfc(_CLIP / math.sqrt(2.0))
+_ROOT_3_LN2 = math.sqrt(3.0 * math.log(2.0))   # the paper's map: |z| ∝ R
 
 
 @dataclass(frozen=True)
@@ -140,12 +141,25 @@ def thermal_map_paper(point: SpherePoint, radius: float,
 
     This scaling does not push the uniform sphere measure exactly onto
     the Gibbs weight; see thermal_map_exact for the measure-preserving
-    completion.
+    completion.  |z| = R·√(3 ln 2)·sin(θ/2)/√β is formed from the
+    mantissas and exponents of R, 2 sin(θ/2) = sin θ/cos(θ/2) and √β, so
+    no intermediate leaves the double range or halves a subnormal θ; a
+    |z| beyond the largest double raises ValueError.
     """
     require(0 < beta < math.inf,
             f"beta must be positive and finite, got {beta}")
-    r2 = (math.log(2.0) / beta) * 3.0 * radius ** 2 * math.sin(point.theta / 2.0) ** 2
-    return math.sqrt(r2) * complex(math.cos(point.phi), math.sin(point.phi))
+    require(0 < radius < math.inf,
+            f"radius must be positive and finite, got {radius}")
+    (mr, er), (ms, es), (mb, eb) = map(math.frexp, (
+        radius, math.sin(point.theta) / math.cos(point.theta / 2.0),
+        math.sqrt(beta)))
+    try:
+        modulus = math.ldexp(_ROOT_3_LN2 * mr * ms / mb, er + es - 1 - eb)
+    except OverflowError:
+        modulus = math.inf
+    require(modulus < math.inf, f"|z| = R sqrt(3 ln 2 / beta) sin(theta/2) "
+            f"overflows at R = {radius:.3g}, beta = {beta:.3g}")
+    return modulus * complex(math.cos(point.phi), math.sin(point.phi))
 
 
 def thermal_map_exact(point: SpherePoint, beta: float) -> complex:
@@ -233,14 +247,15 @@ def gibbs_normalization_check(osc: ThermalOscillator) -> float:
 
 def mean_energy(osc: ThermalOscillator, n: int, seed: int):
     """(mean, stderr) of the Gibbs energy from n >= 1000 Gaussian
-    phase-space samples (the exact mean is 1/β); sorted summation keeps
-    the estimate independent of any sample-stream split.  It computes in
-    units of 1/β: βE = (q̃² + p̃²)/2 for unit normals q̃, p̃ whatever ω and
-    m are, and the mean and stderr of βE are divided by β once."""
+    phase-space samples (the exact mean is 1/β); ``math.fsum`` rounds
+    correctly in any order, so the estimate does not depend on the order
+    of the samples.  It computes in units of 1/β: βE = (q̃² + p̃²)/2 for
+    unit normals q̃, p̃ whatever ω and m are, and the mean and stderr of
+    βE are divided by β once."""
     require(n >= 1000, f"mean_energy needs n >= 1000 samples, got {n}")
     rng = np.random.default_rng(seed)
     q, p = rng.standard_normal((2, n))
-    energies = np.sort(0.5 * (q * q + p * p))
+    energies = 0.5 * (q * q + p * p)
     mean = math.fsum(energies) / n
     var = math.fsum((energies - mean) ** 2) / (n - 1)
     return mean / osc.beta, math.sqrt(var / n) / osc.beta
@@ -302,8 +317,9 @@ def _legendre_rules(n: int):
     return x, w, t, w_t
 
 
-def _gibbs_mass(region, osc: ThermalOscillator, n: int) -> float:
-    """∫_A e^{−βH} dq dp / h by iterated Gauss–Legendre rules.
+def _gibbs_mass(region, sigma_q: float, sigma_p: float, n: int) -> float:
+    """∫_A e^{−βH} dq dp by iterated Gauss–Legendre rules, for the Gibbs
+    widths σ_q and σ_p of the position and momentum axes.
 
     The outer rule runs along the axis u of the wider Gibbs width, with
     n nodes on each of 8 equal panels of its range; the inner rule runs
@@ -318,8 +334,6 @@ def _gibbs_mass(region, osc: ThermalOscillator, n: int) -> float:
     the BLAS thread count.
     """
     x, w, t, w_t = _legendre_rules(n)
-    sigma_q = 1.0 / (osc.omega * math.sqrt(osc.beta * osc.mass))
-    sigma_p = math.sqrt(osc.mass / osc.beta)
     swap = sigma_p > sigma_q
     sigma_u, sigma_v = (sigma_p, sigma_q) if swap else (sigma_q, sigma_p)
     cut_u, cut_v = _CLIP * sigma_u, _CLIP * sigma_v
@@ -344,8 +358,7 @@ def _gibbs_mass(region, osc: ThermalOscillator, n: int) -> float:
     v = v_lo[..., None] + width_v[..., None] * x
     inner = width_v * np.einsum("...j,j->...",
                                 np.exp(-0.5 * (v / sigma_v) ** 2), w)
-    return float(np.sum(w_u * np.exp(-0.5 * (u / sigma_u) ** 2) * inner)
-                 / osc.h)
+    return float(np.sum(w_u * np.exp(-0.5 * (u / sigma_u) ** 2) * inner))
 
 
 def region_probability(region, osc: ThermalOscillator) -> float:
@@ -356,20 +369,21 @@ def region_probability(region, osc: ThermalOscillator) -> float:
     ±12-width clip, alone and then plus the gap of the two values, is
     the self-estimated error, and above 1e−7 either raises
     NumericalGuardError under its own name.  An oscillator whose Gibbs
-    widths, clips or mass leave the double range raises ValueError.
+    widths are not normal doubles, or whose clips or mass leave the double
+    range, raises ValueError.
     """
     require(isinstance(region, (Rectangle, Disk)),
             f"unsupported region type {type(region).__name__}")
-    # β, ω, m and ħ are each positive and finite; the Gibbs widths, their
-    # ±12-width clips and the Gibbs mass must be as well.
-    q_scale = osc.omega * math.sqrt(osc.beta * osc.mass)   # 1/σ_q
-    require(0.0 < q_scale < math.inf and _CLIP / q_scale < math.inf,
-            f"omega * sqrt(beta * mass) = {q_scale:.3g} leaves the double "
-            "range, and with it the position width 1/(omega sqrt(beta mass))")
-    p_scale = osc.mass / osc.beta                         # σ_p²
-    require(0.0 < p_scale and _CLIP * math.sqrt(p_scale) < math.inf,
-            f"mass / beta = {p_scale:.3g} leaves the double range, and with "
-            "it the momentum width sqrt(mass / beta)")
+    # Each Gibbs width is a product of roots, since a product such as β m
+    # can be subnormal and keep only a few digits; it must be normal, with
+    # a finite ±12-width clip.
+    root_beta, root_mass = math.sqrt(osc.beta), math.sqrt(osc.mass)
+    q_scale = osc.omega * root_beta * root_mass
+    sigma_q = 1.0 / q_scale if q_scale > 0.0 else math.inf
+    sigma_p = root_mass / root_beta
+    for name, sigma in (("position", sigma_q), ("momentum", sigma_p)):
+        require(sys.float_info.min <= sigma and _CLIP * sigma < math.inf,
+                f"the {name} width {sigma:.3g} leaves the normal range")
     # The clipped integral is at most (24 σ_q)(24 σ_p) = 576/(βω), and
     # the mass is the integral over h.
     m_scale = osc.beta * osc.omega * min(osc.h, 1.0)
@@ -380,7 +394,8 @@ def region_probability(region, osc: ThermalOscillator) -> float:
     guard("region clip tail", tail, 1e-7,
           "the Gibbs mass 2 pi/(beta omega h) is so large that its share "
           "beyond the ±12-width clip exceeds the bound")
-    coarse, fine = _gibbs_mass(region, osc, 48), _gibbs_mass(region, osc, 64)
+    coarse, fine = (_gibbs_mass(region, sigma_q, sigma_p, n) / osc.h
+                    for n in (48, 64))
     guard("region quadrature self-estimate", abs(coarse - fine) + tail, 1e-7,
           "the region's edges are too sharp for the Gauss–Legendre rules")
     return fine
@@ -440,13 +455,15 @@ def limit_ratios(nu: float, temperature: float,
 def classical_limit_table(hbar_values, omega: float):
     """Rows (ħ, T, R): T = ħω (k_B = 1) and R = sqrt(h/4π) = sqrt(ħ/2).
 
-    Both scales vanish with the area quantum — the freezing regime.
+    Both scales vanish with the area quantum — the freezing regime.  R
+    is √ħ/√2, never a subnormal ħ/2; T beyond the double range raises.
     """
     require(0 < omega < math.inf, "omega must be positive and finite")
     rows = []
-    for hbar in hbar_values:
+    for hbar in map(float, hbar_values):
         require(0 <= hbar < math.inf,
                 f"hbar must be nonnegative and finite, got {hbar}")
-        rows.append((float(hbar), float(hbar) * omega,
-                     math.sqrt(float(hbar) / 2.0)))
+        require(hbar * omega < math.inf, f"T = hbar * omega overflows at "
+                f"hbar = {hbar:.3g}, omega = {omega:.3g}")
+        rows.append((hbar, hbar * omega, math.sqrt(hbar) / math.sqrt(2.0)))
     return rows

@@ -175,7 +175,6 @@ def _create_particle(phi: MultiModeFockVector,
     for j in sorted(profile.support):
         term = mm_raised(phi, j).scaled(profile.values[j])
         result = term if result is None else result.add_scaled(term)
-    require(result is not None, "profile has empty support")
     return result
 
 

@@ -18,10 +18,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermofock import chain as chain_mod
+from thermofock import errors as errors_mod
 from thermofock.chain import (
     ChainSpec,
     ChainState,
@@ -44,6 +45,9 @@ from thermofock.chain import (
 )
 from thermofock.cli import main
 from thermofock.errors import NumericalGuardError
+
+# log-uniform over the whole double range, 0 and subnormals included
+LOG_FLOATS = st.floats(-324.0, 308.25).map(lambda e: 10.0 ** e)
 
 
 def dense_coupling(spec):
@@ -420,7 +424,7 @@ class TestGibbsSampling:
                              ids=["b-1", "b", "b+1", "3b+5"])
     def test_row_blocks_give_the_one_shot_sample_bit_for_bit(
             self, n_sites, blocks, extra):
-        rows = max(1, chain_mod._BLOCK_ELEMENTS // n_sites)
+        rows = max(1, errors_mod._BLOCK_ELEMENTS // n_sites)
         n = blocks * rows + extra
         spec = ChainSpec(n_sites, 0.8, 0.6, 1.2)
         q, p = gibbs_sample(spec, 2.0, n, seed=21)
@@ -444,7 +448,7 @@ class TestGibbsSampling:
 
         blocked = table()
         monkeypatch.setattr(chain_mod, "gibbs_sample", one_shot_gibbs)
-        monkeypatch.setattr(chain_mod, "_BLOCK_ELEMENTS", 2000 * 64)
+        monkeypatch.setattr(errors_mod, "_BLOCK_ELEMENTS", 2000 * 64)
         assert blocked == table()
 
     def test_massless_amplitudes_are_rejected(self):
@@ -584,6 +588,25 @@ class TestContinuumLimit:
         continuum = np.sqrt(1.0 + ks ** 2)
         gaps = np.abs(lattice - continuum)
         assert np.all(np.diff(gaps) > 0.0)
+
+    @pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300)
+    @given(m=LOG_FLOATS, k_window=LOG_FLOATS, a=LOG_FLOATS)
+    # k^2 overflows: the parent emitted numpy's overflow RuntimeWarning
+    @example(m=1.0, k_window=1e200, a=1e-201)
+    def test_a_number_or_a_refusal_over_the_double_range(self, m, k_window,
+                                                          a):
+        # m, k_window and a log-uniform over the whole double range, 0
+        # and subnormals included: a finite error between 0 and the
+        # largest continuum frequency, or a ValueError.
+        try:
+            ((spacing, err),) = continuum_limit_error(m, k_window, [a])
+        except ValueError:
+            return
+        assert spacing == a
+        assert 0.0 <= err <= math.hypot(m, k_window) * (1.0 + 1e-15)
 
     def test_window_must_fit_the_brillouin_zone(self):
         with pytest.raises(ValueError):

@@ -6,12 +6,14 @@ the spectral autocorrelation of the amplitude wherever both are defined.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermofock import errors as errors_mod
 from thermofock.charfn import (
     DensityGrid,
     GridWaveFunction,
@@ -169,6 +171,39 @@ class TestDirectRoute:
         p = density_from_amplitude(psi)
         f = characteristic_function(p, [0.0])
         np.testing.assert_allclose(f.values[0], 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [333, 512, 4097])
+    @pytest.mark.parametrize("rows", [61, 31, 10, 1],
+                             ids=["1-block", "2-blocks", "7-blocks",
+                                  "61-blocks"])
+    def test_row_blocks_give_the_one_block_sum_bit_for_bit(
+            self, monkeypatch, n, rows):
+        rng = np.random.default_rng(n)
+        p = DensityGrid(-15.0, 30.0 / n, rng.uniform(0.0, 1.0, n))
+        t = rng.uniform(-8.0, 8.0, 61)
+        w = np.ones(n)
+        w[0] = w[-1] = 0.5
+        one_block = np.einsum("fj,j->f", np.exp(1j * np.outer(t, p.x)),
+                              w * p.values * p.dx)
+        monkeypatch.setattr(errors_mod, "_BLOCK_ELEMENTS", rows * n + n // 2)
+        assert np.array_equal(characteristic_function(p, t).values,
+                              one_block)
+
+    def test_peak_allocation_stays_within_a_few_blocks(self):
+        # 61 t values over 65 536 points: one phase block of all of them
+        # would be 61 MiB of complex entries, and its exponential as much.
+        n = 65536
+        x = np.linspace(-20.0, 20.0, n)
+        p = DensityGrid(x[0], x[1] - x[0],
+                        np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))
+        t = np.linspace(-6.0, 6.0, 61)
+        tracemalloc.start()
+        try:
+            characteristic_function(p, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestRouteEquivalence:

@@ -689,6 +689,8 @@ SIZED_TABLES = {
                                   "--sites 20000 --samples 2 --format json",
     "charfn 1024": "charfn --points 1024",
     "charfn 8192": "charfn --points 8192",
+    # the direct route's row blocks are one t value each
+    "charfn 65536": "charfn --points 65536",
     "measure d=100": f"measure --amps {_amps(100)}",
     "measure d=400": f"measure --amps {_amps(400)}",
     "measure 1e10 samples": "measure --samples 10000000000",

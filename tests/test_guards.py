@@ -140,6 +140,8 @@ BAD_COUNT_CALLS = {
 }
 
 
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call, message", list(BAD_COUNT_CALLS.values()),
                          ids=list(BAD_COUNT_CALLS))
@@ -256,12 +258,12 @@ REFUSAL_CALLS = {
         (lambda: sphere.region_probability(
             sphere.FULL_PLANE,
             sphere.ThermalOscillator(beta=1e-300, omega=1e-300, hbar=1e-300)),
-         r"omega \* sqrt\(beta \* mass\) = 0 leaves the double range"),
-    "sphere.region_probability(beta=1e300, mass=1e-300)":
+         "the position width inf leaves the normal range"),
+    "sphere.region_probability(beta=1e308, mass=5e-324)":
         (lambda: sphere.region_probability(
             sphere.FULL_PLANE,
-            sphere.ThermalOscillator(beta=1e300, mass=1e-300)),
-         r"mass / beta = 0 leaves the double range"),
+            sphere.ThermalOscillator(beta=1e308, mass=5e-324)),
+         "the momentum width 2.22e-316 leaves the normal range"),
     "sphere.region_probability(beta=omega=1e-200, hbar=1)":
         (lambda: sphere.region_probability(
             sphere.FULL_PLANE,
@@ -271,6 +273,97 @@ REFUSAL_CALLS = {
         (lambda: sphere.limit_ratios(
             1.0, 1.0, sphere.PlanckConstants(h=1e300, k=1e-300)),
          "x = hv/kT overflows the double range"),
+    "sphere.thermal_map_paper(radius=0)":
+        (lambda: sphere.thermal_map_paper(sphere.SpherePoint(1.0), 0.0, 1.0),
+         "radius must be positive and finite, got 0.0"),
+    "sphere.thermal_map_paper(radius=1e308, beta=1e-300)":
+        (lambda: sphere.thermal_map_paper(sphere.SpherePoint(1.0), 1e308,
+                                          1e-300),
+         r"\|z\| = R sqrt\(3 ln 2 / beta\) sin\(theta/2\) overflows at "
+         r"R = 1e\+308, beta = 1e-300"),
+    "sphere.classical_limit_table(hbar=1e300, omega=1e10)":
+        (lambda: sphere.classical_limit_table([1e300], 1e10),
+         r"T = hbar \* omega overflows at hbar = 1e\+300, omega = 1e\+10"),
+    "chain.mode_transform(4 values on 8 sites)":
+        (lambda: chain.mode_transform(
+            chain.ChainState(np.zeros(4), np.zeros(4)), chain.ChainSpec(8)),
+         "state length does not match the chain"),
+    "chain.evolve(4 values on 8 sites)":
+        (lambda: chain.evolve(chain.ChainState(np.zeros(4), np.zeros(4)),
+                              chain.ChainSpec(8), steps=1),
+         "state length does not match the chain"),
+    "chain.mm_raised(mode=2 of 2)":
+        (lambda: chain.mm_raised(chain.MultiModeFockVector.vacuum(2, 1), 2),
+         r"mode 2 outside 0\.\.1"),
+    "chain.mm_lowered(mode=-1)":
+        (lambda: chain.mm_lowered(chain.MultiModeFockVector.vacuum(2, 1), -1),
+         r"mode -1 outside 0\.\.1"),
+    "chain.hamiltonian_operator_apply(3 modes, 8 sites)":
+        (lambda: chain.hamiltonian_operator_apply(
+            chain.MultiModeFockVector.vacuum(3, 2), chain.ChainSpec(8)),
+         "mode count does not match the chain"),
+    "chain.continuum_limit_error(m=inf)":
+        (lambda: chain.continuum_limit_error(INF, 1.0, [0.5]),
+         "m must be finite, got inf"),
+    "chain.continuum_limit_error(k_window=0)":
+        (lambda: chain.continuum_limit_error(1.0, 0.0, [0.5]),
+         "k_window must be positive and finite, got 0.0"),
+    "chain.continuum_limit_error(no spacings)":
+        (lambda: chain.continuum_limit_error(1.0, 1.0, []),
+         "need at least one spacing"),
+    "chain.nonrelativistic_overlap(t=inf)":
+        (lambda: chain.nonrelativistic_overlap(chain.standard_packet(), 100.0,
+                                               INF),
+         "time must be finite, got inf"),
+    "chain.nonrelativistic_overlap(zero packet)":
+        (lambda: chain.nonrelativistic_overlap(
+            charfn.GridWaveFunction(-1.0, 0.5, np.zeros(4)), 100.0, 1.0),
+         "packet norm must be positive and finite"),
+    "chain.MultiModeFockVector(modes=0)":
+        (lambda: chain.MultiModeFockVector(0, 1, {}),
+         "need modes >= 1 and cutoff >= 0"),
+    "chain.MultiModeFockVector(hbar=0)":
+        (lambda: chain.MultiModeFockVector(2, 1, {}, 0.0),
+         "hbar must be positive and finite, got 0.0"),
+    "chain.MultiModeFockVector.add_scaled(2 modes + 3 modes)":
+        (lambda: chain.MultiModeFockVector.vacuum(2, 1).add_scaled(
+            chain.MultiModeFockVector.vacuum(3, 1)),
+         "mode structure / scale mismatch"),
+    "fock.commutator_defect(n_max=1)":
+        (lambda: fock.commutator_defect(1), "need n_max >= 2"),
+    "fock.commutator_defect(hbar=0)":
+        (lambda: fock.commutator_defect(4, 0.0),
+         "hbar must be positive and finite, got 0.0"),
+    "fock.to_position(one point)":
+        (lambda: fock.to_position(fock.FockVector([1.0]), [0.0]),
+         "grid must be a 1-d array of at least 2 points"),
+    "fock.to_position(uneven grid)":
+        (lambda: fock.to_position(fock.FockVector([1.0]), [0.0, 1.0, 3.0]),
+         "grid must be uniformly spaced"),
+    # a valid input: 1e3 times every basis vector up to n = 12, whose
+    # norm squared 1.3e7 the two node sets meet to a relative 2e-13,
+    # 2.4e-6 apart against the absolute bound 1e-8
+    "fock.quadrature_inner_product(1e3 * ones(13))":
+        (lambda: fock.quadrature_inner_product(
+            fock.FockVector(1e3 * np.ones(13)),
+            fock.FockVector(1e3 * np.ones(13))),
+         "quadrature self-estimate is 2.37674e-06"),
+    "states.number_expectation(zero vector)":
+        (lambda: states.number_expectation(chain.MultiModeFockVector(2, 1, {})),
+         "zero vector has no number expectation"),
+    "states.number_variance(zero vector)":
+        (lambda: states.number_variance(chain.MultiModeFockVector(2, 1, {})),
+         "zero vector has no number variance"),
+    "states.occupation_density(zero vector)":
+        (lambda: states.occupation_density(
+            chain.MultiModeFockVector(2, 1, {})),
+         "zero vector has no occupation density"),
+    # a unit Gaussian cut off at ±6 widths: the outer 2% of each grid
+    # holds under 1e-8, but the cut lowers the position width
+    "states.rms_widths(unit Gaussian on [-6, 6])":
+        (lambda: states.rms_widths(charfn.GridWaveFunction.sampled(
+            lambda x: np.exp(-x * x / 4.0), -6.0, 12.0 / 4096, 4096)),
+         "width product deficit below 1/2 is 3.6"),
     "measurement.sample_outcomes(n=2**63)":
         (lambda: measurement.sample_outcomes(
             measurement.DensityMatrix(np.diag([0.5, 0.5])), 2 ** 63, 0),
@@ -286,6 +379,8 @@ REFUSAL_CALLS = {
 }
 
 
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call, message", list(REFUSAL_CALLS.values()),
                          ids=list(REFUSAL_CALLS))

@@ -137,6 +137,14 @@ def erf_simpson_disk_probability(disk, osc, panels=40000):
     return simpson * sigma_p * math.sqrt(0.5 * math.pi) / osc.h
 
 
+def log_paper_modulus(theta, radius, beta):
+    """log of |z| = R sqrt(3 ln 2) sin(theta/2) / sqrt(beta), theta > 0."""
+    log_half_sine = (math.log(theta) - math.log(2.0) if theta < 1e-8
+                     else math.log(math.sin(theta / 2.0)))
+    return (math.log(radius) + 0.5 * math.log(3.0 * math.log(2.0))
+            + log_half_sine - 0.5 * math.log(beta))
+
+
 class TestGeometry:
     """The two thermal maps and area bookkeeping."""
 
@@ -172,6 +180,40 @@ class TestGeometry:
         z_quoted = thermal_map_paper(point, radius=1.0, beta=1.0)
         np.testing.assert_allclose(abs(z_quoted) ** 2,
                                    1.5 * math.log(2.0), atol=1e-12)
+
+    @pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300)
+    @given(theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 6.28),
+           radius=LOG_FLOATS, beta=LOG_FLOATS)
+    # an infinite radius and beta = 1e-320: the parent returned inf+nanj
+    @example(theta=1.0, phi=0.0, radius=math.inf, beta=1.0)
+    @example(theta=1.0, phi=0.0, radius=1.0, beta=1e-320)
+    # R^2 overflows: the parent raised OverflowError
+    @example(theta=1.0, phi=0.0, radius=1e200, beta=1.0)
+    # theta/2 of the least subnormal rounds to 0: the parent returned 0
+    @example(theta=5e-324, phi=0.0, radius=1e150, beta=1.0)
+    def test_paper_map_is_its_closed_form_or_refused(self, theta, phi,
+                                                     radius, beta):
+        # log |z| = log R + log sqrt(3 ln 2) + log sin(theta/2)
+        # - log sqrt(beta), with sin x = x below 1e-8: the modulus
+        # wherever it is finite, and beyond the double range a refusal.
+        try:
+            z = thermal_map_paper(SpherePoint(theta, phi), radius, beta)
+        except ValueError:
+            assert not (0 < radius < math.inf and 0 < beta < math.inf) or (
+                log_paper_modulus(theta, radius, beta)
+                > math.log(sys.float_info.max) - 1e-12)
+            return
+        if theta == 0.0:
+            assert z == 0.0
+            return
+        expected = math.exp(log_paper_modulus(theta, radius, beta))
+        assert math.isclose(abs(z), expected, rel_tol=1e-12, abs_tol=1e-300)
+        if abs(z) > 1e-300:
+            assert math.isclose(math.atan2(z.imag, z.real) % (2 * math.pi),
+                                phi, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_exact_map_rejects_the_south_pole(self):
         with pytest.raises(ValueError, match="singular pole"):
@@ -290,6 +332,8 @@ class TestGibbsMeasure:
             return
         assert abs(value - 2.0 * math.pi / (beta * omega * osc.h)) <= 1e-9
 
+    @pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=200)
     @given(logs=st.tuples(*[st.floats(-320.0, 308.0)] * 3),
@@ -314,6 +358,32 @@ class TestGibbsMeasure:
             return
         assert math.isfinite(value) and value >= 0.0
 
+    @pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300)
+    @given(beta=LOG_FLOATS, omega=LOG_FLOATS, mass=LOG_FLOATS)
+    # β m or m/β subnormal: the parent read 1.0059877069510121,
+    # 1.000005566455138 and 0.9940479323041651
+    @example(beta=1e-300, omega=1.0, mass=1e-23)
+    @example(beta=1e-300, omega=1.0, mass=1e-20)
+    @example(beta=1e8, omega=1.0, mass=1e-314)
+    # m/β underflows to 0, but the momentum width 1e-300 is normal: the
+    # parent refused it
+    @example(beta=1e300, omega=1.0, mass=1e-300)
+    def test_full_plane_mass_is_one_over_beta_omega_hbar_or_refused(
+            self, beta, omega, mass):
+        # beta, omega and mass log-uniform over the whole double range,
+        # subnormals included, hbar = 1/(beta omega): the full-plane mass
+        # is the analytic 1/(beta omega hbar) within the 1e-7
+        # self-estimate, or the oscillator is refused.
+        try:
+            osc = ThermalOscillator(beta, omega, mass)
+            value = gibbs_normalization_check(osc)
+        except ValueError:
+            return
+        assert abs(value - 1.0 / (osc.beta * osc.omega * osc.hbar)) <= 1e-7
+
     def test_consistency_triangle(self):
         # beta, omega, hbar with hbar = 1/(beta omega): the three
         # quantities close the identity 1/beta = hbar omega exactly.
@@ -327,6 +397,19 @@ class TestGibbsMeasure:
         value, stderr = mean_energy(osc, n=200000, seed=11)
         assert stderr > 0.0
         assert abs(value - 1.0) < 3.0 * stderr
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_mean_energy_is_the_sorted_fsum_estimate(self, seed):
+        # fsum is correctly rounded in any order, so the unsorted sums
+        # equal the sorted ones, kept here as the oracle.
+        osc = ThermalOscillator(beta=0.7)
+        n = 20000
+        q, p = np.random.default_rng(seed).standard_normal((2, n))
+        energies = np.sort(0.5 * (q * q + p * p))
+        mean = math.fsum(energies) / n
+        var = math.fsum((energies - mean) ** 2) / (n - 1)
+        assert mean_energy(osc, n, seed) == (
+            mean / osc.beta, math.sqrt(var / n) / osc.beta)
 
     def test_monte_carlo_sample_floor(self):
         with pytest.raises(ValueError):
@@ -536,6 +619,32 @@ class TestBlackbody:
         assert (abs(value - 1.0 / beta) / stderr
                 == pytest.approx(abs(unit_mean - 1.0) / unit_stderr,
                                  rel=1e-12))
+
+    @pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300)
+    @given(hbar=LOG_FLOATS, omega=LOG_FLOATS)
+    # T = hbar omega overflows: the parent returned T = inf
+    @example(hbar=1e300, omega=1e10)
+    # hbar/2 subnormal loses the last bit of 3 * 2**-1074
+    @example(hbar=1.5e-323, omega=1.0)
+    def test_classical_scales_are_their_closed_forms_or_refused(self, hbar,
+                                                                omega):
+        # T = hbar omega, correctly rounded, and R = sqrt(hbar/2) within
+        # a relative 1e-15, computed in Fraction; a T beyond the double
+        # range is refused.
+        exact_t = Fraction(hbar) * Fraction(omega)
+        try:
+            ((h, t, r),) = classical_limit_table([hbar], omega)
+        except ValueError:
+            assert omega == 0.0 or exact_t >= Fraction(sys.float_info.max)
+            return
+        assert (h, t) == (hbar, float(exact_t))
+        if hbar == 0.0:
+            assert r == 0.0
+        else:
+            assert abs(2 * Fraction(r) ** 2 / Fraction(hbar) - 1) <= 1e-15
 
     def test_classical_limit_table(self):
         rows = classical_limit_table([1.0, 0.5, 0.25], omega=2.0)
