@@ -495,16 +495,38 @@ def continuum_limit_error(m: float, k_window: float, a_list):
     ω_chain(k) = sqrt(m² + (4/a²) sin²(k a/2)).  Returns a list of
     (a, max_error) pairs; the error decreases at second order in a.
     The window must sit inside the Brillouin zone of every a.
+
+    The error is at most k_window³ a²/24 (sin x >= x - x³/6) plus a
+    rounding of a few u·hypot(m, k_window), unless a term of ω² falls
+    below the normal range.  At k = 0, ω = |m| then errs by at most
+    min(|m|, 2**-537).  Elsewhere each term errs by up to 2**-1074, and
+    sin²(k a/2) does so before it is scaled by 4/a², so ω² errs by at
+    most (4/a² + 4)·2**-1074, and ω by that over ω.  Away from k = 0, ω
+    is at least |m|, and at least 2/π times the least nonzero |k| of the
+    grid, 2 k_window/256, since sin x >= 2x/π on [0, π/2].  An a for
+    which either underflow error passes u·hypot(m, k_window) is refused.
     """
     require(abs(m) < math.inf, f"m must be finite, got {m}")
     require(0 < k_window < math.inf,
             f"k_window must be positive and finite, got {k_window}")
+    scale = math.hypot(m, k_window)
+    # u·scale over 2**-1074 (u = 2**-53) times the least ω away from
+    # k = 0, each factor scaled by a power of two to stay in range
+    resolved = (2.0 ** 511 * scale) * max(
+        2.0 ** 510 * abs(m),
+        2.0 ** 512 * k_window / (math.pi * (_CONTINUUM_K_POINTS - 1)))
     specs = []
     for a in a_list:
         require(0 < a < math.pi / k_window,
                 f"a={a} must lie in (0, pi/k_window): the window {k_window} "
                 "must sit inside the Brillouin zone")
-        specs.append(ChainSpec(2, spacing=a, mass=abs(m)))
+        spec = ChainSpec(2, spacing=a, mass=abs(m))
+        require(min(abs(m) * 2.0 ** 53, 2.0 ** -484) <= scale
+                and 4.0 * spec.spring + 4.0 <= resolved,
+                f"at a={a}, m={m}, k_window={k_window} the dispersion's "
+                "squares m² and sin²(k a/2) underflow by more than the "
+                "rounding of hypot(m, k_window)")
+        specs.append(spec)
     require(specs, "need at least one spacing")
     # A chain bounds m² and 4/a², and so the window, below the double
     # range; hypot keeps k² from overflowing where the target does not.

@@ -9,11 +9,16 @@ against the normalized Gaussian measure
 The raising operator is multiplication by z, the lowering operator is
 ħ d/dz, and their commutator is ħ exactly on every interior slot of the
 truncation.  A quadrature inner product over the Gaussian measure serves
-as an independent oracle for the analytic coefficient formula.  The
-kernel U(z, q) = Σ Z_n(z) Ψ_n(q) intertwines the holomorphic and
-position representations (Ψ_n the Hermite functions); the classical
-trajectory z(t) = z0 e^{-iωt} closes the correspondence with the
-coherent-amplitude phase evolved by the Hamiltonian ω a⁺a + ωħ/2.
+as an independent oracle for the analytic coefficient formula.  It is
+exact for truncations up to 12: at unit scale Z_m conj(Z_n) is
+u^{(m+n)/2} e^{i(m-n)φ} / sqrt(m! n!) with u = |z|^2; 80 equal angles
+sum e^{ikφ} to zero for 0 < |k| < 80, which removes every pair with
+m + n odd (m - n is then odd, so not zero); and 48 Gauss–Laguerre nodes
+integrate u^j e^{-u} exactly for j <= 95.  The kernel
+U(z, q) = Σ Z_n(z) Ψ_n(q) intertwines the holomorphic and position
+representations (Ψ_n the Hermite functions); the classical trajectory
+z(t) = z0 e^{-iωt} closes the correspondence with the coherent-amplitude
+phase evolved by the Hamiltonian ω a⁺a + ωħ/2.
 """
 from __future__ import annotations
 
@@ -29,7 +34,6 @@ from .errors import guard, require
 
 __all__ = [
     "FockVector",
-    "GaussianMeasure",
     "inner_product",
     "quadrature_inner_product",
     "raised",
@@ -49,9 +53,8 @@ __all__ = [
 _HERMITE_SUP = 1.086435 / np.pi ** 0.25
 _HERMITE_N_MAX = 200
 # Polar quadrature of the Gaussian measure: (radial, angular) node counts
-# of the oracle, and the finer pair that checks it.
-_QUAD_NODES = (40, 64)
-_QUAD_NODES_FINE = (48, 80)
+# of the oracle, exact on every basis pair up to _QUAD_N_MAX.
+_QUAD_NODES = (48, 80)
 _QUAD_N_MAX = 12     # highest truncation the oracle accepts
 _TAIL_TOL = 1e-8     # ||psi||^2 a projection onto the modes may miss
 
@@ -134,35 +137,17 @@ def inner_product(f: FockVector, g: FockVector) -> complex:
     return complex(np.sum(a * np.conj(b)))
 
 
-@dataclass(frozen=True)
-class GaussianMeasure:
-    """The normalized weight e^{-|z|^2/ħ}/(π ħ) on the complex plane."""
-
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        require(0 < self.hbar < math.inf,
-                f"hbar must be positive and finite, got {self.hbar}")
-
-    def quadrature_nodes(self, radial_nodes: int, angular_nodes: int):
-        """Complex nodes and weights integrating dμ exactly on
-        polynomials of degree <= 2*radial_nodes - 1 in |z|^2 and
-        angular harmonics |k| < angular_nodes."""
-        u, wu = np.polynomial.laguerre.laggauss(radial_nodes)
-        phi = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
-        r = np.sqrt(self.hbar * u)
-        z = np.outer(r, np.exp(1j * phi)).ravel()
-        w = np.outer(wu, np.full(angular_nodes, 1.0 / angular_nodes)).ravel()
-        return z, w
-
-
-@lru_cache(maxsize=2)
-def _quadrature_gram(nodes: tuple) -> np.ndarray:
-    """G[m, n] = Σ_j w_j Z_m(z_j) conj(Z_n(z_j)) over one node set of the
-    oracle, m, n <= _QUAD_N_MAX, at unit scale; read-only.  Row m is
+@lru_cache(maxsize=1)
+def _quadrature_gram() -> np.ndarray:
+    """G[m, n] = Σ_j w_j Z_m(z_j) conj(Z_n(z_j)), m, n <= _QUAD_N_MAX, over
+    the nodes z = sqrt(u) e^{iφ} at unit scale; read-only.  Row m is
     summed as a basis pair's integrand would be, so a basis pair reads
     the per-node value exactly."""
-    z, w = GaussianMeasure().quadrature_nodes(*nodes)
+    radial, angular = _QUAD_NODES
+    u, wu = np.polynomial.laguerre.laggauss(radial)
+    phi = 2.0 * np.pi * np.arange(angular) / angular
+    z = np.outer(np.sqrt(u), np.exp(1j * phi)).ravel()
+    w = np.outer(wu, np.full(angular, 1.0 / angular)).ravel()
     rows = _basis_rows(z, _QUAD_N_MAX)
     conj_rows = np.conj(rows)
     gram = np.array([np.sum(w * row * conj_rows, axis=1) for row in rows])
@@ -173,30 +158,18 @@ def _quadrature_gram(nodes: tuple) -> np.ndarray:
 def quadrature_inner_product(f: FockVector, g: FockVector) -> complex:
     """∫ dμ f(z) conj(g(z)) by polar quadrature over the Gaussian weight.
 
-    An independent numerical oracle for :func:`inner_product`: radial
-    Gauss–Laguerre in u = |z|^2/ħ, uniform angular grid, on 40 × 64
-    nodes.  The value is recomputed on 48 × 80 nodes; a self-estimated
-    error above 1e-8 raises NumericalGuardError.  Truncations above 12
-    are outside the guaranteed-accuracy domain and are rejected.  ħ does
-    not enter the oracle: z = sqrt(ħ) ζ maps dμ and Z_n(z; ħ) at ħ onto
-    dμ and Z_n(ζ; 1) at unit scale, where the integral runs.  Each node
-    set's quadrature Gram G of the basis rows is formed once, and the
-    integral is the bilinear form f · G · conj(g).
+    An independent oracle for :func:`inner_product`: Gauss–Laguerre in
+    u = |z|^2/ħ on 48 nodes times 80 equal angles, exact on every basis
+    pair up to the truncation limit 12 (module docstring), so its error is
+    rounding alone.  ħ does not enter: z = sqrt(ħ) ζ maps dμ and Z_n(z; ħ)
+    onto dμ and Z_n(ζ; 1), and the integral is f · G · conj(g) with the
+    unit-scale quadrature Gram G of the basis rows, formed once.
     """
     _check_compatible(f, g)
     require(f.n_max <= _QUAD_N_MAX and g.n_max <= _QUAD_N_MAX,
             f"quadrature oracle limited to truncations <= {_QUAD_N_MAX}")
-
-    def integral(nodes):
-        gram = _quadrature_gram(nodes)[:f.coeffs.size, :g.coeffs.size]
-        return complex(np.einsum("m,mn,n->", f.coeffs, gram,
-                                 np.conj(g.coeffs)))
-
-    coarse = integral(_QUAD_NODES)
-    fine = integral(_QUAD_NODES_FINE)
-    guard("quadrature self-estimate", abs(coarse - fine), 1e-8,
-          "the integrand is outside the oracle's accuracy domain")
-    return fine
+    gram = _quadrature_gram()[:f.coeffs.size, :g.coeffs.size]
+    return complex(np.einsum("m,mn,n->", f.coeffs, gram, np.conj(g.coeffs)))
 
 
 def raised(f: FockVector, grow: bool = False) -> FockVector:

@@ -110,7 +110,8 @@ def rms_widths(psi: GridWaveFunction):
     the squared modulus of the discrete Fourier transform (continuum
     normalization).  Mass in the outer 2% of either grid above 1e−8
     trips the guard — the moments would then be grid-artifact
-    dominated.  The product obeys Δx·Δk ≥ ½ − 1e−9.
+    dominated.  The product obeys Δx·Δk ≥ ½ − 1e−9; a coarse spacing, or
+    a span that cuts tails too light for the tail guards, breaks it.
     """
     require(psi.is_normalized, "packet must be normalized")
     n = psi.n
@@ -132,7 +133,8 @@ def rms_widths(psi: GridWaveFunction):
     width_x = _rms_width(weights_x, psi.x, psi.dx)
     width_k = _rms_width(weights_k, k, dk)
     guard("width product deficit below 1/2", 0.5 - width_x * width_k, 1e-9,
-          "the grid under-resolves the packet")
+          "the grid spacing under-resolves the packet or its span cuts "
+          "the tails; refine the spacing or widen the span")
     return width_x, width_k
 
 

@@ -14,6 +14,7 @@ lattice/continuum frequencies for the limit studies.
 import contextlib
 import io
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -596,17 +597,33 @@ class TestContinuumLimit:
     @given(m=LOG_FLOATS, k_window=LOG_FLOATS, a=LOG_FLOATS)
     # k^2 overflows: the parent emitted numpy's overflow RuntimeWarning
     @example(m=1.0, k_window=1e200, a=1e-201)
+    # m² and sin²(k a/2) underflow: the chain frequency read 0 and the
+    # error the whole continuum frequency, 1.000000000000005e-155
+    @example(m=1e-162, k_window=1e-155, a=1e-7)
+    # m² alone underflows to 0: the chain frequency at k = 0 read 0 and
+    # the error |m|, 1e-162, against a true error near 1e-352
+    @example(m=1e-162, k_window=1e-150, a=1e50)
     def test_a_number_or_a_refusal_over_the_double_range(self, m, k_window,
                                                           a):
         # m, k_window and a log-uniform over the whole double range, 0
-        # and subnormals included: a finite error between 0 and the
-        # largest continuum frequency, or a ValueError.
+        # and subnormals included: a ValueError, or an error within the
+        # closed form.  Since sin x >= x - x³/6, (2/a) sin(k a/2) falls
+        # short of k by at most k³a²/24, and so does the chain frequency
+        # of the continuum one.  The grid's |k| passes k_window by at
+        # most 2u.  Rounding: the chain frequency errs by at most 8.5u
+        # relative (x = k a/2, sin within 4 ulp, its square, 1/a², the
+        # product, m², the sum, the root), hypot by 2u, the difference by
+        # u, and an underflow the function accepts by at most
+        # u·hypot(m, k_window): under 16u = 8 eps of hypot(m, k_window).
         try:
             ((spacing, err),) = continuum_limit_error(m, k_window, [a])
         except ValueError:
             return
         assert spacing == a
-        assert 0.0 <= err <= math.hypot(m, k_window) * (1.0 + 1e-15)
+        eps = sys.float_info.epsilon
+        closed_form = k_window * (k_window * a) ** 2 / 24.0
+        assert 0.0 <= err <= (closed_form * (1.0 + 8.0 * eps)
+                              + 8.0 * eps * math.hypot(m, k_window))
 
     def test_window_must_fit_the_brillouin_zone(self):
         with pytest.raises(ValueError):

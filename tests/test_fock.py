@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_laguerre
 
@@ -21,7 +21,6 @@ from thermofock.charfn import GridWaveFunction
 from thermofock.errors import NumericalGuardError
 from thermofock.fock import (
     FockVector,
-    GaussianMeasure,
     bargmann_kernel,
     classical_trajectory,
     commutator_defect,
@@ -46,12 +45,22 @@ def random_vector(rng, n_max, hbar=1.0, interior=False):
     return FockVector(c, hbar)
 
 
+def quadrature_nodes(radial, angular):
+    """Polar nodes and weights of the Gaussian measure at unit scale:
+    Gauss-Laguerre in u = |z|^2 on ``radial`` nodes times ``angular``
+    equal angles."""
+    u, wu = np.polynomial.laguerre.laggauss(radial)
+    phi = 2.0 * np.pi * np.arange(angular) / angular
+    z = np.outer(np.sqrt(u), np.exp(1j * phi)).ravel()
+    w = np.outer(wu, np.full(angular, 1.0 / angular)).ravel()
+    return z, w
+
+
 def per_node_quadrature(f, g):
     """The quadrature oracle evaluated node by node: each vector summed
-    through its own Z_n recurrence at freshly built 40 x 64 and 48 x 80
-    nodes, the fine value returned once the pair agrees within 1e-8.
-    Both run at unit scale, where Z_n(sqrt(hbar) z; hbar) = Z_n(z; 1)
-    puts the integral at any hbar."""
+    through its own Z_n recurrence at freshly built 48 x 80 nodes, at
+    unit scale, where Z_n(sqrt(hbar) z; hbar) = Z_n(z; 1) puts the
+    integral at any hbar."""
     def series(vec, z):
         basis = np.ones(z.shape, dtype=complex)
         total = vec.coeffs[0] * basis
@@ -60,13 +69,43 @@ def per_node_quadrature(f, g):
             total = total + vec.coeffs[n] * basis
         return total
 
-    def integral(nodes):
-        z, w = GaussianMeasure().quadrature_nodes(*nodes)
-        return complex(np.sum(w * series(f, z) * np.conj(series(g, z))))
+    z, w = quadrature_nodes(48, 80)
+    return complex(np.sum(w * series(f, z) * np.conj(series(g, z))))
 
-    coarse, fine = integral((40, 64)), integral((48, 80))
-    assert abs(coarse - fine) <= 1e-8
-    return fine
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53."""
+    u = 2.0 ** -53
+    return k * u / (1.0 - k * u)
+
+
+# Roundings in one term w Z_m(z) conj(Z_n(z)) of a quadrature sum, n, m
+# <= 12, with a wide margin: the two Z recurrences (12 steps each of a
+# complex product, a square root and a division: 118 u), the node's root
+# and angle carried through the powers (z^n, e^{i(m-n)phi}: about 200 u),
+# the Laguerre nodes and weights (a few u each, times n) and the product.
+TERM_ROUNDINGS = 512
+
+
+def gram_rounding_bound(radial, angular):
+    """Bound on |G - I| for an exact polar rule: each term errs by at most
+    gamma_{TERM_ROUNDINGS} relative and the sum of N terms adds N - 1
+    roundings, against sum_j w_j |Z_m||Z_n| <= 1 (Cauchy-Schwarz on the
+    exact diagonal), so gamma_{N + TERM_ROUNDINGS} bounds every entry."""
+    return gamma(radial * angular + TERM_ROUNDINGS)
+
+
+def scaled_vector(n_max, decade, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
+    return FockVector(10.0 ** decade * c)
+
+
+# Vectors up to the oracle's truncation limit, scaled log-uniform over
+# 1e-150..1e150.
+SCALED_VECTORS = st.builds(scaled_vector, st.integers(0, 12),
+                           st.floats(-150.0, 150.0),
+                           st.integers(0, 2 ** 32 - 1))
 
 
 class TestInnerProduct:
@@ -125,8 +164,38 @@ class TestInnerProduct:
             assert abs(quadrature_inner_product(f, g)
                        - per_node_quadrature(f, g)) <= 1e-14
 
+    @pytest.mark.parametrize("nodes", [(40, 64), (48, 80)])
+    def test_polar_rules_are_exact_to_rounding(self, nodes):
+        # Both rules integrate every basis pair up to n = 12 exactly, so
+        # the Gram of Z_0..Z_12 is the identity up to rounding.
+        z, w = quadrature_nodes(*nodes)
+        rows = [np.ones(z.shape, dtype=complex)]
+        for n in range(1, 13):
+            rows.append(rows[-1] * z / np.sqrt(n))
+        rows = np.array(rows)
+        gram = np.einsum("j,mj,nj->mn", w, rows, np.conj(rows))
+        assert (np.max(np.abs(gram - np.eye(13)))
+                <= gram_rounding_bound(*nodes))
+
+    @settings(max_examples=200)
+    @given(f=SCALED_VECTORS, g=SCALED_VECTORS)
+    # a valid input refused by the former self-estimate guard, whose
+    # absolute bound 1e-8 met a rounding gap of 2.4e-6 at norm² 1.3e7
+    @example(f=FockVector(1e3 * np.ones(13)), g=FockVector(1e3 * np.ones(13)))
+    def test_quadrature_matches_pairing_relative_to_the_norms(self, f, g):
+        # |f G conj(g) - f conj(g)| <= ||G - I||_2 ||f|| ||g|| plus the
+        # rounding of both sums: ||G - I||_2 <= 13 max|G - I| (the bound
+        # above at 48 x 80), the 169-term bilinear form errs by at most
+        # gamma_200 sum |f_m| |G_mn| |g_n| <= gamma_200 (1 + 13 max|G - I|)
+        # ||f|| ||g||, and the 13-term pairing by gamma_14 ||f|| ||g||.
+        gram_gap = 13.0 * gram_rounding_bound(48, 80)
+        relative = gram_gap + gamma(200) * (1.0 + gram_gap) + gamma(14)
+        norms = np.linalg.norm(f.coeffs) * np.linalg.norm(g.coeffs)
+        assert (abs(quadrature_inner_product(f, g) - inner_product(f, g))
+                <= relative * norms)
+
     def test_cached_quadrature_gram_is_read_only(self):
-        gram = fock_mod._quadrature_gram(fock_mod._QUAD_NODES)
+        gram = fock_mod._quadrature_gram()
         with pytest.raises(ValueError):
             gram[0, 0] = 0.0
 
