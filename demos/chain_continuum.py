@@ -109,5 +109,5 @@ print("7. One frequency for every mode")
 print("=" * 70)
 rescaled = rescaled_modes(mode_transform(state, spec), spec)
 print(f"  omega_ref * sum |a_k|^2: "
-      f"{spec.omega_ref * np.sum(np.abs(rescaled.a_rescaled) ** 2):.12f}")
+      f"{spec.omega_ref * np.sum(np.abs(rescaled) ** 2):.12f}")
 print(f"  H of the section 2 state: {site_energy:.12f}")

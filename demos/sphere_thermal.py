@@ -18,6 +18,7 @@ freedom.  This script shows the pipeline end to end:
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -49,6 +50,10 @@ for theta in (0.5, 1.0, 2.0):
     disk = region_probability(Disk(abs(z)), osc)
     print(f"  polar angle {theta:.1f}:  cap fraction {cap:.10f},  "
           f"disk mass {disk:.10f}")
+    # region_probability vouches for its mass to its 1e-7 self-estimate
+    if abs(cap - disk) > 1e-7:
+        sys.exit(f"polar angle {theta}: cap fraction {cap!r} is not the "
+                 f"disk mass {disk!r}")
 
 print()
 print("=" * 70)

@@ -135,16 +135,14 @@ class ChainState:
 class ModeData:
     """Normal-mode content of a chain state on the discrete k grid.
 
-    ``u`` and ``p`` are the complex normal coordinates; ``a_rescaled``
-    is filled in by :func:`rescaled_modes`.  Frequency entries satisfy
-    the dispersion law of the generating ChainSpec.
+    ``u`` and ``p`` are the complex normal coordinates.  Frequency
+    entries satisfy the dispersion law of the generating ChainSpec.
     """
 
     k: np.ndarray
     omega: np.ndarray
     u: np.ndarray | None = None
     p: np.ndarray | None = None
-    a_rescaled: np.ndarray | None = None
 
 
 def hamiltonian(state: ChainState, spec: ChainSpec) -> float:
@@ -216,11 +214,11 @@ def _amplitudes(modes: ModeData) -> np.ndarray:
             + 1j * np.conj(modes.p) / np.sqrt(2.0 * modes.omega))
 
 
-def rescaled_modes(modes: ModeData, spec: ChainSpec) -> ModeData:
-    """Fill in the rescaled amplitudes a_k = sqrt(λ_k) a(k), with
+def rescaled_modes(modes: ModeData, spec: ChainSpec) -> np.ndarray:
+    """The rescaled amplitudes a_k = sqrt(λ_k) a(k) per mode, with
     λ_k = ω_k/ω̄, for which H = ω̄ Σ_k conj(a_k) a_k."""
     lam = modes.omega / spec.omega_ref
-    return replace(modes, a_rescaled=np.sqrt(lam) * _amplitudes(modes))
+    return np.sqrt(lam) * _amplitudes(modes)
 
 
 # ---------------------------------------------------------------------------

@@ -194,10 +194,10 @@ def autocorrelation_charfn(psi: GridWaveFunction,
     so its gap to the direct route is the two end-point terms (w - w^2
     = 1/4 there) plus FFT rounding.  At t = 0 it is the captured spectral
     mass; a relative shortfall above 1e-8 (samples that do not vanish at
-    the grid ends) raises NumericalGuardError.
+    the grid ends) raises NumericalGuardError.  ``psi`` must be
+    normalized (``GridWaveFunction.sampled`` or ``normalized()``).
     """
-    if not psi.is_normalized:
-        psi = psi.normalized()
+    require(psi.is_normalized, "packet must be normalized")
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     require(np.all(np.isfinite(t)), "t values must be finite")
     m, dxi = _xi_lattice(psi)
@@ -243,10 +243,10 @@ def verify_theorem(psi: GridWaveFunction) -> float:
 
     Returns max over :func:`default_t_grid` of |f_direct(t) - f_autocorr(t)|
     for the density p = |psi|^2; the defining identity of characteristic
-    functions of absolutely continuous distributions.
+    functions of absolutely continuous distributions.  ``psi`` must be
+    normalized, as for :func:`autocorrelation_charfn`.
     """
-    if not psi.is_normalized:
-        psi = psi.normalized()
+    require(psi.is_normalized, "packet must be normalized")
     t_grid = default_t_grid(psi)
     direct = characteristic_function(density_from_amplitude(psi), t_grid)
     auto = autocorrelation_charfn(psi, t_grid)

@@ -225,8 +225,8 @@ def boson_density(E, A, x, t, k=0.0):
     Degenerate exception: for E2 = -E1 the cross term is exactly real
     and rho is constant, vanishing identically at equal weights.
 
-    ``x`` and ``t`` may be scalars or broadcastable arrays; the returned
-    density matches their broadcast shape.
+    ``x`` and ``t`` are broadcastable arrays; the returned density is an
+    array of their broadcast shape.
     """
     E = np.atleast_1d(np.asarray(E, dtype=float))
     A = np.atleast_1d(np.asarray(A, dtype=complex))
@@ -242,10 +242,7 @@ def boson_density(E, A, x, t, k=0.0):
         wave = Aj * np.exp(1j * (kj * x - Ej * t))
         phi = phi + wave
         dphi = dphi + (-1j * Ej) * wave
-    rho = -2.0 * np.imag(np.conj(phi) * dphi)
-    if rho.ndim == 0:
-        return float(rho)
-    return rho
+    return -2.0 * np.imag(np.conj(phi) * dphi)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ phase evolved by the Hamiltonian ω a⁺a + ωħ/2.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -356,10 +357,6 @@ def from_position(psi: GridWaveFunction, n_max: int,
     return FockVector(coeffs, hbar)
 
 
-def classical_trajectory(z0: complex, omega: float, t):
+def classical_trajectory(z0: complex, omega: float, t: float) -> complex:
     """z(t) = z0 e^{-iωt}, the solution of dz/dt = -iωz."""
-    t = np.asarray(t, dtype=float)
-    out = z0 * np.exp(-1j * omega * t)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return z0 * cmath.exp(-1j * omega * t)

@@ -147,11 +147,6 @@ class SectorStructure:
         """Boolean d×d mask, True where row and column share a sector."""
         return self._owner[:, None] == self._owner[None, :]
 
-    def charge_operator(self) -> np.ndarray:
-        """S = Σ_i s_i Π_i as a diagonal matrix."""
-        by_owner = np.array([self.charges[label] for label in self.sectors])
-        return np.diag(by_owner[self._owner])
-
 
 @dataclass(frozen=True)
 class BipartiteState:
@@ -290,9 +285,13 @@ def sector_defect(op: np.ndarray, sectors: SectorStructure) -> float:
 
 
 def charge_commutator_norm(op: np.ndarray, sectors: SectorStructure) -> float:
-    """max |[S, F]_ij| = max |s_i F_ij − F_ij s_j| for S = Σ_i s_i Π_i."""
+    """max |[S, F]_ij| = max |s_i F_ij − F_ij s_j| for S = Σ_i s_i Π_i.
+
+    S is diagonal, so it is never formed: s_i is the charge of the
+    sector that holds basis index i."""
     op = np.asarray(op, dtype=complex)
-    s = np.diag(sectors.charge_operator())
+    by_owner = np.array([sectors.charges[label] for label in sectors.sectors])
+    s = by_owner[sectors._owner]
     return float(np.max(np.abs(s[:, None] * op - op * s)))
 
 

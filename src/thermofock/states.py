@@ -29,7 +29,7 @@ import numpy as np
 
 from .charfn import DensityGrid, GridWaveFunction
 from .chain import MultiModeFockVector, mm_raised
-from .errors import _indices, guard, require
+from .errors import guard, require
 
 __all__ = [
     "ModeProfile",
@@ -50,39 +50,34 @@ _TAIL_TOL = 1e-8     # mass allowed in the outer 2% of either grid
 
 @dataclass(frozen=True)
 class ModeProfile:
-    """Complex coefficients over a finite mode/site set, with a declared
-    support.  Mass outside the declared support must be below 1e-14 of
-    the total, keeping disjointness decidable."""
+    """Complex coefficients over a finite mode/site set.  The support is
+    the set of modes with a nonzero coefficient, so disjointness is
+    exact."""
 
     values: np.ndarray
-    support: frozenset
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", values)
-        support = frozenset(_indices(self.support, "support must be integers"))
-        object.__setattr__(self, "support", support)
         require(values.ndim == 1 and values.size > 0,
                 "profile values must form a nonempty 1-d array")
-        require(all(0 <= j < values.size for j in support),
-                "support indices outside the mode range")
         total = float(np.sum(np.abs(values) ** 2))
         require(0 < total < np.inf, "profile must be nonzero and finite")
-        outside = total - sum(abs(values[j]) ** 2 for j in support)
-        require(outside <= _SUPPORT_TOL * total,
-                f"mass {outside:.3e} lies outside the declared support")
 
     @classmethod
     def from_values(cls, values) -> "ModeProfile":
-        values = np.asarray(values, dtype=complex)
-        return cls(values, frozenset(np.nonzero(np.abs(values) > 0)[0]))
+        return cls(values)
 
     @property
     def n_modes(self) -> int:
         return self.values.size
 
+    @property
+    def support(self) -> frozenset:
+        return frozenset(np.flatnonzero(self.values).tolist())
+
     def overlaps(self, other: "ModeProfile") -> bool:
-        """True iff the declared supports intersect."""
+        """True iff the supports intersect."""
         return bool(self.support & other.support)
 
 

@@ -166,9 +166,9 @@ class TestEnergyBookkeeping:
         spec = ChainSpec(n_sites=10, spacing=1.0, mass=1.1, gamma=0.9)
         rng = np.random.default_rng(7)
         state = random_state(rng, 10)
-        modes = rescaled_modes(mode_transform(state, spec), spec)
+        modes = mode_transform(state, spec)
         np.testing.assert_allclose(
-            spec.omega_ref * np.sum(np.abs(modes.a_rescaled) ** 2),
+            spec.omega_ref * np.sum(np.abs(rescaled_modes(modes, spec)) ** 2),
             hamiltonian(state, spec), atol=1e-10)
         np.testing.assert_allclose(spec.omega_ref,
                                    math.sqrt(1.1 ** 2 + 0.9), atol=1e-14)

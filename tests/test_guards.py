@@ -73,7 +73,7 @@ NON_FINITE_CALLS = {
     "sphere.limit_ratios(inf, 1)":
         lambda: sphere.limit_ratios(INF, 1.0),
     "states.ModeProfile([nan, 1])":
-        lambda: states.ModeProfile([NAN, 1.0], {0, 1}),
+        lambda: states.ModeProfile([NAN, 1.0]),
     "fock.FockVector([nan])":
         lambda: fock.FockVector([NAN]),
     "fock.FockVector(hbar=inf)":
@@ -86,8 +86,8 @@ NON_FINITE_CALLS = {
         lambda: charfn.characteristic_function(
             charfn.DensityGrid(-10.0, 0.1, _gaussian_samples()), [0.0, NAN]),
     "charfn.autocorrelation_charfn(t=nan)":
-        lambda: charfn.autocorrelation_charfn(
-            charfn.GridWaveFunction(-10.0, 0.1, _gaussian_samples()), [NAN]),
+        lambda: charfn.autocorrelation_charfn(charfn.GridWaveFunction(
+            -10.0, 0.1, _gaussian_samples()).normalized(), [NAN]),
     "chain.ChainState([nan, 0])":
         lambda: chain.ChainState([NAN, 0.0], [0.0, 0.0]),
 }
@@ -159,9 +159,6 @@ BAD_INDEX_CALLS = {
         (lambda: measurement.SectorStructure({0: (0.5,), 1: (1,)},
                                              {0: 0.0, 1: 1.0}),
          "sector indices must be integers"),
-    "states.ModeProfile(support=[0.9])":
-        (lambda: states.ModeProfile([1.0, 0.0, 0.0], [0.9]),
-         "support must be integers"),
     "measurement.entangle(d_object=2.5)":
         (lambda: measurement.entangle([0.6, 0.8], d_object=2.5),
          "subsystem dimensions must be integers"),
@@ -229,10 +226,18 @@ REFUSAL_CALLS = {
         (lambda: charfn.DensityGrid(INF, 1.0, [1, 1]),
          "x0 must be finite, got inf"),
     "charfn.autocorrelation_charfn(dx=1e152)":
-        (lambda: charfn.autocorrelation_charfn(
-            charfn.GridWaveFunction(-10.0, 1e152, _gaussian_samples()),
-            [0.0]),
+        (lambda: charfn.autocorrelation_charfn(charfn.GridWaveFunction(
+            -10.0, 1e152, _gaussian_samples()).normalized(), [0.0]),
          r"the lattice weight \(4 N dx\)\^2 overflows at dx = 1e\+152"),
+    # the Gaussian samples have norm squared 1/(2 sqrt(pi)), not 1
+    "charfn.autocorrelation_charfn(unnormalized)":
+        (lambda: charfn.autocorrelation_charfn(
+            charfn.GridWaveFunction(-10.0, 0.1, _gaussian_samples()), [0.0]),
+         "packet must be normalized"),
+    "charfn.verify_theorem(unnormalized)":
+        (lambda: charfn.verify_theorem(
+            charfn.GridWaveFunction(-10.0, 0.1, _gaussian_samples())),
+         "packet must be normalized"),
     "sphere.SpherePoint(theta=4)":
         (lambda: sphere.SpherePoint(4.0),
          r"theta must lie in \[0, pi\], got 4.0"),
@@ -249,6 +254,13 @@ REFUSAL_CALLS = {
     "sphere.classical_limit_table(hbar=-1)":
         (lambda: sphere.classical_limit_table([1.0, -1.0], 1.0),
          "hbar must be nonnegative and finite, got -1.0"),
+    # an explicit hbar, so the hbar check cannot refuse them first
+    "sphere.ThermalOscillator(omega=inf, hbar=1)":
+        (lambda: sphere.ThermalOscillator(beta=1.0, omega=INF, hbar=1.0),
+         "beta, omega, mass must all be positive and finite"),
+    "sphere.ThermalOscillator(mass=inf, hbar=1)":
+        (lambda: sphere.ThermalOscillator(beta=1.0, mass=INF, hbar=1.0),
+         "beta, omega, mass must all be positive and finite"),
     "sphere.ThermalOscillator(beta=1e-200, omega=1e-200)":
         (lambda: sphere.ThermalOscillator(beta=1e-200, omega=1e-200),
          r"beta \* omega underflows to 0 \(beta=1e-200, omega=1e-200\)"),

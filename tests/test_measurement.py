@@ -428,7 +428,8 @@ class TestSectors:
         sectors = SectorStructure(
             {k: tuple(g) for k, g in enumerate(groups)},
             {k: float(q) for k, q in enumerate(rng.standard_normal(3))})
-        s = sectors.charge_operator()
+        owner = {int(i): k for k, g in enumerate(groups) for i in g}
+        s = np.diag([sectors.charges[owner[i]] for i in range(d)])
         for _ in range(10):
             op = rng.standard_normal((d, d)) \
                 + 1j * rng.standard_normal((d, d))
@@ -454,7 +455,9 @@ class TestSectors:
         charge = np.diag([sectors.charges[owner[i]] for i in range(9)])
         assert sectors.d == 9
         assert np.array_equal(sectors.block_mask(), mask)
-        assert np.array_equal(sectors.charge_operator(), charge)
+        op = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        assert charge_commutator_norm(op, sectors) \
+            == float(np.max(np.abs(charge @ op - op @ charge)))
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):

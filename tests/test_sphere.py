@@ -412,8 +412,13 @@ class TestGibbsMeasure:
             mean / osc.beta, math.sqrt(var / n) / osc.beta)
 
     def test_monte_carlo_sample_floor(self):
-        with pytest.raises(ValueError):
-            mean_energy(ThermalOscillator(beta=1.0), n=10, seed=0)
+        osc = ThermalOscillator(beta=1.0)
+        for n in (10, 999):
+            with pytest.raises(ValueError,
+                               match=f"needs n >= 1000 samples, got {n}"):
+                mean_energy(osc, n=n, seed=0)
+        value, stderr = mean_energy(osc, n=1000, seed=0)
+        assert stderr > 0.0 and abs(value - 1.0) < 6.0 * stderr
 
     def test_full_plane_probability_is_one(self):
         osc = ThermalOscillator(beta=1.3)

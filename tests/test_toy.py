@@ -169,8 +169,12 @@ class TestFeasibilitySearch:
         assert not result.feasible
         assert result.w is None
         assert result.residual == pytest.approx(0.5, abs=1e-12)
-        assert "force both columns" in result.certificate
-        assert "instead of" in result.certificate
+        # the full text, as the CLI's toy table prints it: the forced
+        # matrix and the walk it makes are both exact
+        assert result.certificate == (
+            "infeasible: the one-step requirements force both columns — "
+            "w = [[0.5, 0.5], [0.5, 0.5]] — and then 2 step(s) send "
+            "(1.0, 0.0) to (0.5, 0.5) instead of (1.0, 0.0)")
 
     def test_mutually_inconsistent_one_step_requirements(self):
         constraints = [
