@@ -16,6 +16,8 @@ heavy mass).  This script runs each piece:
   write the energy with one reference frequency for every mode.
 """
 
+import sys
+
 import numpy as np
 
 from thermofock.chain import (
@@ -78,8 +80,15 @@ mode_e = 0.5 * (np.abs(v) ** 2 + modes.omega**2 * np.abs(u) ** 2)
 means = mode_e.mean(axis=0)
 print(f"  smallest mode average: {means.min():.4f}")
 print(f"  largest mode average:  {means.max():.4f}")
-print(f"  total average energy:  {mode_e.sum(axis=1).mean():.4f}  "
+totals = mode_e.sum(axis=1)
+print(f"  total average energy:  {totals.mean():.4f}  "
       f"(target {spec.n_sites / beta})")
+# the sample mean of the total energy lies within 3 standard errors of N/beta
+total_stderr = totals.std(ddof=1) / np.sqrt(totals.size)
+if abs(totals.mean() - spec.n_sites / beta) > 3.0 * total_stderr:
+    sys.exit(f"total average energy {totals.mean():.6f} is more than 3 "
+             f"standard errors ({total_stderr:.6f}) from "
+             f"{spec.n_sites / beta}")
 
 print()
 print("=" * 70)

@@ -186,19 +186,6 @@ def mode_energies(modes: ModeData) -> np.ndarray:
     return 0.5 * (np.abs(modes.p) ** 2 + modes.omega ** 2 * np.abs(modes.u) ** 2)
 
 
-def _mode_energies_over(q: np.ndarray, p: np.ndarray,
-                        modes: ModeData) -> np.ndarray:
-    """Mode energies of each row of the samples (q, p), as
-    ``mode_energies`` of their ``mode_transform``, written over q one row
-    block at a time (each block is read before it is written)."""
-    root_n = math.sqrt(q.shape[1])
-    for rows in _row_blocks(*q.shape):
-        q[rows] = mode_energies(replace(
-            modes, u=np.fft.fft(q[rows], axis=1) / root_n,
-            p=np.fft.fft(p[rows], axis=1) / root_n))
-    return q
-
-
 def _amplitudes(modes: ModeData) -> np.ndarray:
     """a(k) = sqrt(ω_k/2) conj(u(k)) + i conj(p(k))/sqrt(2 ω_k).
 
@@ -327,7 +314,8 @@ def evolve(state: ChainState, spec: ChainSpec, dt: float | None = None, *,
                       dt, spec.n_sites)
 
 
-def gibbs_sample(spec: ChainSpec, beta: float, n: int, seed: int):
+def gibbs_sample(spec: ChainSpec, beta: float, n: int,
+                 seed: int | np.random.Generator):
     """Exact thermal sampling in FFT normal coordinates.
 
     Returns (q, p) arrays of shape (n, N).  Positions are
@@ -335,11 +323,17 @@ def gibbs_sample(spec: ChainSpec, beta: float, n: int, seed: int):
     the circulant coupling matrix M, applied by dividing each rfft mode
     of ξ by sqrt(β ω_k²), so q ~ N(0, (β M)^{-1}) exactly at
     O(n N log N) cost; the tests check it against the dense ``eigh``
-    of M.  Momenta are i.i.d. N(0, 1/β), drawn after ξ; each mode
-    energy averages 1/β.  The noise is drawn and transformed one block
-    of rows at a time, so no temporary outgrows a block; the rows are
-    those of one (n, N) draw.  A zero-frequency mode (m = 0 with the
-    uniform mode) is rejected, and so is a β ω_k² beyond the double range.
+    of M.  Momenta are i.i.d. N(0, 1/β); each mode energy averages 1/β.
+
+    Row i is drawn as one (2, N) block z_i of standard normals, in row
+    order: ξ_i = z_i[0] and p_i = z_i[1]/sqrt(β), so the sample is that
+    of one (n, 2, N) draw.  The noise is drawn and transformed one block
+    of rows at a time, so no temporary outgrows a block, and no row
+    depends on the block it falls in.  ``seed`` may be a Generator
+    (``default_rng`` returns it unchanged): a call continues its stream,
+    so calls of n1 and then n2 rows give the rows of one call of n1 + n2.
+    A zero-frequency mode (m = 0 with the uniform mode) is rejected, and
+    so is a β ω_k² beyond the double range.
     """
     require(0 < beta < math.inf,
             f"beta must be positive and finite, got {beta}")
@@ -355,12 +349,13 @@ def gibbs_sample(spec: ChainSpec, beta: float, n: int, seed: int):
     rng = np.random.default_rng(seed)
     root = np.sqrt(beta * omega2)
     q = np.empty((n, spec.n_sites))
-    for rows in _row_blocks(n, spec.n_sites):
-        xi = rng.standard_normal(q[rows].shape)
-        np.fft.irfft(np.fft.rfft(xi, axis=1) / root, n=spec.n_sites, axis=1,
-                     out=q[rows])
-    p = rng.standard_normal((n, spec.n_sites))
-    p /= math.sqrt(beta)
+    p = np.empty((n, spec.n_sites))
+    for rows in _row_blocks(n, 2 * spec.n_sites):
+        z = rng.standard_normal((len(q[rows]), 2, spec.n_sites))
+        modes = np.fft.rfft(z[:, 0], axis=1)
+        modes /= root
+        np.fft.irfft(modes, n=spec.n_sites, axis=1, out=q[rows])
+        np.divide(z[:, 1], math.sqrt(beta), out=p[rows])
     return q, p
 
 

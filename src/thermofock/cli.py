@@ -23,7 +23,7 @@ import stat
 import sys
 import tempfile
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 # A table's BLAS calls are tiny, and OpenBLAS's second thread only spins:
 # load numpy with one thread unless the caller set a count or loaded it.
@@ -33,7 +33,7 @@ if "numpy" not in sys.modules:
 import numpy as np  # noqa: E402
 
 from .errors import (  # noqa: E402
-    _BLOCK_ELEMENTS, NumericalGuardError, guard, require)
+    _BLOCK_ELEMENTS, NumericalGuardError, _row_blocks, guard, require)
 
 __all__ = ["ConfigError", "RunConfig", "main", "run", "config_precedence"]
 
@@ -307,13 +307,12 @@ def _chain_dispersion(cfg: RunConfig):
             comments)
 
 
-# q and p, then the mode energies over q; the spectra of one row block,
-# under 64 B per block entry while it holds several rows and under 100 B
-# per site once it is one row; the table rows, under 1 KB per site in
+# One row block's sample, its spectra and energies, under 64 B per block
+# entry while it holds several rows and under 100 B per site once it is
+# one row; the running sums and the table rows, under 1 KB per site in
 # JSON.  The 128 doubles per site cover the last two.
 @_table(_CHAIN, "equipartition",
-        footprint=lambda p: 8 * p["sites"] * (2 * p["samples"] + 128)
-        + 64 * _BLOCK_ELEMENTS)
+        footprint=lambda p: 8 * 128 * p["sites"] + 64 * _BLOCK_ELEMENTS)
 def _chain_equipartition(cfg: RunConfig):
     from . import chain as chain_mod
     beta = cfg.params["beta"]
@@ -321,13 +320,23 @@ def _chain_equipartition(cfg: RunConfig):
     require(n >= 2, "equipartition needs at least 2 samples for its "
             f"standard errors, got {n}")
     spec = chain_mod.ChainSpec(*map(cfg.params.get, _SPEC_FLAGS))
-    q, p = chain_mod.gibbs_sample(spec, beta, n, cfg.seed)
     modes = chain_mod.normal_modes(spec)
+    root_n = math.sqrt(spec.n_sites)
+    rng = np.random.default_rng(cfg.seed)
+    # Per mode, the sums S1 and S2 of y = beta E - 1 and of y^2 over the
+    # samples, added left to right across the row blocks.
+    s1 = s2 = np.zeros(spec.n_sites)
     with np.errstate(over="ignore", invalid="ignore"):   # checked by run
-        energies = chain_mod._mode_energies_over(q, p, modes)
-        del q, p
-        means = np.mean(energies, axis=0)
-        stderrs = np.std(energies, axis=0, ddof=1) / math.sqrt(n)
+        for block in _row_blocks(n, 2 * spec.n_sites):
+            q, p = chain_mod.gibbs_sample(spec, beta, len(range(n)[block]),
+                                          rng)
+            y = beta * chain_mod.mode_energies(replace(
+                modes, u=np.fft.fft(q, axis=1) / root_n,
+                p=np.fft.fft(p, axis=1) / root_n)) - 1.0
+            s2 = _add_rows(s2, y * y)
+            s1 = _add_rows(s1, y)
+        means = (1.0 + s1 / n) / beta
+        stderrs = np.sqrt((s2 - s1 * s1 / n) / ((n - 1) * n)) / beta
     rows = []
     for j in range(spec.n_sites):
         rows.append((float(modes.k[j]), float(modes.omega[j]),
@@ -336,6 +345,14 @@ def _chain_equipartition(cfg: RunConfig):
             "the equipartition value",
             ("k", "omega", "mean_mode_energy", "expected", "stderr"),
             rows, [])
+
+
+def _add_rows(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """total + rows[0] + rows[1] + ..., added left to right over rows
+    (which it overwrites), so a sum carried across row blocks does not
+    depend on where they split."""
+    rows[0] += total
+    return np.add.accumulate(rows, axis=0, out=rows)[-1]
 
 
 # the continuum and chain laws on the fixed 257-point k window

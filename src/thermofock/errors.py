@@ -18,6 +18,7 @@ blocks against one budget, ``_BLOCK_ELEMENTS`` entries per block.
 """
 
 import operator
+from collections.abc import Iterator
 
 __all__ = ["NumericalGuardError", "guard", "require"]
 
@@ -56,8 +57,9 @@ def _indices(values, message: str) -> tuple:
         raise ValueError(message) from None
 
 
-def _row_blocks(n_rows: int, width: int) -> list[slice]:
+def _row_blocks(n_rows: int, width: int) -> Iterator[slice]:
     """Consecutive row slices of about _BLOCK_ELEMENTS entries each, at
-    least one row per slice."""
+    least one row per slice, made one at a time, so a loop over many rows
+    holds one slice."""
     b = max(1, _BLOCK_ELEMENTS // width)
-    return [slice(i, i + b) for i in range(0, n_rows, b)]
+    return (slice(i, i + b) for i in range(0, n_rows, b))

@@ -16,6 +16,7 @@ import io
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,16 +73,64 @@ def inverse_transform(modes, spec):
 
 
 def one_shot_gibbs(spec, beta, n, seed):
-    """Named oracle of ``gibbs_sample``: the whole (n, N) noise ξ in one
-    draw, q = irfft(rfft(ξ)/sqrt(β ω²)), then p as the generator's next
-    (n, N) draw over √β."""
+    """Named oracle of ``gibbs_sample``: the whole (n, 2, N) noise z in
+    one draw, row i being (ξ_i, p_i √β); q = irfft(rfft(ξ)/sqrt(β ω²))
+    and p = z[:, 1]/√β."""
     omega2 = spec.dispersion(spec.k_grid()[: spec.n_sites // 2 + 1]) ** 2
-    rng = np.random.default_rng(seed)
-    xi = rng.standard_normal((n, spec.n_sites))
-    q = np.fft.irfft(np.fft.rfft(xi, axis=1) / np.sqrt(beta * omega2),
+    z = np.random.default_rng(seed).standard_normal((n, 2, spec.n_sites))
+    q = np.fft.irfft(np.fft.rfft(z[:, 0], axis=1) / np.sqrt(beta * omega2),
                      n=spec.n_sites, axis=1)
-    p = rng.standard_normal((n, spec.n_sites)) / math.sqrt(beta)
+    p = z[:, 1] / math.sqrt(beta)
     return q, p
+
+
+def sample_mode_energies(q, p, spec):
+    """Mode energies of each row of (q, p), as the equipartition table
+    forms them: ``mode_energies`` of the rows' orthonormal FFTs."""
+    root_n = math.sqrt(spec.n_sites)
+    return mode_energies(replace(normal_modes(spec),
+                                 u=np.fft.fft(q, axis=1) / root_n,
+                                 p=np.fft.fft(p, axis=1) / root_n))
+
+
+def higham_gamma(k):
+    """Higham's γ_k = k u/(1 − k u), u = 2**-53 (ASNA §3.1)."""
+    return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+
+
+def table_error_bounds(energies, beta):
+    """Per mode, bounds on |mean_table − mean_np| and on
+    |stderr_table − stderr_np| for n rows of computed energies E_i, where
+    the table forms y_i = fl(fl(β E_i) − 1), sums y_i and y_i² left to
+    right into S1 and S2, and prints (1 + S1/n)/β and
+    sqrt((S2 − S1²/n)/((n−1) n))/β, and np forms np.mean(E) and
+    np.std(E, ddof=1)/sqrt(n).
+
+    With a_i = β E_i, M = Σ a_i/n, U = Σ (a_i + 1), Q = Σ (a_i + 1)² and
+    C = Σ (a_i − M)² (exact over the common E_i): |y_i − (a_i − 1)| <=
+    γ_2 (a_i + 1); any order of summation errs by γ_{n−1} Σ|x_i|
+    (ASNA §4.2); and γ_j + γ_k + γ_j γ_k <= γ_{j+k} (ASNA Lemma 3.3)
+    merges the terms.  So S1 is within γ_{n+1} U of Σ (a_i − 1), the
+    table mean within γ_{n+4} (M + 1)/β of M/β and np.mean within
+    γ_n M/β.  S2 − S1²/n is within γ_{3n+9} Q of C (U²/n <= Q and C <= Q);
+    np's centred sum within γ_{n+2} C/β² + (1 + γ_{n+2}) n (γ_n M/β)²
+    of C/β²; |√x − √y| <= |x − y|/√y; and the last divisions and the
+    square root add γ_3 (table) and γ_4 (np) of the result.  The bounds'
+    own evaluation errs by a relative O(n u), far inside them.
+    """
+    n = len(energies)
+    a = beta * energies
+    M = np.mean(a, axis=0)
+    Q = np.sum((a + 1.0) ** 2, axis=0)
+    C = np.sum((a - M) ** 2, axis=0)
+    scale = np.sqrt(C * (n - 1) * n)   # β s* (n−1) n, s* the true stderr
+    s_star = np.sqrt(C / ((n - 1) * n)) / beta
+    g = higham_gamma
+    mean_bound = (g(n + 4) * (M + 1.0) + g(n) * M) / beta
+    table = (1.0 + g(3)) * g(3 * n + 9) * Q / scale + g(3) * s_star
+    numpy_delta = g(n + 2) * C + (1.0 + g(n + 2)) * n * (g(n) * M) ** 2
+    numpy = (1.0 + g(4)) * numpy_delta / scale + g(4) * s_star
+    return mean_bound, (table + numpy) / beta
 
 
 def _force(q, spec):
@@ -406,18 +455,16 @@ class TestGibbsSampling:
             self, n_sites, spacing, mass, gamma, beta):
         # Oracle: q = ξ S with S = V diag(1/sqrt(β λ)) Vᵀ = (β M)^{-1/2}
         # from the dense eigendecomposition of the coupling matrix, for
-        # the same white noise ξ; momenta are the generator's next draw.
+        # the same white noise ξ; row i of the noise is (ξ_i, p_i √β).
         spec = ChainSpec(n_sites, spacing, mass, gamma)
         n, seed = 50, 31
         q, p = gibbs_sample(spec, beta, n, seed)
-        rng = np.random.default_rng(seed)
-        xi = rng.standard_normal((n, n_sites))
+        z = np.random.default_rng(seed).standard_normal((n, 2, n_sites))
         evals, evecs = np.linalg.eigh(spec.coupling_matrix())
         root = (evecs / np.sqrt(beta * evals)) @ evecs.T
-        expected = xi @ root
+        expected = z[:, 0] @ root
         assert np.max(np.abs(q - expected)) <= 1e-12 * np.max(np.abs(expected))
-        assert np.array_equal(
-            p, rng.standard_normal((n, n_sites)) / math.sqrt(beta))
+        assert np.array_equal(p, z[:, 1] / math.sqrt(beta))
 
     @pytest.mark.parametrize("n_sites", [5, 64, 2048])
     @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1),
@@ -425,7 +472,7 @@ class TestGibbsSampling:
                              ids=["b-1", "b", "b+1", "3b+5"])
     def test_row_blocks_give_the_one_shot_sample_bit_for_bit(
             self, n_sites, blocks, extra):
-        rows = max(1, errors_mod._BLOCK_ELEMENTS // n_sites)
+        rows = max(1, errors_mod._BLOCK_ELEMENTS // (2 * n_sites))
         n = blocks * rows + extra
         spec = ChainSpec(n_sites, 0.8, 0.6, 1.2)
         q, p = gibbs_sample(spec, 2.0, n, seed=21)
@@ -434,10 +481,25 @@ class TestGibbsSampling:
         assert np.array_equal(q, expected_q)
         assert np.array_equal(p, expected_p)
 
-    def test_equipartition_table_is_that_of_the_one_shot_sample(
-            self, monkeypatch):
-        # The table of the whole-array form: the one-shot sample, and
-        # the mode energies of all 2000 x 64 entries in one block.
+    @given(n_sites=st.one_of(st.integers(2, 300), st.integers(8193, 9000)),
+           first=st.integers(1, 40), second=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_sites=8193, first=1, second=2, seed=0)   # 2N > one block
+    @settings(max_examples=60)
+    def test_calls_that_continue_one_generator_are_one_call(
+            self, n_sites, first, second, seed):
+        spec = ChainSpec(n_sites, 0.8, 0.6, 1.2)
+        q, p = gibbs_sample(spec, 2.0, first + second, seed)
+        rng = np.random.default_rng(seed)
+        q1, p1 = gibbs_sample(spec, 2.0, first, rng)
+        q2, p2 = gibbs_sample(spec, 2.0, second, rng)
+        assert np.array_equal(q, np.concatenate([q1, q2]))
+        assert np.array_equal(p, np.concatenate([p1, p2]))
+
+    @pytest.mark.parametrize("budget", [2000 * 2 * 64, 2 * 64 - 1],
+                             ids=["one block", "under one row"])
+    def test_equipartition_table_does_not_depend_on_the_block_budget(
+            self, budget, monkeypatch):
         argv = ["chain", "--experiment", "equipartition", "--samples",
                 "2000", "--seed", "5"]
 
@@ -448,9 +510,48 @@ class TestGibbsSampling:
             return out.getvalue()
 
         blocked = table()
-        monkeypatch.setattr(chain_mod, "gibbs_sample", one_shot_gibbs)
-        monkeypatch.setattr(errors_mod, "_BLOCK_ELEMENTS", 2000 * 64)
+        monkeypatch.setattr(errors_mod, "_BLOCK_ELEMENTS", budget)
         assert blocked == table()
+
+    def test_equipartition_columns_are_the_one_shot_mean_and_stderr(self):
+        # The table's running sums against np.mean and np.std(ddof=1) of
+        # the one-shot sample's energies, within the rounding bounds of
+        # both (table_error_bounds); 2000 rows span 16 blocks of 64 sites.
+        n, beta, seed = 2000, 2.0, 5
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["chain", "--experiment", "equipartition",
+                         "--samples", str(n), "--beta", str(beta),
+                         "--seed", str(seed)]) == 0
+        lines = [line for line in out.getvalue().splitlines()
+                 if not line.startswith("#")]
+        header, cells = lines[0].split(","), [
+            list(map(float, line.split(","))) for line in lines[1:]]
+        table = dict(zip(header, np.array(cells).T))
+        spec = ChainSpec(64)
+        energies = sample_mode_energies(*one_shot_gibbs(spec, beta, n, seed),
+                                        spec)
+        mean_bound, stderr_bound = table_error_bounds(energies, beta)
+        means = np.mean(energies, axis=0)
+        stderrs = np.std(energies, axis=0, ddof=1) / math.sqrt(n)
+        assert np.all(np.abs(table["mean_mode_energy"] - means) <= mean_bound)
+        assert np.all(np.abs(table["stderr"] - stderrs) <= stderr_bound)
+
+    @pytest.mark.parametrize("beta", [1e-300, 1e305])
+    def test_equipartition_table_holds_at_the_ends_of_beta(self, beta):
+        # The sums of β E − 1 stay near 1 in size: the centred squares of
+        # E overflowed at β = 1e-300 and underflowed to a zero stderr at
+        # β = 1e305.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["chain", "--experiment", "equipartition",
+                         "--sites", "8", "--samples", "2000",
+                         "--beta", repr(beta)]) == 0
+        rows = [line.split(",") for line in out.getvalue().splitlines()[3:]]
+        assert len(rows) == 8
+        for _, _, mean, expected, stderr in (map(float, r) for r in rows):
+            assert expected == 1.0 / beta and stderr > 0.0
+            assert abs(mean - expected) < 5.0 * stderr
 
     def test_massless_amplitudes_are_rejected(self):
         spec = ChainSpec(n_sites=6, mass=0.0)

@@ -577,7 +577,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("experiment, sites, samples", [
         ("dispersion", 1_000_000, 20000),
-        ("equipartition", 64, 1_000_000_000),
         ("equipartition", 30_000_000, 2),   # wide rows, few samples
     ])
     def test_oversized_chain_request_exits_before_allocating(
@@ -683,6 +682,9 @@ SIZED_TABLES = {
     "equipartition 256x2000":
         "chain --experiment equipartition --sites 256 --samples 2000",
     "equipartition 64x20000": "chain --experiment equipartition",
+    # the samples stream through one row block at a time
+    "equipartition 64x200000": "chain --experiment equipartition "
+                               "--samples 200000",
     # wider than a block (2**14 entries): one row per block, and a JSON
     # row per site
     "equipartition 2x20000 json": "chain --experiment equipartition "
