@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charfn import GridWaveFunction
-from .errors import _indices, _row_blocks, guard, require
+from .errors import _indices, _mass, _row_blocks, guard, require
 from .fock import hermite_function
 
 __all__ = [
@@ -551,13 +551,12 @@ def nonrelativistic_overlap(packet: GridWaveFunction, m: float,
     """
     require(0 < m and m * m < math.inf, f"need 0 < m with finite m^2, got {m}")
     require(abs(t) < math.inf, f"time must be finite, got {t}")
-    psi = packet.values
     k = 2.0 * math.pi * np.fft.fftfreq(packet.n, d=packet.dx)
-    spectrum = np.fft.fft(psi)
-    weights = np.abs(spectrum) ** 2
-    total = float(np.sum(weights))
-    require(0 < total < math.inf, "packet norm must be positive and finite")
-    weights = weights / total
+    u, _, _ = _mass(packet.values, "packet norm must be positive and finite")
+    # the transform of u cannot overflow; its mass is the same refusal
+    spectrum, total, _ = _mass(np.fft.fft(u), "packet norm must be positive "
+                               "and finite")
+    weights = np.abs(spectrum) ** 2 / total
     guard("spectral mass above |k| = m/10",
           float(np.sum(weights[np.abs(k) > m / 10.0])), 1e-3,
           "the packet is not in the heavy-mass regime")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _row_blocks, guard, require
+from .errors import _mass, _row_blocks, guard, require
 
 __all__ = [
     "GridWaveFunction",
@@ -89,11 +89,16 @@ class GridWaveFunction:
     def is_normalized(self) -> bool:
         return abs(self.norm_squared() - 1.0) <= _NORM_TOL
 
+    def _unit_mass(self, what: str) -> tuple[np.ndarray, float]:
+        """(u, s·dx) of ``errors._mass``; s·dx must be a normal double."""
+        u, s, _ = _mass(self.values, f"zero-norm sample list has no {what}")
+        require(np.finfo(float).tiny <= s * self.dx < np.inf,
+                f"the {what} is not representable at dx = {self.dx}")
+        return u, s * self.dx
+
     def normalized(self) -> "GridWaveFunction":
-        nrm2 = self.norm_squared()
-        require(0 < nrm2 < np.inf, "cannot normalize a zero-norm sample list")
-        return GridWaveFunction(self.x0, self.dx,
-                                self.values / np.sqrt(nrm2))
+        u, mass = self._unit_mass("normalization")
+        return GridWaveFunction(self.x0, self.dx, u / np.sqrt(mass))
 
     @classmethod
     def sampled(cls, func, x0: float, dx: float, n: int) -> "GridWaveFunction":
@@ -142,12 +147,11 @@ class CharacteristicSamples:
 def density_from_amplitude(psi: GridWaveFunction) -> DensityGrid:
     """p_i = |psi_i|^2, normalized to unit total mass.
 
-    A sample list whose norm differs from 1 is normalized on the fly;
-    zero norm raises ValueError.
+    A sample list whose norm differs from 1 is normalized on the fly; zero
+    norm, or a density not representable at dx, raises ValueError.
     """
-    nrm2 = psi.norm_squared()
-    require(0 < nrm2 < np.inf, "zero-norm amplitude has no density")
-    return DensityGrid(psi.x0, psi.dx, np.abs(psi.values) ** 2 / nrm2)
+    u, mass = psi._unit_mass("density")
+    return DensityGrid(psi.x0, psi.dx, np.abs(u) ** 2 / mass)
 
 
 def characteristic_function(p: DensityGrid, t_grid) -> CharacteristicSamples:

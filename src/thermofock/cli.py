@@ -33,7 +33,7 @@ if "numpy" not in sys.modules:
 import numpy as np  # noqa: E402
 
 from .errors import (  # noqa: E402
-    _BLOCK_ELEMENTS, NumericalGuardError, _row_blocks, guard, require)
+    _BLOCK_ELEMENTS, NumericalGuardError, _mass, _row_blocks, guard, require)
 
 __all__ = ["ConfigError", "RunConfig", "main", "run", "config_precedence"]
 
@@ -564,15 +564,8 @@ def _run_measure(cfg: RunConfig):
     amps = np.array([float(tok) for tok in cfg.params["amps"].split(",")
                      if tok.strip()])
     require(amps.size > 0, "need at least one branch amplitude")
-    # Scaled by the largest modulus first, the norm cannot overflow; the
-    # unit-scale quotient serves where scale * norm would.
-    scale = float(np.max(np.abs(amps)))
-    require(0 < scale < math.inf,
-            "branch amplitudes must be finite and not all zero")
-    unit = amps / scale
-    norm = np.linalg.norm(unit)
-    amps = (unit / norm if scale > sys.float_info.max / norm
-            else amps / (scale * norm))
+    u, s, _ = _mass(amps, "branch amplitudes must be finite and not all zero")
+    amps = u / math.sqrt(s)
     state = measure_mod.entangle(amps)
     rho = measure_mod.reduced_density(state, "apparatus")
     sectors = _parse_sectors(cfg.params["sectors"], rho.d)

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .charfn import GridWaveFunction, _trapezoid_weights
-from .errors import guard, require
+from .errors import _mass, guard, require
 
 __all__ = [
     "FockVector",
@@ -345,16 +345,19 @@ def from_position(psi: GridWaveFunction, n_max: int,
     """Project grid samples onto the first n_max+1 oscillator modes.
 
     c_n = ∫ ψ(q) Ψ_n(q) dq by trapezoidal quadrature.  The captured
-    coefficient mass must reach ||ψ||² within 1e-8 (this guards both a
-    too-narrow grid and a too-small truncation); otherwise
-    NumericalGuardError is raised.
+    coefficient mass must reach ||ψ||² within a relative 1e-8 at any scale
+    of ψ (this guards both a too-narrow grid and a too-small truncation);
+    otherwise NumericalGuardError is raised.
     """
+    _, mass, e = _mass(psi.values, "cannot project a zero-norm sample list")
     wv = psi.values * _trapezoid_weights(psi.n) * psi.dx
-    coeffs = np.einsum("mj,j->m", _hermite_table(n_max, psi.x, hbar), wv)
+    projection = FockVector(
+        np.einsum("mj,j->m", _hermite_table(n_max, psi.x, hbar), wv), hbar)
+    _, captured, e_c = _mass(projection.coeffs, "the projection is zero")
     guard("projection mass shortfall",
-          psi.norm_squared() - float(np.sum(np.abs(coeffs) ** 2)), _TAIL_TOL,
-          f"widen the grid or increase n_max beyond {n_max}")
-    return FockVector(coeffs, hbar)
+          1.0 - math.ldexp(captured / mass, 2 * (e_c - e)) / psi.dx,
+          _TAIL_TOL, f"widen the grid or increase n_max beyond {n_max}")
+    return projection
 
 
 def classical_trajectory(z0: complex, omega: float, t: float) -> complex:

@@ -175,8 +175,6 @@ def entangle(c, d_object: int | None = None,
     c = np.asarray(c, dtype=complex)
     require(c.ndim == 1 and c.size > 0, "need a nonempty 1-d amplitude list")
     k = c.size
-    require(abs(float(np.sum(np.abs(c) ** 2)) - 1.0) <= 1e-12,
-            "branch amplitudes must satisfy sum |c_k|^2 = 1")
     d_object, d_apparatus = _indices(
         (k if d is None else d for d in (d_object, d_apparatus)),
         "subsystem dimensions must be integers")

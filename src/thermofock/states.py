@@ -29,7 +29,7 @@ import numpy as np
 
 from .charfn import DensityGrid, GridWaveFunction
 from .chain import MultiModeFockVector, mm_raised
-from .errors import guard, require
+from .errors import _mass, guard, require
 
 __all__ = [
     "ModeProfile",
@@ -61,8 +61,7 @@ class ModeProfile:
         object.__setattr__(self, "values", values)
         require(values.ndim == 1 and values.size > 0,
                 "profile values must form a nonempty 1-d array")
-        total = float(np.sum(np.abs(values) ** 2))
-        require(0 < total < np.inf, "profile must be nonzero and finite")
+        _mass(values, "profile must be nonzero and finite")
 
     @classmethod
     def from_values(cls, values) -> "ModeProfile":
@@ -199,31 +198,30 @@ def two_particle_state(f1: ModeProfile, f2: ModeProfile) -> MultiModeFockVector:
     return _create_particle(_create_particle(vacuum, f2), f1)
 
 
+def _occupations(phi: MultiModeFockVector, what: str):
+    """|c|² at one power-of-two scale, the occupation rows and the total."""
+    u, total, _ = _mass(list(phi.coeffs.values()),
+                        f"zero vector has no {what}")
+    return np.abs(u) ** 2, np.array(list(phi.coeffs), dtype=float), total
+
+
 def number_expectation(phi: MultiModeFockVector) -> float:
     """⟨N̂⟩ = Σ_occ |c|² (Σ_k n_k) / ‖Φ‖²."""
-    norm2 = phi.norm_squared()
-    require(norm2 > 0.0, "zero vector has no number expectation")
-    return sum(abs(c) ** 2 * sum(occ) for occ, c in phi.coeffs.items()) / norm2
+    w, occ, total = _occupations(phi, "number expectation")
+    return float(np.sum(w * occ.sum(axis=1)) / total)
 
 
 def number_variance(phi: MultiModeFockVector) -> float:
     """Var(N̂) = ⟨N̂²⟩ − ⟨N̂⟩² over the occupation distribution."""
-    norm2 = phi.norm_squared()
-    require(norm2 > 0.0, "zero vector has no number variance")
-    mean = number_expectation(phi)
-    second = sum(abs(c) ** 2 * sum(occ) ** 2
-                 for occ, c in phi.coeffs.items()) / norm2
-    return second - mean ** 2
+    w, occ, total = _occupations(phi, "number variance")
+    n = occ.sum(axis=1)
+    return float(np.sum(w * n ** 2) / total - (np.sum(w * n) / total) ** 2)
 
 
 def occupation_density(phi: MultiModeFockVector) -> np.ndarray:
     """Per-mode occupation expectations ⟨n̂_j⟩ (unnormalized vector OK)."""
-    norm2 = phi.norm_squared()
-    require(norm2 > 0.0, "zero vector has no occupation density")
-    density = np.zeros(phi.modes)
-    for occ, c in phi.coeffs.items():
-        density += (abs(c) ** 2 / norm2) * np.asarray(occ, dtype=float)
-    return density
+    w, occ, total = _occupations(phi, "occupation density")
+    return np.einsum("k,kj->j", w, occ) / total
 
 
 # ---------------------------------------------------------------------------

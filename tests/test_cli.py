@@ -826,8 +826,12 @@ class TestTableContents:
         ("1e200", [1.0]),
         ("1e308,-1e308", [0.5, 0.5]),
         ("3e-320,4e-320", [0.36, 0.64]),
-        # scale * norm overflows: the unit-scale quotient is used
+        # the largest double; the mass is formed at a power-of-two scale
         ("1.7976931348623157e308,1.7976931348623157e308", [0.5, 0.5]),
+        # subnormal amplitudes scale up exactly: 2024, 4048 and 6072
+        # times 2^-1074, so the weights are exactly 1:4:9
+        ("1e-320,2e-320,3e-320", [1 / 14, 4 / 14, 9 / 14]),
+        ("1e-310,3e-310", [0.1, 0.9]),
     ])
     def test_measure_scales_extreme_amplitudes(self, tmp_path, amps, probs):
         text = run_to_file(tmp_path, ["measure", "--amps", amps,

@@ -462,6 +462,33 @@ class TestPositionPicture:
         with pytest.raises(NumericalGuardError):
             from_position(psi, n_max=4)
 
+    # The shortfall 1 - sum |c_n|^2 / ||psi||^2 is relative, so its
+    # verdict does not depend on the scale of the samples: an absolute
+    # one passed the n = 20 packet at 2^-14 and refused the Gaussian at
+    # 2^20 (shortfall 0.0012).
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-14, 0])
+    def test_projection_of_a_scaled_high_order_packet_is_refused(self, k):
+        psi = GridWaveFunction.sampled(lambda x: hermite_function(20, x),
+                                       -20.0, 40.0 / 2048, 2048)
+        with pytest.raises(NumericalGuardError,
+                           match="projection mass shortfall is 1,"):
+            from_position(GridWaveFunction(psi.x0, psi.dx,
+                                           math.ldexp(1.0, k) * psi.values),
+                          n_max=12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-600, -14, 0, 20, 600])
+    def test_projection_of_a_scaled_gaussian_passes(self, k):
+        psi = GridWaveFunction.sampled(lambda x: hermite_function(0, x),
+                                       -20.0, 40.0 / 2048, 2048)
+        scale = math.ldexp(1.0, k)
+        unit = from_position(psi, n_max=12).coeffs
+        scaled = from_position(GridWaveFunction(psi.x0, psi.dx,
+                                                scale * psi.values),
+                               n_max=12).coeffs
+        np.testing.assert_allclose(scaled / scale, unit, rtol=0, atol=1e-15)
+
     def test_position_scale_follows_hbar(self):
         # At scale hbar the ground-state density variance is hbar/2.
         q = np.linspace(-10.0, 10.0, 2001)
