@@ -61,6 +61,8 @@ print("2. Sampled radii against the radial law")
 print("=" * 70)
 ks = pushforward_ks_statistic(beta=BETA, n=100000, seed=7)
 print(f"  KS statistic at n = 1e5: {ks:.5f}  (threshold 0.01)")
+if not ks < 0.01:
+    sys.exit(f"KS statistic {ks!r} is not below the 0.01 threshold")
 
 print()
 print("=" * 70)
@@ -68,12 +70,22 @@ print("3. Normalization and mean energy")
 print("=" * 70)
 mass = gibbs_normalization_check(osc)
 print(f"  quadrature mass: {mass:.12f}  (analytic 1)")
+# gibbs_normalization_check vouches for 1e-9 of 2 pi/(beta omega h) = 1
+if abs(mass - 1.0) > 1e-9:
+    sys.exit(f"quadrature mass {mass!r} is more than 1e-9 from 1")
 mc, stderr = mean_energy(osc, n=200000, seed=3)
 print(f"  Monte Carlo mean energy: {mc:.6f} +- {stderr:.6f}  "
       f"(target {1.0 / BETA})")
+# the acceptance gate's bound: 3 standard errors
+if abs(mc - 1.0 / BETA) > 3.0 * stderr:
+    sys.exit(f"Monte Carlo mean energy {mc!r} is more than 3 standard "
+             f"errors ({stderr!r}) from {1.0 / BETA}")
 median = gibbs_median_radius(osc)
 half = region_probability(Disk(median), osc)
 print(f"  median-radius disk holds {half:.10f} of the mass")
+# region_probability vouches for its mass to its 1e-7 self-estimate
+if abs(half - 0.5) > 1e-7:
+    sys.exit(f"median-radius disk mass {half!r} is more than 1e-7 from 1/2")
 
 print()
 print("=" * 70)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _mass, _row_blocks, guard, require
+from .errors import _mass, _row_blocks, _sum_squares, guard, require
 
 __all__ = [
     "GridWaveFunction",
@@ -83,7 +83,7 @@ class GridWaveFunction:
         return self.x0 + self.dx * np.arange(self.n)
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2) * self.dx)
+        return _sum_squares(self.values, self.dx)
 
     @property
     def is_normalized(self) -> bool:

@@ -227,13 +227,13 @@ def _run_fock(cfg: RunConfig):
             ("check", "a", "b", "defect"), rows, comments)
 
 
-# angles, radii, CDF, energies
+# the radii, then the energies, and the temporaries of one row block
 @_table(_TABLES, "sphere", {
     "beta": (float, 1.0, "inverse temperature"),
     "radius": (float, 1.0, "sphere radius"),
     "samples": (int, 100000, "sample count for the pushforward and "
                              "Monte Carlo checks"),
-}, footprint=lambda p: 12 * 8 * p["samples"])
+}, footprint=lambda p: 8 * p["samples"] + 64 * _BLOCK_ELEMENTS)
 def _run_sphere(cfg: RunConfig):
     from . import sphere as sphere_mod
     beta = cfg.params["beta"]

@@ -15,9 +15,12 @@ Bounds are module constants at the call sites, never arguments, and
 ``_indices`` coerces index lists, refusing a non-integer with ValueError.
 ``_row_blocks`` slices every loop that bounds its temporaries in row
 blocks against one budget, ``_BLOCK_ELEMENTS`` entries per block.
-``_mass`` forms each Σ|v|² that the package normalizes by or refuses on.
+``_mass`` forms each Σ|v|² that the package normalizes by or refuses on,
+and ``_sum_squares`` each one that a normalization check compares with 1,
+both from one power-of-two scaling, ``_scaled``.
 """
 
+import math
 import operator
 from collections.abc import Iterator
 
@@ -68,14 +71,34 @@ def _row_blocks(n_rows: int, width: int) -> Iterator[slice]:
     return (slice(i, i + b) for i in range(0, n_rows, b))
 
 
-def _mass(values, message: str) -> tuple[np.ndarray, float, int]:
+def _scaled(values) -> tuple[np.ndarray, float, int]:
     """(u, s, e): u = values·2^-e, 2^e the power of two above the largest
-    real or imaginary part, and s = Σ|u|² in [1/4, 2 len(values)], which
-    is Σ|values|²·4^-e bit for bit away from subnormals (safe scaling: Blue
-    1978, Anderson 2017).  All-zero, inf or NaN values raise ValueError."""
+    real or imaginary part, and s = Σ|u|², which is Σ|values|²·4^-e bit
+    for bit away from subnormals (safe scaling: Blue 1978, Anderson 2017).
+    All-zero values give e = 0 and s = 0, and inf or NaN an s of inf or
+    NaN."""
     parts = np.ascontiguousarray(values, dtype=complex).view(float)
-    top = float(np.max(np.abs(parts), initial=0.0))
-    require(0.0 < top < np.inf, message)
-    e = int(np.frexp(top)[1])
+    e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
     u = np.ldexp(parts, -e).view(complex)
     return u, float(np.sum(np.abs(u) ** 2)), e
+
+
+def _mass(values, message: str) -> tuple[np.ndarray, float, int]:
+    """(u, s, e) of ``_scaled``, with s in [1/4, 2 len(values)];
+    all-zero, inf or NaN values raise ValueError(message)."""
+    u, s, e = _scaled(values)
+    require(0.0 < s < np.inf, message)
+    return u, s, e
+
+
+def _sum_squares(values, weight: float) -> float:
+    """Σ|values|²·weight, unscaled from ``_scaled`` in one rounding: the
+    plain sum's bits wherever no square, partial sum or product leaves the
+    normal range, and inf, not an overflow warning, beyond the double
+    range."""
+    _, s, e = _scaled(values)
+    m, k = math.frexp(weight)
+    try:
+        return math.ldexp(s * m, 2 * e + k)
+    except OverflowError:
+        return math.inf

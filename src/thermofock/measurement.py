@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _indices, _row_blocks, require
+from .errors import _indices, _row_blocks, _sum_squares, require
 
 __all__ = [
     "DensityMatrix",
@@ -159,7 +159,7 @@ class BipartiteState:
         object.__setattr__(self, "amplitudes", a)
         require(a.ndim == 2 and min(a.shape) > 0,
                 "amplitude table must be a nonempty 2-d array")
-        require(abs(float(np.sum(np.abs(a) ** 2)) - 1.0) <= 1e-12,
+        require(abs(_sum_squares(a, 1.0) - 1.0) <= 1e-12,
                 "state is not normalized within 1e-12")
 
 

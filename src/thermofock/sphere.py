@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import guard, require
+from .errors import _row_blocks, guard, require
 
 __all__ = [
     "SphereGeometry",
@@ -48,7 +48,6 @@ __all__ = [
     "thermal_map_paper",
     "thermal_map_exact",
     "cap_area_fraction",
-    "uniform_sphere_samples",
     "pushforward_radii",
     "pushforward_ks_statistic",
     "gibbs_normalization_check",
@@ -181,16 +180,6 @@ def cap_area_fraction(theta: float) -> float:
     return math.sin(theta / 2.0) ** 2
 
 
-def uniform_sphere_samples(n: int, seed: int):
-    """(θ, φ) samples uniform in area: cosθ uniform on [−1, 1]."""
-    require(n >= 1, f"need at least one sample, got n={n}")
-    rng = np.random.default_rng(seed)
-    cos_theta = rng.uniform(-1.0, 1.0, size=n)
-    theta = np.arccos(cos_theta)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return theta, phi
-
-
 def pushforward_radii(theta: np.ndarray, beta: float) -> np.ndarray:
     """r = |q + ip| for uniform-sphere angles θ under the exact thermal
     map, in the phase plane of ``ThermalOscillator(beta)``."""
@@ -212,20 +201,32 @@ def pushforward_ks_statistic(beta: float, n: int, seed: int) -> float:
     """Kolmogorov–Smirnov distance between mapped uniform-sphere radii
     r = |q + ip| and the Gibbs radial law 1 − e^{−βr²/2} of their plane.
 
-    D does not depend on β: it is taken on the unit radius r̃ = sqrt(β) r,
-    whose law is 1 − e^{−r̃²/2}.  D = max(D⁺, D⁻) over the sorted
-    empirical CDF, arranged as in ``scipy.stats.kstest`` (the test
-    oracle) so the two agree bit for bit.
+    The polar angles are uniform in area (cos θ uniform on [−1, 1]),
+    drawn one row block at a time from one generator, so they are those
+    of one draw of n.  D does not depend on β: it is taken on the unit
+    radius r̃ = sqrt(β) r, whose law is 1 − e^{−r̃²/2}.  D = max(D⁺, D⁻)
+    over the sorted empirical CDF, arranged as in ``scipy.stats.kstest``
+    (the test oracle) so the two agree bit for bit; the ranks of each
+    block are whole-number floats, exact whatever the block.  Only the n
+    radii are held whole.
     """
     require(0 < beta < math.inf,
             f"beta must be positive and finite, got {beta}")
     require(n >= 1, f"the KS statistic needs at least 1 sample, got {n}")
-    theta, _ = uniform_sphere_samples(n, seed)
-    radii = np.sort(pushforward_radii(theta, 1.0))
-    cdf = -np.expm1(-radii * radii / 2.0)
-    d_plus = np.max(np.arange(1.0, radii.size + 1) / radii.size - cdf)
-    d_minus = np.max(cdf - np.arange(0.0, radii.size) / radii.size)
-    return float(max(d_plus, d_minus))
+    rng = np.random.default_rng(seed)
+    radii = np.empty(n)
+    for rows in _row_blocks(n, 1):
+        block = radii[rows]
+        block[:] = pushforward_radii(
+            np.arccos(rng.uniform(-1.0, 1.0, size=block.size)), 1.0)
+    radii.sort()
+    d = 0.0
+    for rows in _row_blocks(n, 1):
+        r = radii[rows]
+        cdf = -np.expm1(-r * r / 2.0)
+        ranks = np.arange(rows.start, rows.start + r.size, dtype=float)
+        d = max(d, np.max((ranks + 1.0) / n - cdf), np.max(cdf - ranks / n))
+    return float(d)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +252,23 @@ def mean_energy(osc: ThermalOscillator, n: int, seed: int):
     correctly in any order, so the estimate does not depend on the order
     of the samples.  It computes in units of 1/β: βE = (q̃² + p̃²)/2 for
     unit normals q̃, p̃ whatever ω and m are, and the mean and stderr of
-    βE are divided by β once."""
+    βE are divided by β once.  The n energies are formed in one buffer,
+    with p̃ drawn one row block at a time after q̃, so the samples are
+    those of one (2, n) draw."""
     require(n >= 1000, f"mean_energy needs n >= 1000 samples, got {n}")
     rng = np.random.default_rng(seed)
-    q, p = rng.standard_normal((2, n))
-    energies = 0.5 * (q * q + p * p)
+    energies = rng.standard_normal(n)
+    energies *= energies
+    for rows in _row_blocks(n, 1):
+        block = energies[rows]
+        p = rng.standard_normal(block.size)
+        p *= p
+        block += p
+        block *= 0.5
     mean = math.fsum(energies) / n
-    var = math.fsum((energies - mean) ** 2) / (n - 1)
+    energies -= mean
+    energies *= energies
+    var = math.fsum(energies) / (n - 1)
     return mean / osc.beta, math.sqrt(var / n) / osc.beta
 
 

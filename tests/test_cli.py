@@ -671,6 +671,8 @@ SIZED_TABLES = {
     "fock 12": "fock --nmax 12",
     "sphere 20000": "sphere --samples 20000",
     "sphere 100000": "sphere --samples 100000",
+    # the samples stream through one row block at a time
+    "sphere 1000000": "sphere --samples 1000000",
     "spectrum 1000": "spectrum --points 1000",
     "spectrum 5000": "spectrum --points 5000",
     "toy 1000": "toy --steps 1000",

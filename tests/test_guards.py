@@ -13,12 +13,13 @@ import ast
 import math
 import re
 import traceback
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thermofock import (chain, charfn, cli, errors, exterior, fock,
@@ -164,10 +165,6 @@ BAD_COUNT_CALLS = {
     "chain.gibbs_sample(n=-1)":
         (lambda: chain.gibbs_sample(chain.ChainSpec(8), 1.0, -1, seed=0),
          "at least one sample"),
-    "sphere.uniform_sphere_samples(0)":
-        (lambda: sphere.uniform_sphere_samples(0, 0), "at least one sample"),
-    "sphere.uniform_sphere_samples(-1)":
-        (lambda: sphere.uniform_sphere_samples(-1, 0), "at least one sample"),
     "measurement.random_density(4, rank=0)":
         (lambda: measurement.random_density(4, np.random.default_rng(0),
                                             rank=0), "rank >= 1"),
@@ -979,3 +976,52 @@ def test_every_mass_is_scale_free(site, entries, k):
     got = _outcome(answer, np.ldexp(parts, k).view(complex))
     assert got == expected or (
         scale_refusal is not None and got.startswith(scale_refusal))
+
+
+# Each check that an input is already normalized forms its mass with
+# errors._sum_squares, so an input whose exact mass is not 1 is refused
+# with the check's message at every scale, never with an overflow
+# warning.  Each site: (the call on a short list of entries, its refusal).
+def _packet(values):
+    return charfn.GridWaveFunction(0.0, 1.0, values)
+
+
+NORMALIZED_SITES = {
+    "states.rms_widths":
+        (lambda v: states.rms_widths(_packet(v)), "packet must be normalized"),
+    "charfn.autocorrelation_charfn":
+        (lambda v: charfn.autocorrelation_charfn(_packet(v), np.zeros(1)),
+         "packet must be normalized"),
+    "charfn.verify_theorem":
+        (lambda v: charfn.verify_theorem(_packet(v)),
+         "packet must be normalized"),
+    "states.singlet_marginal":
+        (lambda v: states.singlet_marginal(_packet(v), _packet(v)),
+         "orbitals must be normalized"),
+    "measurement.entangle":
+        (measurement.entangle, "state is not normalized within 1e-12"),
+}
+
+
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200)
+@given(site=st.sampled_from(sorted(NORMALIZED_SITES)),
+       entries=st.lists(st.builds(complex, _PART, _PART), min_size=2,
+                        max_size=9),
+       k=st.integers(-1100, 1100))
+@example(site="states.rms_widths", entries=[1e160, 1e160], k=0)
+@example(site="charfn.autocorrelation_charfn", entries=[1e160, 1e160], k=0)
+@example(site="charfn.verify_theorem", entries=[1e160, 1e160], k=0)
+@example(site="states.singlet_marginal", entries=[1e160, 1e160], k=0)
+@example(site="measurement.entangle", entries=[1e200], k=0)
+def test_an_unnormalized_input_is_refused_at_every_scale(site, entries, k):
+    call, message = NORMALIZED_SITES[site]
+    parts = np.asarray(entries, dtype=complex).view(float)
+    top = int(np.frexp(parts[parts != 0.0])[1].max(initial=0))
+    values = np.ldexp(parts, min(k, 1024 - top)).view(complex)  # finite
+    mass = sum(Fraction(x) ** 2 for x in values.view(float).tolist())
+    assume(abs(mass - 1) > Fraction(1, 10 ** 6))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(values)

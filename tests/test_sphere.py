@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from thermofock import errors as errors_mod
 from thermofock import sphere as sphere_mod
 from thermofock.errors import NumericalGuardError
 from thermofock.sphere import (
@@ -45,7 +46,6 @@ from thermofock.sphere import (
     region_probability,
     thermal_map_exact,
     thermal_map_paper,
-    uniform_sphere_samples,
 )
 
 # 1/(1 - e^{-10}) and 0.01/(e^{0.01} - 1), frozen from an independent
@@ -64,6 +64,39 @@ LOG_FLOATS = st.floats(-324.0, 308.25).map(lambda e: 10.0 ** e)
 
 OSCILLATORS = st.builds(ThermalOscillator, beta=st.floats(0.1, 10.0),
                         omega=st.floats(0.5, 2.0), mass=st.floats(0.3, 3.0))
+
+
+# Sample counts at the edges of a row block of b samples, with the real
+# budget and with a small one whose b - 1 still meets mean_energy's floor.
+STREAM_BUDGETS = [None, 1001]
+STREAM_SIZES = [(1, -1), (1, 0), (1, 1), (3, 7)]
+
+
+def stream_sizes(monkeypatch, budget):
+    """The sample counts b - 1, b, b + 1 and 3b + 7 for a budget of b
+    entries, patched in unless it is None (the real budget)."""
+    if budget is not None:
+        monkeypatch.setattr(errors_mod, "_BLOCK_ELEMENTS", budget)
+    b = errors_mod._BLOCK_ELEMENTS
+    return [blocks * b + extra for blocks, extra in STREAM_SIZES]
+
+
+def uniform_sphere_samples(n, seed):
+    """Polar angles θ of n points uniform in area, in one draw: cos θ
+    uniform on [−1, 1].  The one-shot oracle of the angles that
+    ``pushforward_ks_statistic`` draws block by block."""
+    return np.arccos(np.random.default_rng(seed).uniform(-1.0, 1.0, size=n))
+
+
+def sorted_fsum_estimate(osc, n, seed):
+    """(mean, stderr) of ``mean_energy`` from one (2, n) draw, summed in
+    sorted order; fsum is correctly rounded in any order, so the result
+    does not depend on the order or the blocks of the sum."""
+    q, p = np.random.default_rng(seed).standard_normal((2, n))
+    energies = np.sort(0.5 * (q * q + p * p))
+    mean = math.fsum(energies) / n
+    var = math.fsum((energies - mean) ** 2) / (n - 1)
+    return mean / osc.beta, math.sqrt(var / n) / osc.beta
 
 
 def gibbs_widths(osc):
@@ -275,7 +308,7 @@ class TestPushforward:
         # The statistic is taken on the unit radius sqrt(beta) r, whose law
         # is 1 - e^{-r^2/2}; it agrees with the oracle there bit for bit,
         # and with the oracle in the plane of beta to rounding.
-        theta, _ = uniform_sphere_samples(n, seed)
+        theta = uniform_sphere_samples(n, seed)
         unit = stats.kstest(pushforward_radii(theta, 1.0),
                             lambda r: -np.expm1(-r * r / 2.0))
         plane = stats.kstest(pushforward_radii(theta, beta),
@@ -284,10 +317,22 @@ class TestPushforward:
         assert statistic == unit.statistic
         assert abs(statistic - plane.statistic) <= 1e-15
 
+    @pytest.mark.parametrize("budget", STREAM_BUDGETS,
+                             ids=["2**14", "1001"])
+    def test_streamed_ks_statistic_is_the_one_shot_statistic(
+            self, budget, monkeypatch):
+        # The angles are drawn and the ranks taken one block at a time;
+        # the statistic is scipy's on the one-shot angles, bit for bit.
+        for n in stream_sizes(monkeypatch, budget):
+            for seed, beta in [(0, 0.25), (7, 1.0), (12345, 3.5)]:
+                expected = stats.kstest(
+                    pushforward_radii(uniform_sphere_samples(n, seed), 1.0),
+                    lambda r: -np.expm1(-r * r / 2.0)).statistic
+                assert pushforward_ks_statistic(beta, n, seed) == expected
+
     def test_uniform_samples_are_on_the_sphere(self):
-        theta, phi = uniform_sphere_samples(10000, seed=3)
+        theta = uniform_sphere_samples(10000, seed=3)
         assert np.all((theta >= 0.0) & (theta <= math.pi))
-        assert np.all((phi >= 0.0) & (phi < 2.0 * math.pi))
         # for the area measure cos(theta) is uniform on [-1, 1]:
         # mean 0 with standard error 1/sqrt(3 n)
         assert abs(np.mean(np.cos(theta))) < 3.0 / math.sqrt(3.0 * 10000)
@@ -400,16 +445,21 @@ class TestGibbsMeasure:
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_mean_energy_is_the_sorted_fsum_estimate(self, seed):
-        # fsum is correctly rounded in any order, so the unsorted sums
-        # equal the sorted ones, kept here as the oracle.
         osc = ThermalOscillator(beta=0.7)
-        n = 20000
-        q, p = np.random.default_rng(seed).standard_normal((2, n))
-        energies = np.sort(0.5 * (q * q + p * p))
-        mean = math.fsum(energies) / n
-        var = math.fsum((energies - mean) ** 2) / (n - 1)
-        assert mean_energy(osc, n, seed) == (
-            mean / osc.beta, math.sqrt(var / n) / osc.beta)
+        assert mean_energy(osc, 20000, seed) == sorted_fsum_estimate(
+            osc, 20000, seed)
+
+    @pytest.mark.parametrize("budget", STREAM_BUDGETS,
+                             ids=["2**14", "1001"])
+    def test_streamed_mean_energy_is_the_one_shot_estimate(
+            self, budget, monkeypatch):
+        # q is drawn whole and p one block at a time; the estimate is
+        # that of one (2, n) draw, bit for bit.
+        for n in stream_sizes(monkeypatch, budget):
+            for seed, beta in [(0, 0.25), (11, 0.7), (12345, 3.5)]:
+                osc = ThermalOscillator(beta)
+                assert mean_energy(osc, n, seed) == sorted_fsum_estimate(
+                    osc, n, seed)
 
     def test_monte_carlo_sample_floor(self):
         osc = ThermalOscillator(beta=1.0)
