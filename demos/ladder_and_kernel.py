@@ -19,6 +19,8 @@ dictionary trustworthy:
   unchanged: the scale constant is a convention of the representation.
 """
 
+import sys
+
 import numpy as np
 
 from thermofock.fock import (
@@ -86,6 +88,10 @@ for z, w in [(0.5 + 0.5j, 1.0 - 0.2j), (1.5, -1.0j)]:
     print(f"  z = {z}, z' = {w}:  integral {overlap:+.10f}")
     print(f"  {'':24s}exact    {target:+.10f}   "
           f"(defect {abs(overlap - target):.2e})")
+    # the acceptance gate holds the kernel pairing to 1e-8
+    if abs(overlap - target) > 1e-8:
+        sys.exit(f"z = {z}, z' = {w}: kernel pairing {complex(overlap)} "
+                 f"is not e^(z conj z') = {complex(target)} within 1e-8")
 
 print()
 print("=" * 70)

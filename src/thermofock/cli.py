@@ -178,13 +178,13 @@ _EIGVAL_FLOOR = 1e-12
 _SPEC_FLAGS = ("sites", "spacing", "mass", "gamma")
 
 
-# nmax is at most 12: the kernel's 65-row Hermite table and the scaled copy
-# that _hermite_table returns
+# nmax <= 12: building the cached quadrature Gram holds three complex 13-row
+# tables over 48 x 80 nodes; the 5 kernel rows then hold 8 more in temporaries
 @_table(_TABLES, "fock", {
     "nmax": (int, 12, "orthonormality truncation, at most 12"),
     "hbar": (float, 1.0, "ladder scale constant"),
     "omega": (float, 1.0, "oscillator frequency for the eigenvalue check"),
-}, footprint=lambda p: 2 * 8 * 65 * _KERNEL_GRID)
+}, footprint=lambda p: 16 * max(3 * 13 * 48 * 80, 13 * _KERNEL_GRID))
 def _run_fock(cfg: RunConfig):
     from . import fock as fock_mod
     nmax = cfg.params["nmax"]

@@ -18,6 +18,7 @@ n-generator engine is provided.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,9 +268,8 @@ class AmplitudeEventSpace:
     subset_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "amp_e", tuple(complex(a) for a in self.amp_e))
-        object.__setattr__(self, "amp_ebar",
-                           tuple(complex(a) for a in self.amp_ebar))
+        object.__setattr__(self, "amp_e", tuple(map(complex, self.amp_e)))
+        object.__setattr__(self, "amp_ebar", tuple(map(complex, self.amp_ebar)))
         keys = [frozenset(_indices(k, "override keys must hold event indices"))
                 for k in self.subset_overrides]
         require(len(set(keys)) == len(keys),
@@ -351,7 +351,7 @@ def check_axioms(space: AmplitudeEventSpace, mode: str = "nonrelativistic",
 
     if "Q2" not in skip:
         for j, (a, b) in enumerate(zip(space.amp_e, space.amp_ebar)):
-            if not (np.isfinite(a) and np.isfinite(b)):
+            if not (cmath.isfinite(a) and cmath.isfinite(b)):
                 violations.append(f"Q2: event {j} has non-finite amplitude")
 
     n = space.n_events

@@ -381,6 +381,21 @@ class TestAxioms:
         report = check_axioms(space)
         assert "Q2: event 0 has non-finite amplitude" in report.violations
 
+    @settings(max_examples=200)
+    @given(sides=st.lists(st.tuples(*[st.one_of(
+        st.floats(-2.0, 2.0), st.sampled_from([math.inf, -math.inf,
+                                                math.nan]))] * 4),
+        max_size=6), extra=st.integers(0, 2))
+    def test_q2_flags_exactly_the_non_finite_events(self, sides, extra):
+        # amp_e may run longer than amp_ebar: Q2 reads the paired events
+        amp_e = [complex(re, im) for re, im, _, _ in sides] + [1.0] * extra
+        amp_ebar = [complex(re, im) for _, _, re, im in sides]
+        report = check_axioms(AmplitudeEventSpace(amp_e, amp_ebar))
+        flagged = [f"Q2: event {j} has non-finite amplitude"
+                   for j, parts in enumerate(sides)
+                   if not all(math.isfinite(x) for x in parts)]
+        assert [v for v in report.violations if v.startswith("Q2")] == flagged
+
     def test_imaginary_density_flagged(self):
         space = AmplitudeEventSpace((1.0,), (1j,))
         report = check_axioms(space, skip={"Q4"})

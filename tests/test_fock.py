@@ -8,6 +8,7 @@ position-side checks.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -35,6 +36,13 @@ from thermofock.fock import (
     rescale_lambda,
     to_position,
 )
+
+
+# the three refusals of bargmann_kernel; anything else is a defect
+KERNEL_REFUSAL = re.compile(r"hbar must be positive and finite, got .*"
+                            r"|q must be finite"
+                            r"|the kernel modulus at .* lies beyond the "
+                            r"double range")
 
 
 def random_vector(rng, n_max, hbar=1.0, interior=False):
@@ -384,9 +392,72 @@ class TestPositionPicture:
                 integral = np.trapezoid(kernels[i] * np.conj(kernels[j]), q)
                 assert abs(integral - np.exp(z * np.conj(zp))) < 1e-8
 
-    def test_kernel_tail_guard(self):
-        with pytest.raises(NumericalGuardError):
-            bargmann_kernel(5.0 + 0.0j, np.linspace(-5, 5, 11), n_max=10)
+    def test_kernel_beyond_the_double_range_is_refused(self):
+        # the peak modulus is pi^{-1/4} e^{|z|^2/2}, above the largest
+        # double once |z|^2/2 - log(pi)/4 passes log(DBL_MAX) = 709.78
+        with pytest.raises(ValueError, match="beyond the double range"):
+            bargmann_kernel(37.7 + 0.0j, np.linspace(-5, 5, 11))
+        peak = bargmann_kernel(37.6 + 0.0j, [math.sqrt(2.0) * 37.6])
+        assert np.isfinite(peak).all() and abs(peak[0]) > 1e300
+
+    @settings(max_examples=200)
+    @given(radius=st.floats(0.0, 3.0), angle=st.floats(0.0, 2.0 * math.pi),
+           log_hbar=st.floats(-4.0, 4.0),
+           s=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=40))
+    @example(radius=3.0, angle=0.0, log_hbar=0.0, s=[-12.0, 0.0, 12.0])
+    @example(radius=3.0, angle=0.5 * math.pi, log_hbar=-4.0, s=[12.0])
+    def test_kernel_matches_its_series(self, radius, angle, log_hbar, s):
+        # Oracle: the 65-term series sum_n Z_n(z) Psi_n(q) at scale hbar,
+        # Z_n(z) = Z_{n-1}(z) w / sqrt(n) and Psi_n(q) = hbar^{-1/4}
+        # Psi_n(q / sqrt(hbar)) at unit scale, with w = z / sqrt(hbar).
+        hbar = math.exp(log_hbar)
+        w = radius * complex(math.cos(angle), math.sin(angle))
+        z = w * math.sqrt(hbar)
+        s = np.asarray(s)
+        q = s * math.sqrt(hbar)
+        z_n = np.empty(65, dtype=complex)
+        z_n[0] = 1.0
+        for n in range(1, 65):
+            z_n[n] = z_n[n - 1] * w / math.sqrt(n)
+        rows = np.stack([hermite_function(n, s) for n in range(65)])
+        series = hbar ** -0.25 * (z_n @ rows)
+        # Cramer: |Psi_n| < 1.086435 pi^{-1/4} at unit scale, so the tail
+        # is below that sup times sum_{n>64} |w|^n / sqrt(n!), a series
+        # whose ratio stays below |w| / sqrt(66) after its first term.
+        sup = 1.086435 * math.pi ** -0.25 * hbar ** -0.25
+        first = math.exp(65 * math.log(max(radius, 1e-300))
+                         - 0.5 * math.lgamma(66.0))
+        tail = sup * first / (1.0 - radius / math.sqrt(66.0))
+        # Rounding: term n of the series carries the n steps of each
+        # recurrence, a few roundings each, on a term below |Z_n| sup; the
+        # closed form rounds an exponent of size |log peak| + (s - sqrt2 a)^2/2
+        # and a phase of size sqrt2 |b s| + |a b| on a modulus below its peak.
+        eps = np.finfo(float).eps
+        n = np.arange(65)
+        series_rounding = eps * np.sum((8 * n + 16) * np.abs(z_n)) * sup
+        a, b = w.real, w.imag
+        log_peak = 0.5 * radius ** 2 - 0.25 * math.log(math.pi * hbar)
+        phase = math.sqrt(2.0) * abs(b) * np.max(np.abs(s)) + abs(a * b)
+        closed_rounding = 4 * eps * (abs(log_peak) + 3 + phase) * math.exp(
+            log_peak)
+        kernel = bargmann_kernel(z, q, hbar)
+        assert np.max(np.abs(kernel - series)) <= (
+            tail + series_rounding + closed_rounding)
+
+    @settings(max_examples=300)
+    @given(real=st.floats(), imag=st.floats(), hbar=st.floats(),
+           q=st.lists(st.floats(), min_size=1, max_size=8))
+    @example(real=1.0, imag=1.0, hbar=5e-324, q=[1e308, -1e308, 0.0])
+    @example(real=1e154, imag=0.0, hbar=1.7e308, q=[1e154])
+    @example(real=-26.0, imag=26.0, hbar=1.0, q=[0.0, -36.0, 1e-300])
+    def test_kernel_is_finite_or_refused_over_the_double_range(
+            self, real, imag, hbar, q):
+        try:
+            kernel = bargmann_kernel(complex(real, imag), q, hbar)
+        except ValueError as exc:
+            assert KERNEL_REFUSAL.fullmatch(str(exc)), str(exc)
+            return
+        assert kernel.shape == (len(q),) and np.isfinite(kernel).all()
 
     def test_measure_integral_of_the_kernel_smears_to_the_identity(self):
         # Second completeness identity: integrating U(z,q) conj(U(z,q'))
@@ -412,11 +483,12 @@ class TestPositionPicture:
                           for n in range(n_kernel + 1)])
         u_matrix = basis @ table
 
-        # the factored evaluation must agree with the public kernel
+        # the factored evaluation must agree with the public kernel: the
+        # 40-term series misses below 1e-12 of it for |z| < 2
         small = np.nonzero(np.abs(z) < 2.0)[0][:5]
         for i in small:
             np.testing.assert_allclose(
-                u_matrix[i], bargmann_kernel(z[i], q, n_max=n_kernel),
+                u_matrix[i], bargmann_kernel(z[i], q),
                 atol=1e-10)
 
         trap = np.ones(q.size)
@@ -488,6 +560,36 @@ class TestPositionPicture:
                                                 scale * psi.values),
                                n_max=12).coeffs
         np.testing.assert_allclose(scaled / scale, unit, rtol=0, atol=1e-15)
+
+    # A pass of the "projection mass shortfall" guard vouches for the
+    # coefficients within sqrt(1e-8) ||psi|| (from_position's docstring).
+    # Coherent states psi_a(q) = e^{-|a|^2/2} U(a, q), written here from
+    # U = pi^{-1/4} exp(-q^2/2 + sqrt2 a q - a^2/2), have the exact
+    # coefficients e^{-|a|^2/2} a^n / sqrt(n!) and unit norm; for |a| <= 4
+    # the grid [-12, 12] misses below 1e-17 of that mass.
+    @settings(max_examples=200)
+    @given(radius=st.floats(0.0, 4.0), angle=st.floats(0.0, 2.0 * math.pi),
+           n_max=st.integers(0, 64))
+    @example(radius=4.0, angle=0.0, n_max=64)
+    @example(radius=1.0, angle=1.0, n_max=8)
+    def test_a_passing_projection_of_a_coherent_state_is_accurate(
+            self, radius, angle, n_max):
+        a = radius * complex(math.cos(angle), math.sin(angle))
+        q = np.linspace(-12.0, 12.0, 2401)
+        values = np.pi ** -0.25 * np.exp(
+            -0.5 * q * q + math.sqrt(2.0) * a * q - 0.5 * a * a
+            - 0.5 * radius ** 2)
+        try:
+            f = from_position(GridWaveFunction(q[0], q[1] - q[0], values),
+                              n_max)
+        except NumericalGuardError as exc:
+            assert str(exc).startswith("projection mass shortfall is ")
+            return
+        n = np.arange(n_max + 1)
+        exact = np.exp(n * np.log(max(radius, 1e-300)) - 0.5 * radius ** 2
+                       - 0.5 * np.array([math.lgamma(k + 1.0) for k in n])
+                       ) * np.exp(1j * n * angle)
+        assert np.linalg.norm(f.coeffs - exact) <= 1e-4
 
     def test_position_scale_follows_hbar(self):
         # At scale hbar the ground-state density variance is hbar/2.

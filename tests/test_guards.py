@@ -590,9 +590,16 @@ REFUSAL_CALLS = {
     "fock.rescale_lambda(0)":
         (lambda: fock.rescale_lambda(fock.FockVector([1.0]), 0.0),
          "lambda must be positive and finite, got 0.0"),
-    "fock.bargmann_kernel(z=10, n_max=4)":
-        (lambda: fock.bargmann_kernel(10.0, [0.0], n_max=4),
-         "kernel tail bound is inf,"),
+    "fock.bargmann_kernel(hbar=0)":
+        (lambda: fock.bargmann_kernel(1.0, [0.0], 0.0),
+         "hbar must be positive and finite, got 0.0"),
+    "fock.bargmann_kernel(q=nan)":
+        (lambda: fock.bargmann_kernel(1.0, [0.0, NAN]), "q must be finite"),
+    # the peak modulus pi^{-1/4} e^{|z|^2/2} passes DBL_MAX at |z| = 37.7
+    "fock.bargmann_kernel(z=40)":
+        (lambda: fock.bargmann_kernel(40.0, [0.0]),
+         r"the kernel modulus at z = \(40\+0j\), hbar = 1\.0 lies beyond "
+         "the double range"),
     "fock.from_position(zero packet)":
         (lambda: fock.from_position(
             charfn.GridWaveFunction(-10.0, 0.1, np.zeros(201)), 4),
